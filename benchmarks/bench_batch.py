@@ -14,10 +14,6 @@ rationale):
    bottom-up writes each page once — no descents at all — so its
    fixes/key must come in below the multi_put path's.
 
-3. **The WAL writer is strictly opt-in.**  With ``wal_writer=False``
-   (the default) no writer thread exists, no writer stats move, and a
-   serial committer forces the log exactly once per commit.
-
 A mixed batch-vs-point workload wall-clock comparison is reported as
 context without a tight gate.  ``BENCH_batch.json`` receives the
 machine-readable numbers; ``BENCH_QUICK=1`` shrinks the workloads for
@@ -153,49 +149,6 @@ def test_batch_insert_shares_descents(benchmark, emit, emit_json):
     assert bulk["pages_built"] > 0
 
 
-def test_wal_writer_strictly_opt_in(benchmark, emit):
-    """Writer off (default): no thread, no writer stats, one force per
-    serial commit — the pipeline must cost nothing when unused."""
-    out: dict = {}
-
-    def run():
-        out.clear()
-        db = Database(page_capacity=PAGE_CAP)
-        tree = db.create_tree("batch", BTreeExtension())
-        assert db.log.wal_writer_active is False
-        assert db.log._writer_thread is None
-        before = db.log.stats.snapshot()
-        commits = 10
-        for i in range(commits):
-            txn = db.begin()
-            tree.insert(txn, i, f"r{i}")
-            db.commit(txn)
-        after = db.log.stats.snapshot()
-        out["commits"] = commits
-        out["flushes"] = after["flushes"] - before["flushes"]
-        out["writer_batches"] = after["writer_batches"]
-        out["writer_thread"] = db.log._writer_thread
-        db.shutdown()
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "BATCH — WAL writer dormancy with wal_writer=False (default)",
-        [
-            {
-                "commits": out["commits"],
-                "flushes": out["flushes"],
-                "writer_batches": out["writer_batches"],
-                "writer_thread": str(out["writer_thread"]),
-            }
-        ],
-        columns=["commits", "flushes", "writer_batches", "writer_thread"],
-    )
-    assert out["writer_thread"] is None
-    assert out["writer_batches"] == 0
-    # serial committer, inline path: exactly one force per commit
-    assert out["flushes"] == out["commits"]
-
-
 def test_mixed_batch_workload_wall_clock(benchmark, emit, emit_json):
     """Context only — throughput of a mixed workload issued as batches
     vs the same mix as point ops.  No tight gate (wall clock); the
@@ -207,7 +160,6 @@ def test_mixed_batch_workload_wall_clock(benchmark, emit, emit_json):
             page_capacity=PAGE_CAP,
             pool_capacity=4096,
             io_delay=0.0002,
-            wal_writer=True,
         )
         tree = db.create_tree("batch", BTreeExtension())
         workload = ScalarWorkload(
@@ -240,7 +192,7 @@ def test_mixed_batch_workload_wall_clock(benchmark, emit, emit_json):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
-        f"BATCH — mixed workload, {WALL_THREADS} threads, WAL writer on "
+        f"BATCH — mixed workload, {WALL_THREADS} threads "
         "(report; wall clock; normalized to keys touched per second)",
         [
             {"mix": label, "keys_per_sec": round(v, 1)}

@@ -5,20 +5,13 @@ Not a claim from the GiST paper itself, but the standard WAL companion
 throughput is bounded by forces per second unless concurrent committers
 share forces.  The experiment drives N committer threads against a log
 with a 3 ms force latency and reports commits, physical forces, and the
-share that rode along — for both flush paths:
+share that rode along.  The committing thread forces the log itself;
+riders whose cover is overtaken by an in-flight force skip theirs
+(leader/rider group commit).
 
-* **inline** — the committing thread forces the log itself; riders
-  whose cover is overtaken by an in-flight force skip theirs
-  (leader/rider group commit);
-* **writer** — a dedicated WAL writer thread owns every force;
-  committers enqueue their cover LSN and park, and the writer coalesces
-  all pending covers into one force, lingering an adaptive window
-  derived from the commit arrival rate to let near-simultaneous
-  committers join.
-
-The dedicated writer is gated: with 8 committers it must average
-**fewer than one physical force per commit** (flushes/commit < 1.0),
-i.e. batching must actually happen.
+Gate: with 8 committers the log must average **fewer than one physical
+force per commit** (flushes/commit < 1.0), i.e. batching must actually
+happen.
 
 ``BENCH_group_commit.json`` receives the machine-readable matrix.
 """
@@ -35,12 +28,8 @@ FLUSH_DELAY = 0.003
 COMMITS_PER_THREAD = 12
 
 
-def run(threads: int, *, wal_writer: bool = False) -> dict:
-    db = Database(
-        page_capacity=16,
-        flush_delay=FLUSH_DELAY,
-        wal_writer=wal_writer,
-    )
+def run(threads: int) -> dict:
+    db = Database(page_capacity=16, flush_delay=FLUSH_DELAY)
     tree = db.create_tree("gc", BTreeExtension())
 
     def worker(wid: int):
@@ -65,7 +54,6 @@ def run(threads: int, *, wal_writer: bool = False) -> dict:
     flushes = after["flushes"] - before["flushes"]
     rode_along = after["group_commits"] - before["group_commits"]
     return {
-        "flush_path": "writer" if wal_writer else "inline",
         "threads": threads,
         "commits": commits,
         "commits_per_sec": round(commits / elapsed, 1),
@@ -73,8 +61,6 @@ def run(threads: int, *, wal_writer: bool = False) -> dict:
         "rode_along": rode_along,
         "commits_per_force": round(commits / max(1, flushes), 2),
         "flushes_per_commit": round(flushes / commits, 3),
-        "writer_batches": after["writer_batches"],
-        "writer_max_batch": after["writer_max_batch"],
     }
 
 
@@ -83,15 +69,13 @@ def test_group_commit_scaling(benchmark, emit, emit_json):
 
     def go():
         rows.clear()
-        for wal_writer in (False, True):
-            for threads in (1, 4, 8):
-                rows.append(run(threads, wal_writer=wal_writer))
+        for threads in (1, 4, 8):
+            rows.append(run(threads))
 
     benchmark.pedantic(go, rounds=1, iterations=1)
     emit(
         "Group commit — commit throughput vs committer threads "
-        f"(log force latency {FLUSH_DELAY * 1e3:.0f} ms), inline flush "
-        "vs dedicated WAL writer",
+        f"(log force latency {FLUSH_DELAY * 1e3:.0f} ms)",
         rows,
     )
     emit_json(
@@ -102,26 +86,20 @@ def test_group_commit_scaling(benchmark, emit, emit_json):
             "matrix": rows,
         },
     )
-    by_key = {(r["flush_path"], r["threads"]): r for r in rows}
+    by_threads = {r["threads"]: r for r in rows}
     # concurrency amortizes forces: more commits per physical force
     assert (
-        by_key[("inline", 8)]["commits_per_force"]
-        > by_key[("inline", 1)]["commits_per_force"]
+        by_threads[8]["commits_per_force"]
+        > by_threads[1]["commits_per_force"]
     )
     assert (
-        by_key[("inline", 8)]["commits_per_sec"]
-        > by_key[("inline", 1)]["commits_per_sec"]
+        by_threads[8]["commits_per_sec"] > by_threads[1]["commits_per_sec"]
     )
-    # the dedicated writer must actually batch: strictly fewer than one
-    # physical force per commit at 8 committers (the ISSUE 7 gate)
-    writer8 = by_key[("writer", 8)]
-    assert writer8["flushes_per_commit"] < 1.0, (
-        "WAL writer failed to coalesce commits: "
-        f"{writer8['flushes_per_commit']} flushes/commit"
+    # batching must actually happen: strictly fewer than one physical
+    # force per commit at 8 committers
+    assert by_threads[8]["flushes_per_commit"] < 1.0, (
+        "group commit failed to coalesce: "
+        f"{by_threads[8]['flushes_per_commit']} flushes/commit"
     )
-    assert writer8["writer_batches"] > 0
-    # and it must not cost single-committer latency more than ~the
-    # inline path's force count (every commit still forces exactly once
-    # when there is nobody to share with)
-    writer1 = by_key[("writer", 1)]
-    assert writer1["flushes_per_commit"] <= 1.0
+    # and a lone committer forces exactly once per commit
+    assert by_threads[1]["flushes_per_commit"] <= 1.0

@@ -1,25 +1,15 @@
-"""Hot-path scalability: sharded buffer pool + leaf-hint descents.
+"""Hot-path scalability: the sharded buffer pool.
 
-Two properties are gated, both **deterministically** — by counters the
-code maintains itself, not by wall clock (see bench_obs_overhead.py for
-why wall-clock gates are a coin flip on shared hardware):
+Gated **deterministically** — by counters the code maintains itself,
+not by wall clock (see bench_obs_overhead.py for why wall-clock gates
+are a coin flip on shared hardware):
 
-1. **Leaf hints save descents.**  The same localized point-insert
-   workload runs against a warm tree (height >= 3) twice, hints off and
-   hints on.  Every page fix is a buffer-pool pin, so ``hits + misses``
-   counts exactly how many pages each configuration touched; with hints
-   on, the average per insert must drop by at least one full page fix
-   (the hinted path latches the target leaf directly instead of
-   descending from the root).
-
-2. **A resident pin is shard-local.**  Pinning a cached page acquires
-   exactly one mutex — the page's own shard's — which is what lets N
-   threads on disjoint working sets proceed without serializing on a
-   pool-wide lock.  Asserted via each shard's ``lock_acquisitions``
-   counter.
-
-Wall-clock throughput of a multi-threaded mixed workload is reported
-for both pool layouts (1 shard vs 8) as context, without a tight gate.
+**A resident pin is shard-local.**  Pinning a cached page acquires
+exactly one mutex — the page's own shard's — which is what lets N
+threads on disjoint working sets proceed without serializing on a
+pool-wide lock.  Asserted via each shard's ``lock_acquisitions``
+counter, once plainly and once each with the fault-injection and
+lockdep layers dormant (neither may add an acquisition).
 
 ``BENCH_QUICK=1`` shrinks the workload for CI smoke runs.
 """
@@ -27,70 +17,16 @@ for both pool layouts (1 shard vs 8) as context, without a tight gate.
 from __future__ import annotations
 
 import os
-import random
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension
-from repro.harness.driver import TransactionalDriver
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import PageStore
 from repro.storage.page import PageKind
-from repro.workload.generator import MixSpec, ScalarWorkload
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 
-PAGE_CAP = 8
-SEED_KEYS = 200 if QUICK else 600
-HOT_KEYS = 8
-RUN_LEN = 24 if QUICK else 48  # consecutive inserts per hot key
 PIN_ROUNDS = 100 if QUICK else 1000
-WALL_OPS = 200 if QUICK else 600
-WALL_THREADS = 8
-
-
-def _build(leaf_hints: bool) -> tuple[Database, object]:
-    db = Database(
-        page_capacity=PAGE_CAP,
-        pool_capacity=4096,
-        leaf_hints=leaf_hints,
-        pool_shards=8,
-    )
-    tree = db.create_tree("hot", BTreeExtension())
-    keys = list(range(SEED_KEYS))
-    random.Random(11).shuffle(keys)
-    txn = db.begin()
-    for k in keys:
-        tree.insert(txn, k, f"seed-{k}")
-    db.commit(txn)
-    return db, tree
-
-
-def measure_fixes_per_insert(leaf_hints: bool) -> dict:
-    """Average page fixes per point insert over the identical localized
-    workload — runs of duplicate inserts at a few hot keys, the pattern
-    the hint cache exists for."""
-    db, tree = _build(leaf_hints)
-    assert tree.height() >= 3, "warm tree must be at least three levels"
-    hot = [
-        (i + 1) * SEED_KEYS // (HOT_KEYS + 1) for i in range(HOT_KEYS)
-    ]
-    pool = db.pool
-    total_ops = 0
-    txn = db.begin()
-    before = pool.hits + pool.misses
-    for key in hot:
-        for i in range(RUN_LEN):
-            tree.insert(txn, key, f"dup-{key}-{i}")
-            total_ops += 1
-    after = pool.hits + pool.misses
-    db.commit(txn)
-    return {
-        "height": tree.height(),
-        "fixes_per_insert": (after - before) / total_ops,
-        "hint_hits": tree.stats.hint_hits,
-        "hint_misses": tree.stats.hint_misses,
-        "descents_saved": tree.stats.hint_descents_saved,
-    }
 
 
 def measure_shard_locality() -> dict:
@@ -112,85 +48,7 @@ def measure_shard_locality() -> dict:
     return {"home": home, "deltas": deltas}
 
 
-def run_wall(shards: int) -> float:
-    db = Database(
-        page_capacity=8,
-        io_delay=0.0005,
-        pool_capacity=40,
-        lock_timeout=30.0,
-        pool_shards=shards,
-        leaf_hints=True,
-    )
-    tree = db.create_tree("hot", BTreeExtension())
-    workload = ScalarWorkload(
-        seed=17,
-        mix=MixSpec(insert=0.5, search=0.5),
-        key_space=50_000,
-        selectivity=0.002,
-    )
-    driver = TransactionalDriver(db, tree, ops_per_txn=4)
-    driver.preload(workload.preload(400))
-    metrics = driver.run(list(workload.ops(WALL_OPS)), threads=WALL_THREADS)
-    return metrics.ops_per_sec
-
-
-def test_leaf_hints_save_descents(benchmark, emit, emit_json):
-    results: dict[bool, dict] = {}
-
-    def run():
-        results.clear()
-        results[False] = measure_fixes_per_insert(leaf_hints=False)
-        results[True] = measure_fixes_per_insert(leaf_hints=True)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    off, on = results[False], results[True]
-    emit_json(
-        "hotpath",
-        {
-            "leaf_hints": {
-                "tree_height": on["height"],
-                "fixes_per_insert_off": round(off["fixes_per_insert"], 3),
-                "fixes_per_insert_on": round(on["fixes_per_insert"], 3),
-                "hint_hits": on["hint_hits"],
-                "descents_saved": on["descents_saved"],
-            }
-        },
-    )
-    rows = [
-        {
-            "leaf_hints": label,
-            "tree_height": r["height"],
-            "fixes_per_insert": round(r["fixes_per_insert"], 2),
-            "hint_hits": r["hint_hits"],
-            "hint_misses": r["hint_misses"],
-            "descents_saved": r["descents_saved"],
-        }
-        for label, r in (("off", off), ("on", on))
-    ]
-    emit(
-        "HOTPATH — page fixes per point insert, warm "
-        f"height-{on['height']} tree, {HOT_KEYS} hot keys x {RUN_LEN} "
-        "duplicate inserts (deterministic: counted, not timed)",
-        rows,
-        columns=[
-            "leaf_hints",
-            "tree_height",
-            "fixes_per_insert",
-            "hint_hits",
-            "hint_misses",
-            "descents_saved",
-        ],
-    )
-    assert on["hint_hits"] > 0, "hint cache never engaged"
-    saved = off["fixes_per_insert"] - on["fixes_per_insert"]
-    assert saved >= 1.0, (
-        "leaf hints must save at least one page fix per insert on the "
-        f"localized workload: off={off['fixes_per_insert']:.2f} "
-        f"on={on['fixes_per_insert']:.2f} (saved {saved:.2f})"
-    )
-
-
-def test_resident_pin_is_shard_local(benchmark, emit):
+def test_resident_pin_is_shard_local(benchmark, emit, emit_json):
     out: dict = {}
 
     def run():
@@ -211,6 +69,16 @@ def test_resident_pin_is_shard_local(benchmark, emit):
             for i, d in enumerate(deltas)
         ],
         columns=["shard", "lock_acquisitions", "role"],
+    )
+    emit_json(
+        "hotpath",
+        {
+            "shard_local_pin": {
+                "pin_rounds": PIN_ROUNDS,
+                "home_shard": home,
+                "lock_acquisitions_by_shard": deltas,
+            }
+        },
     )
     for i, delta in enumerate(deltas):
         if i == home:
@@ -311,7 +179,7 @@ def test_protocol_checks_dormant_on_hot_path(benchmark, emit, monkeypatch):
             f"{expected}"
         )
     # checks off => no witness is constructed or attached anywhere
-    db = Database(page_capacity=8, pool_capacity=64, pool_shards=2)
+    db = Database(page_capacity=8, pool_capacity=64)
     assert db.protocol_checks is False
     assert db.witness is None
     assert db.store.witness is None
@@ -327,35 +195,3 @@ def test_protocol_checks_dormant_on_hot_path(benchmark, emit, monkeypatch):
     db.pool.unpin(tree.root_pid)
     assert root_latch.witness is None
 
-
-def test_sharded_pool_wall_clock(benchmark, emit, emit_json):
-    """Context only — throughput of the mixed threaded workload under
-    1 shard vs 8.  No tight gate (wall clock is noisy here); the
-    deterministic properties above are the contract."""
-    results: dict[int, float] = {}
-
-    def run():
-        results.clear()
-        for shards in (1, 8):
-            results[shards] = run_wall(shards)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_json(
-        "hotpath",
-        {
-            "wall_clock": {
-                f"ops_per_sec_shards_{s}": round(v, 1)
-                for s, v in sorted(results.items())
-            }
-        },
-    )
-    emit(
-        f"HOTPATH — mixed workload throughput, {WALL_THREADS} threads "
-        f"(report; wall clock)",
-        [
-            {"pool_shards": s, "ops_per_sec": round(v, 1)}
-            for s, v in sorted(results.items())
-        ],
-        columns=["pool_shards", "ops_per_sec"],
-    )
-    assert results[8] > 0 and results[1] > 0

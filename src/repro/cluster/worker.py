@@ -158,9 +158,6 @@ class PartitionWorker:
             "partition": self.config.partition,
             "trees": sorted(db.trees),
             "page_capacity": db.store.page_capacity,
-            "pool_shards": db.pool_shards,
-            "leaf_hints": db.leaf_hints,
-            "wal_writer": db.wal_writer,
             "protocol_checks": db.protocol_checks,
             "op_tracing": db.op_tracing,
             "end_lsn": db.log.end_lsn,

@@ -71,18 +71,6 @@ class Database:
     lock_timeout:
         Backstop lock-wait timeout (deadlocks are detected eagerly; the
         timeout only catches bugs).
-    wal_writer:
-        ``True`` runs a dedicated WAL writer thread: committers enqueue
-        their flush target and park on a condition while the writer
-        coalesces requests into group commits, lingering up to the
-        group-commit window for stragglers (``wal.writer.*`` gauges).
-        Off by default — flushes then force inline with the original
-        leader/rider group commit.
-    group_commit_window:
-        Writer linger window in seconds: ``None`` (default) adapts to
-        the observed commit arrival rate, ``0.0`` forces as soon as the
-        queue is non-empty, a positive value is a fixed window.  Only
-        meaningful with ``wal_writer=True``.
     store, log:
         Supply existing instances to reopen a database after a crash
         (normally via :meth:`restart`).
@@ -139,14 +127,10 @@ class Database:
         pool_capacity: int = 4096,
         lock_timeout: float | None = 30.0,
         flush_delay: float = 0.0,
-        wal_writer: bool = False,
-        group_commit_window: float | None = None,
         hooks: Hooks | None = None,
         store: PageStore | None = None,
         log: LogManager | None = None,
         metrics_enabled: bool = True,
-        pool_shards: int = 8,
-        leaf_hints: bool = False,
         fault_plan: FaultPlan | None = None,
         io_retries: int = 4,
         io_retry_backoff: float = 0.001,
@@ -173,9 +157,8 @@ class Database:
             self.flightrec = FlightRecorder(capacity=flight_capacity)
         else:
             self.flightrec = None
-        self.pool_shards = pool_shards
-        #: opt-in leaf-hint descent cache, read by each GiST at creation
-        self.leaf_hints = leaf_hints
+        self.pool_capacity = pool_capacity
+        self.lock_timeout = lock_timeout
         self.io_retries = io_retries
         self.io_retry_backoff = io_retry_backoff
         self.store = store or PageStore(
@@ -201,22 +184,11 @@ class Database:
         # The log survives restarts: always (re)assign the tracker so a
         # restart without op_tracing drops the stale one.
         self.log.tracker = self.spans
-        #: dedicated WAL writer thread + its group-commit window; both
-        #: are (re)applied to an adopted log so a restart with the knob
-        #: toggled never keeps a stale writer running
-        self.wal_writer = wal_writer
-        self.group_commit_window = group_commit_window
-        self.log.group_commit_window = group_commit_window
-        if wal_writer:
-            self.log.start_wal_writer()
-        else:
-            self.log.stop_wal_writer()
         self.pool = BufferPool(
             self.store,
             capacity=pool_capacity,
             wal_flush=self.log.flush,
             metrics=self.metrics,
-            shards=pool_shards,
             io_retries=io_retries,
             io_retry_backoff=io_retry_backoff,
         )
@@ -443,10 +415,6 @@ class Database:
             self.flightrec.record(
                 "db.crash", flushed_lsn=self.log.flushed_lsn
             )
-        # The writer thread dies with the process: abandon pending flush
-        # requests (parked committers fall back inline) before the
-        # unflushed tail is discarded.
-        self.log.stop_wal_writer(drain=False)
         self.log.crash()
         self.pool.crash()
         if self.fault_plan is not None:
@@ -483,10 +451,8 @@ class Database:
             self.fault_plan.note_restart()
         config.setdefault("page_capacity", self.store.page_capacity)
         config.setdefault("metrics_enabled", self.metrics.enabled)
-        config.setdefault("pool_shards", self.pool_shards)
-        config.setdefault("leaf_hints", self.leaf_hints)
-        config.setdefault("wal_writer", self.wal_writer)
-        config.setdefault("group_commit_window", self.group_commit_window)
+        config.setdefault("pool_capacity", self.pool_capacity)
+        config.setdefault("lock_timeout", self.lock_timeout)
         config.setdefault("io_retries", self.io_retries)
         config.setdefault("io_retry_backoff", self.io_retry_backoff)
         config.setdefault("protocol_checks", self.protocol_checks)
@@ -634,10 +600,6 @@ class Database:
                 clr.undo_next = record.prev_lsn
                 lsn = self.log.append(clr)
                 frame.mark_dirty(lsn)
-            for tree in self.trees.values():
-                if tree.root_pid == record.page_id:
-                    tree.bump_hint_epoch()
-                    tree.bump_bp_epoch()
         elif isinstance(record, InternalEntryAddRecord):
             clr = InternalEntryDeleteRecord(
                 xid=xid,
@@ -678,10 +640,6 @@ class Database:
             self.store.mark_free(record.page_id)
             if self.pool.resident(record.page_id):
                 self.pool.drop(record.page_id)
-            # The freed pid may be reused by a later allocation: no leaf
-            # hint anywhere may keep pointing at it.
-            for tree in self.trees.values():
-                tree.bump_hint_epoch()
         elif isinstance(record, FreePageRecord):
             clr = GetPageRecord(xid=xid, page_id=record.page_id)
             clr.undo_next = record.prev_lsn
@@ -741,4 +699,3 @@ class Database:
         self.checkpoint()
         self.pool.flush_all()
         self.log.flush()
-        self.log.stop_wal_writer(drain=True)

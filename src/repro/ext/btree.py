@@ -190,18 +190,6 @@ class BTreeExtension(GiSTExtension):
         :meth:`GiSTExtension.multi_eq_query`)."""
         return MultiPoint.of(keys)
 
-    def hint_point_query(self, query: object) -> bool:
-        """Point intervals and scalar keys may replay a hinted leaf."""
-        try:
-            interval = as_interval(query)
-        except (TypeError, ValueError):
-            return False
-        return (
-            interval.lo == interval.hi
-            and interval.lo_incl
-            and interval.hi_incl
-        )
-
     def organize(self, preds: Sequence[object]) -> list[int]:
         """Sorted intra-node layout (contract: :meth:`GiSTExtension.organize`)."""
         return sorted(

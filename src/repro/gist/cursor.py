@@ -95,27 +95,10 @@ class SearchCursor:
             self._own_plock = True
         else:
             self.plock = None
-        #: leaf-hint bookkeeping: which leaves this scan visited, the
-        #: NSN of the last one, and the tree epochs at cursor start —
-        #: a drained point search that visited exactly one leaf while
-        #: both epochs held still is recorded as a hint for repeats.
-        self._hint_leaf_pids: set = set()
-        self._last_leaf_nsn: int | None = None
-        self._hint_recorded = False
-        self._epochs_at_start = (tree._hint_epoch, tree._bp_epoch)
-        seed: StackEntry | None = None
-        if tree.leaf_hints and self.plock is None:
-            # Hints never apply under repeatable read: an RR search must
-            # attach its predicate along the whole descent path for
-            # phantom protection, which only the root descent provides.
-            seed = tree._try_search_hint(txn, query)
-        if seed is not None:
-            self.stack: list[StackEntry] = [seed]
-        else:
-            memo = tree.nsn.current()
-            self.stack = [
-                tree._stack_pointer(txn, tree.root_pid, memo)
-            ]
+        memo = tree.nsn.current()
+        self.stack: list[StackEntry] = [
+            tree._stack_pointer(txn, tree.root_pid, memo)
+        ]
         #: (key, RID) pairs already processed — dedup across rescans
         #: (footnote 9 dedupes by data RID; we key by the full pair so a
         #: record re-inserted under a new key while its old tombstone
@@ -135,7 +118,6 @@ class SearchCursor:
             self._visit(self.stack.pop())
         if self._buffer:
             return self._buffer.popleft()
-        self._note_drained()
         return None
 
     def fetch_all(self) -> list[tuple]:
@@ -238,8 +220,6 @@ class SearchCursor:
                     continue  # rescan the node
             is_leaf = page.is_leaf
             if is_leaf:
-                self._hint_leaf_pids.add(pid)
-                self._last_leaf_nsn = page.nsn
                 blocked_rid = self._scan_leaf_once(frame)
                 pool.unfix(frame)
                 if blocked_rid is None:
@@ -286,35 +266,6 @@ class SearchCursor:
                 # read committed: instant-duration lock
                 locks.release(txn.xid, tree.rid_lock(entry.rid))
         return None
-
-    def _note_drained(self) -> None:
-        """Record a leaf hint once the scan is exhausted.
-
-        Eligibility (all required — see ``GiST._try_search_hint`` for
-        why each matters): hints enabled, read-committed scan (no
-        predicate attachment), a point query per the extension, exactly
-        one leaf visited (so that leaf is the *unique* leaf whose BP
-        covers the point), and neither tree epoch moved since the
-        cursor opened (no node freed, no BP changed anywhere while the
-        scan ran).
-        """
-        if self._hint_recorded:
-            return
-        self._hint_recorded = True
-        tree = self.tree
-        if not tree.leaf_hints or self.plock is not None:
-            return
-        if len(self._hint_leaf_pids) != 1 or self._last_leaf_nsn is None:
-            return
-        if not tree.ext.hint_point_query(self.query):
-            return
-        epoch, bp_epoch = self._epochs_at_start
-        if epoch != tree._hint_epoch or bp_epoch != tree._bp_epoch:
-            return
-        (pid,) = self._hint_leaf_pids
-        tree._remember_search_hint(
-            self.query, pid, self._last_leaf_nsn, epoch, bp_epoch
-        )
 
     def _block_on_rid(self, rid: object) -> None:
         """Wait for the record lock with no latches held, then return

@@ -86,19 +86,6 @@ class GiSTExtension(ABC):
         """
         return key
 
-    def hint_point_query(self, query: object) -> bool:
-        """May ``query`` be answered from a single hinted leaf?
-
-        The search-side leaf-hint cache only replays a cached leaf for
-        queries the extension declares *point-like*: a repeat of the
-        exact same query whose previous run was satisfied by one leaf.
-        Extensions with a cheap exactness test (e.g. a B-tree point
-        interval) opt in; the conservative default disables search
-        hinting entirely.  Insert hinting does not consult this hook —
-        any live leaf whose BP covers the new key is a valid target.
-        """
-        return False
-
     def organize(self, preds: Sequence[object]) -> list[int] | None:
         """Optional intra-node layout: return a permutation of indices
         (e.g. sort order for a B-tree), or ``None`` to keep insertion

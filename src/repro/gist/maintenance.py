@@ -167,8 +167,6 @@ def _shrink_bp(tree: GiST, txn: Transaction, frame: "Frame") -> bool:
         record.redo_page(parent.page)
         parent.mark_dirty(lsn)
         log.end_nta(txn.xid, saved)
-        # A tightened BP may no longer cover a remembered point query.
-        tree.bump_bp_epoch()
     finally:
         tree.db.pool.unfix(parent)
     return True
@@ -295,11 +293,6 @@ def _try_delete_node(
             free_rec = FreePageRecord(xid=txn.xid, page_id=victim)
             log.append(free_rec)
             log.end_nta(txn.xid, saved)
-            # Invalidate leaf hints while the victim's X latch is still
-            # held: any hinted descent latching the pid after this point
-            # sees the bumped epoch and falls back, so a hint can never
-            # land on the soon-to-be-FREE (or reused) page.
-            tree.bump_hint_epoch()
         finally:
             pool.unfix(parent)
             pool.unfix(victim_frame)

@@ -104,9 +104,6 @@ class TreeStats:
         "parent_redescents",
         "nsn_restarts",
         "drain_waits",
-        "hint_hits",
-        "hint_misses",
-        "hint_descents_saved",
         "batch_ops",
         "batch_keys",
         "batch_leaf_runs",
@@ -170,22 +167,6 @@ class GiST:
         self._h_search_ns = self.metrics.histogram("gist.op.search_ns")
         self._h_insert_ns = self.metrics.histogram("gist.op.insert_ns")
         self._h_delete_ns = self.metrics.histogram("gist.op.delete_ns")
-        #: leaf-hint descent cache (``Database(leaf_hints=True)``): each
-        #: thread remembers the leaf its last insert landed on and the
-        #: leaf that answered its last point search, so repeats can skip
-        #: the root descent after revalidating the hint (see
-        #: ``_try_hinted_leaf`` / ``_try_search_hint``).
-        self.leaf_hints = bool(getattr(db, "leaf_hints", False))
-        self._hints = threading.local()
-        self._hint_lock = threading.Lock()
-        #: liveness epoch: bumped whenever a node of this tree (or any
-        #: page, on allocation undo) is freed, so a hint can never land
-        #: on a FREE or reused page.
-        self._hint_epoch = 0
-        #: coverage epoch: bumped whenever any BP expands or shrinks, so
-        #: a search hint can never hide a leaf that newly covers the
-        #: query.
-        self._bp_epoch = 0
         if nsn_source == "lsn":
             self.nsn: NSNSource = LSNBasedNSN(db.log)
         elif nsn_source == "counter":
@@ -230,188 +211,6 @@ class GiST:
             return
         txn.drop_signaling(name)
         self.db.locks.release(txn.xid, name)
-
-    # ------------------------------------------------------------------
-    # leaf-hint descent cache
-    # ------------------------------------------------------------------
-    # A hint is a per-thread remembered (leaf pid, NSN memo, epoch)
-    # triple.  It is only ever *used* after revalidation with the same
-    # machinery the protocol applies to any node: latch the page, check
-    # it is still a live leaf of this tree (epoch), and treat the NSN
-    # memo exactly like a stacked pointer's memo — a higher NSN means
-    # the leaf split since the hint was taken and the memo-delimited
-    # rightlink chain must be consulted.  Any doubt falls back to the
-    # root descent; hints are an optimization, never a correctness
-    # dependency.
-
-    def _hint_state(self) -> dict:
-        state = getattr(self._hints, "state", None)
-        if state is None:
-            state = {"insert": None, "search": None}
-            self._hints.state = state
-        return state
-
-    def bump_hint_epoch(self) -> None:
-        """Invalidate every leaf hint: a node was unlinked/freed, so a
-        remembered pid may now be FREE or reused.  Called under the
-        victim's X latch, *before* the page becomes reusable."""
-        with self._hint_lock:
-            self._hint_epoch += 1
-
-    def bump_bp_epoch(self) -> None:
-        """Invalidate search hints: some BP expanded or shrank, so the
-        set of leaves covering a remembered point query may have
-        changed."""
-        with self._hint_lock:
-            self._bp_epoch += 1
-
-    def _remember_insert_hint(self, frame: Frame) -> None:
-        """Record the leaf an insert landed on (leaf X latch held)."""
-        if not self.leaf_hints:
-            return
-        page = frame.page
-        self._hint_state()["insert"] = (
-            page.pid, page.nsn, self._hint_epoch
-        )
-
-    def _try_hinted_leaf(
-        self, txn: Transaction, key: object
-    ) -> Frame | None:
-        """Validate the thread's insert hint for ``key``.
-
-        Returns the X-latched target leaf with its signaling lock taken
-        (exactly what ``_locate_leaf`` would produce, with an empty
-        ancestor stack), or ``None`` to fall back to the root descent.
-
-        Soundness: any *live* leaf of this tree whose BP covers ``key``
-        is a correct insert target — GiST invariants don't prescribe
-        which covering leaf receives an entry, and no ancestor BP needs
-        expanding when the leaf's own BP already covers the key.  The
-        epoch check runs *after* latching, which closes the race with a
-        deleter (it bumps the epoch while still holding the victim's X
-        latch); the signaling lock is taken under the leaf's own X
-        latch, so a deleter's drain probe observes it.  Full leaves are
-        rejected so splits keep their normal stacked-ancestor path.
-        """
-        from repro.errors import PageError
-
-        state = self._hint_state()
-        hint = state["insert"]
-        if hint is None:
-            return None
-        pid, memo, epoch = hint
-        if epoch != self._hint_epoch:
-            state["insert"] = None
-            self.stats.bump("hint_misses")
-            return None
-        pool = self.db.pool
-        try:
-            frame = pool.fix(pid, LatchMode.X)
-        except PageError:
-            state["insert"] = None
-            self.stats.bump("hint_misses")
-            return None
-        page = frame.page
-        if epoch != self._hint_epoch or not page.is_leaf:
-            pool.unfix(frame)
-            state["insert"] = None
-            self.stats.bump("hint_misses")
-            return None
-        if page.nsn > memo and page.rightlink != NO_PAGE:
-            # The leaf split since the hint was taken: choose within the
-            # memo-delimited chain (hand-over-hand latching protects the
-            # walk against concurrent unlinks, as in the normal descent).
-            frame = self._choose_in_chain(txn, frame, memo, key)
-            page = frame.page
-        if (
-            not page.is_leaf
-            or page.is_full
-            or not self.ext.covers(page.bp, key)
-        ):
-            pool.unfix(frame)
-            self.stats.bump("hint_misses")
-            return None
-        self._stack_pointer(txn, page.pid, memo)
-        self.stats.bump("hint_hits")
-        self.stats.bump("hint_descents_saved")
-        return frame
-
-    def _remember_search_hint(
-        self,
-        query: object,
-        pid: PageId,
-        memo: int,
-        epoch: int,
-        bp_epoch: int,
-    ) -> None:
-        """Record a drained point search answered by exactly one leaf.
-
-        ``epoch``/``bp_epoch`` are the values observed when the search
-        *started*; the cursor only calls this when both are still
-        current, so no node was freed and no BP changed anywhere during
-        the search.
-        """
-        self._hint_state()["search"] = (pid, memo, epoch, bp_epoch, query)
-
-    def _try_search_hint(
-        self, txn: Transaction, query: object
-    ) -> StackEntry | None:
-        """Validate the thread's search hint for ``query``.
-
-        Returns a stacked pointer (signaling lock held) seeding the
-        cursor at the hinted leaf, or ``None`` for a root descent.  Only
-        an *identical* repeat of the recorded point query qualifies, and
-        only while both epochs are unchanged: recording required the
-        hinted leaf to be the unique leaf whose BP covered the point
-        (the search visited exactly one leaf), and any BP
-        expansion/shrink or node free since then invalidates that
-        uniqueness.  The cursor's normal NSN check still runs on the
-        seeded pointer, so splits after recording are chased through
-        the rightlink chain as usual.
-        """
-        from repro.errors import PageError
-
-        state = self._hint_state()
-        hint = state["search"]
-        if hint is None:
-            return None
-        pid, memo, epoch, bp_epoch, hinted_query = hint
-        try:
-            if hinted_query != query:
-                return None
-        except StorageFaultError:
-            raise
-        except Exception:
-            # exotic __eq__ on a user query type: treat as a hint miss
-            return None
-        if not self.ext.hint_point_query(query):
-            return None
-        if epoch != self._hint_epoch or bp_epoch != self._bp_epoch:
-            state["search"] = None
-            self.stats.bump("hint_misses")
-            return None
-        pool = self.db.pool
-        try:
-            frame = pool.fix(pid, LatchMode.S)
-        except PageError:
-            state["search"] = None
-            self.stats.bump("hint_misses")
-            return None
-        try:
-            if (
-                epoch != self._hint_epoch
-                or bp_epoch != self._bp_epoch
-                or not frame.page.is_leaf
-            ):
-                state["search"] = None
-                self.stats.bump("hint_misses")
-                return None
-            entry = self._stack_pointer(txn, pid, memo)
-        finally:
-            pool.unfix(frame)
-        self.stats.bump("hint_hits")
-        self.stats.bump("hint_descents_saved")
-        return entry
 
     # ------------------------------------------------------------------
     # public operations
@@ -497,23 +296,6 @@ class GiST:
             self.metrics.tracer.record_span(
                 "gist.insert", dur, tree=self.name
             )
-
-    def insert_many(
-        self, txn: Transaction, pairs: "Sequence[tuple]"
-    ) -> int:
-        """Insert a batch of ``(key, rid)`` pairs; returns the count.
-
-        Keys are pre-ordered with the extension's ``organize`` hook when
-        it provides one — consecutive inserts then tend to hit the same
-        leaves, which keeps the descent path hot in the buffer pool.
-        """
-        pairs = list(pairs)
-        order = self.ext.organize([key for key, _ in pairs])
-        if order is not None:
-            pairs = [pairs[i] for i in order]
-        for key, rid in pairs:
-            self.insert(txn, key, rid)
-        return len(pairs)
 
     def count(self, txn: Transaction, query: object) -> int:
         """Number of entries satisfying ``query``.
@@ -610,16 +392,16 @@ class GiST:
 
         The batch is sorted with the extension's ``organize`` hook, then
         consumed run by run: each run locates its head's target leaf
-        once (through the leaf-hint cache when enabled) and appends
-        every subsequent pair the leaf can absorb — key covered by the
-        leaf's BP, a free slot remaining — emitting the leaf's WAL
-        records through the batched log path.  Locking is identical to
-        ``len(pairs)`` point inserts: every RID is X-locked and every
-        insert predicate registered *before* the tree is touched, the
-        target leaf's signaling lock is pinned to end of transaction,
-        and each pair checks the search predicates queued ahead of it.
-        Unique trees fall back to the per-key protocol (section 8's
-        duplicate defence is inherently per-key).  Returns the count.
+        once and appends every subsequent pair the leaf can absorb —
+        key covered by the leaf's BP, a free slot remaining — emitting
+        the leaf's WAL records through the batched log path.  Locking
+        is identical to ``len(pairs)`` point inserts: every RID is
+        X-locked and every insert predicate registered *before* the
+        tree is touched, the target leaf's signaling lock is pinned to
+        end of transaction, and each pair checks the search predicates
+        queued ahead of it.  Unique trees fall back to the per-key
+        protocol (section 8's duplicate defence is inherently
+        per-key).  Returns the count.
         """
         txn.require_active()
         pairs, organized = self._organize_pairs(pairs)
@@ -755,7 +537,6 @@ class GiST:
                 for record in records:
                     record.redo_page(page)
                 frame.mark_dirty(lsns[-1])
-                self._remember_insert_hint(frame)
                 # Phase 6 per pair: attach its insert predicate, collect
                 # the search predicates queued ahead of it (FIFO).
                 for offset, (k, _) in enumerate(run):
@@ -1198,10 +979,6 @@ class GiST:
                 levels=level,
                 keys=len(pairs),
             )
-            # The root stopped being a leaf: cached leaf hints and BP
-            # memos anchored at it are stale.
-            self.bump_hint_epoch()
-            self.bump_bp_epoch()
             pool.unfix(root_frame)
             unfixed = True
         finally:
@@ -1342,7 +1119,6 @@ class GiST:
                 )
             if retry_wait is None:
                 self._perform_leaf_insert(txn, frame, stack, key, rid)
-                self._remember_insert_hint(frame)
             conflicts = ()
             if retry_wait is None:
                 # Phase 6: register our insert predicate, then check the
@@ -1478,10 +1254,6 @@ class GiST:
         the caller releases them when the operation completes.
         """
         pool = self.db.pool
-        if self.leaf_hints:
-            hinted = self._try_hinted_leaf(txn, key)
-            if hinted is not None:
-                return hinted, []
         stack: list[StackEntry] = []
         memo = self.nsn.current()
         entry = self._stack_pointer(txn, self.root_pid, memo)
@@ -2085,7 +1857,6 @@ class GiST:
             parent.mark_dirty(lsn)
             log.end_nta(txn.xid, saved)
             self.stats.bump("bp_updates")
-            self.bump_bp_epoch()
             # Percolate predicates newly consistent with the child.
             self.predicates.percolate(
                 parent_page.pid, page.pid, union_bp, old_bp

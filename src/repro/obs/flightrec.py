@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 
 from repro.obs.export import canonical_events, dump_jsonl
+from repro.obs.rings import ThreadRings
 
 __all__ = ["FlightEvent", "FlightRecorder"]
 
@@ -72,21 +72,6 @@ class FlightEvent:
         return f"FlightEvent(#{self.seq} {self.name!r})"
 
 
-class _Ring:
-    """One thread's private event ring plus its exact write counter."""
-
-    __slots__ = ("events", "writes", "lock")
-
-    def __init__(self, capacity: int) -> None:
-        self.events: deque[FlightEvent] = deque(maxlen=capacity)
-        #: exact (thread-private mutation, merged under the recorder
-        #: lock) — the bench budget gate reads this, not ``len()``,
-        #: because the ring forgets what it overwrote
-        self.writes = 0
-        #: guards snapshot/clear against the owner's concurrent appends
-        self.lock = threading.Lock()
-
-
 class FlightRecorder:
     """Bounded per-thread rings of recent structured events.
 
@@ -100,54 +85,34 @@ class FlightRecorder:
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
         self._seq = itertools.count(1)
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._rings: list[_Ring] = []
+        self._rings = ThreadRings(capacity)
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _ring(self) -> _Ring:
-        try:
-            return self._local.ring
-        except AttributeError:
-            ring = _Ring(self.capacity)
-            with self._lock:
-                self._rings.append(ring)
-            self._local.ring = ring
-            return ring
-
     def record(self, name: str, **data: object) -> None:
         """Record one event on the calling thread's ring.
 
         Safe to call from leaf positions (under a subsystem mutex, from
-        the lockdep witness): the only locks taken are the ring's own
-        guard (contended only against a concurrent :meth:`dump`) and —
-        once per thread, at ring registration — the recorder's.
+        the lockdep witness): see :meth:`ThreadRings.append` for the
+        only locks taken.
         """
-        ring = self._ring()
-        event = FlightEvent(
-            next(self._seq),
-            time.perf_counter_ns(),
-            threading.get_ident(),
-            name,
-            data or None,
+        self._rings.append(
+            FlightEvent(
+                next(self._seq),
+                time.perf_counter_ns(),
+                threading.get_ident(),
+                name,
+                data or None,
+            )
         )
-        with ring.lock:
-            ring.events.append(event)
-            ring.writes += 1
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
     def events(self) -> list[FlightEvent]:
         """All retained events, merged across threads in sequence order."""
-        with self._lock:
-            rings = list(self._rings)
-        merged: list[FlightEvent] = []
-        for ring in rings:
-            with ring.lock:
-                merged.extend(ring.events)
+        merged: list[FlightEvent] = self._rings.snapshot()
         merged.sort(key=lambda e: e.seq)
         return merged
 
@@ -157,31 +122,16 @@ class FlightRecorder:
         return events[-n:] if n > 0 else []
 
     def writes(self) -> int:
-        """Exact number of events ever recorded (bench budget gate)."""
-        with self._lock:
-            rings = list(self._rings)
-        total = 0
-        for ring in rings:
-            with ring.lock:
-                total += ring.writes
-        return total
+        """Exact number of events ever recorded (bench budget gate —
+        ``len()`` forgets what the rings overwrote)."""
+        return self._rings.writes()
 
     def clear(self) -> None:
         """Drop every retained event (rings stay registered)."""
-        with self._lock:
-            rings = list(self._rings)
-        for ring in rings:
-            with ring.lock:
-                ring.events.clear()
+        self._rings.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            rings = list(self._rings)
-        total = 0
-        for ring in rings:
-            with ring.lock:
-                total += len(ring.events)
-        return total
+        return len(self._rings)
 
     # ------------------------------------------------------------------
     # black box

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Iterator
+
+from repro.obs.rings import ThreadRings
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -68,19 +69,6 @@ class TraceEvent:
         return f"TraceEvent({self.name!r}{dur} t{self.thread_id})"
 
 
-class _Ring:
-    """One thread's private event ring plus its snapshot guard."""
-
-    __slots__ = ("events", "lock")
-
-    def __init__(self, capacity: int) -> None:
-        self.events: deque[TraceEvent] = deque(maxlen=capacity)
-        #: guards reader snapshots/clears against the owner's appends —
-        #: ``list(deque)`` during a concurrent append can raise
-        #: ``RuntimeError: deque mutated during iteration``
-        self.lock = threading.Lock()
-
-
 class Tracer:
     """Bounded per-thread event rings merged on demand.
 
@@ -96,52 +84,38 @@ class Tracer:
     def __init__(self, capacity: int = 1024, enabled: bool = True) -> None:
         self.capacity = capacity
         self.enabled = enabled
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._rings: list[_Ring] = []
+        self._rings = ThreadRings(capacity)
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _ring(self) -> _Ring:
-        try:
-            return self._local.ring
-        except AttributeError:
-            ring = _Ring(self.capacity)
-            with self._lock:
-                self._rings.append(ring)
-            self._local.ring = ring
-            return ring
-
     def event(self, name: str, **data: object) -> None:
         """Record a point event on the calling thread's ring."""
         if not self.enabled:
             return
-        ring = self._ring()
-        event = TraceEvent(
-            time.perf_counter_ns(),
-            threading.get_ident(),
-            name,
-            None,
-            data or None,
+        self._rings.append(
+            TraceEvent(
+                time.perf_counter_ns(),
+                threading.get_ident(),
+                name,
+                None,
+                data or None,
+            )
         )
-        with ring.lock:
-            ring.events.append(event)
 
     def record_span(self, name: str, dur_ns: int, **data: object) -> None:
         """Record an already-timed span (``dur_ns`` measured by caller)."""
         if not self.enabled:
             return
-        ring = self._ring()
-        event = TraceEvent(
-            time.perf_counter_ns(),
-            threading.get_ident(),
-            name,
-            dur_ns,
-            data or None,
+        self._rings.append(
+            TraceEvent(
+                time.perf_counter_ns(),
+                threading.get_ident(),
+                name,
+                dur_ns,
+                data or None,
+            )
         )
-        with ring.lock:
-            ring.events.append(event)
 
     @contextmanager
     def span(self, name: str, **data: object) -> Iterator[None]:
@@ -161,19 +135,10 @@ class Tracer:
     # consumption
     # ------------------------------------------------------------------
     def events(self, *, name: str | None = None) -> list[TraceEvent]:
-        """All retained events, merged across threads in time order.
-
-        A fuzzy snapshot under concurrency, like any other reader —
-        rings keep filling while the merge runs — but a *consistent*
-        one: each ring is copied under its own guard, so a worker
-        appending mid-snapshot can never corrupt the copy.
-        """
-        with self._lock:
-            rings = list(self._rings)
-        merged: list[TraceEvent] = []
-        for ring in rings:
-            with ring.lock:
-                merged.extend(ring.events)
+        """All retained events, merged across threads in time order
+        (a consistent but fuzzy snapshot — see
+        :meth:`ThreadRings.snapshot`)."""
+        merged: list[TraceEvent] = self._rings.snapshot()
         if name is not None:
             merged = [e for e in merged if e.name == name]
         merged.sort(key=lambda e: e.ts_ns)
@@ -181,17 +146,7 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop every retained event (rings stay registered)."""
-        with self._lock:
-            rings = list(self._rings)
-        for ring in rings:
-            with ring.lock:
-                ring.events.clear()
+        self._rings.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            rings = list(self._rings)
-        total = 0
-        for ring in rings:
-            with ring.lock:
-                total += len(ring.events)
-        return total
+        return len(self._rings)

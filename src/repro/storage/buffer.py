@@ -192,9 +192,8 @@ class BufferPool:
         private registry is created when omitted, so the pool is fully
         instrumented stand-alone too.
     shards:
-        Number of hash partitions of the frame table.  1 (the default)
-        degenerates to a single-mutex pool; the database assembly
-        passes its ``pool_shards`` knob here.
+        Number of hash partitions of the frame table; 1 degenerates
+        to a single-mutex pool.
     io_retries:
         How many times a page read that failed with
         :class:`~repro.errors.TransientIOError` is retried before the
@@ -215,7 +214,7 @@ class BufferPool:
         capacity: int = 1024,
         wal_flush: Callable[[int], None] | None = None,
         metrics: MetricsRegistry | None = None,
-        shards: int = 1,
+        shards: int = 8,
         io_retries: int = 4,
         io_retry_backoff: float = 0.001,
     ) -> None:

@@ -28,15 +28,6 @@ from repro.wal.records import (
     LogRecord,
 )
 
-#: adaptive group-commit linger = this many arrival-gap EMAs; a window
-#: that long gathers a handful of near-simultaneous committers without
-#: stalling a steady stream
-_ADAPTIVE_GAPS = 4
-#: floor for the adaptive window's usefulness cap when the simulated
-#: force itself is free (seconds) — lingering longer than a force takes
-#: can never pay for itself
-_ADAPTIVE_CAP_FLOOR = 0.002
-
 
 class LogStats:
     """Counters the benchmarks read off the log manager.
@@ -58,14 +49,6 @@ class LogStats:
         self.flushes = 0
         self.forced_records = 0
         self.group_commits = 0
-        #: forces issued by the dedicated writer thread
-        self.writer_batches = 0
-        #: flush requests the writer absorbed into another force
-        self.writer_coalesced = 0
-        #: most committers one writer force ever covered
-        self.writer_max_batch = 0
-        #: last linger window the writer chose (ns; 0 = force now)
-        self.writer_window_ns = 0
         self._registry: MetricsRegistry | None = None
         self._bind(registry or MetricsRegistry())
 
@@ -75,10 +58,6 @@ class LogStats:
         registry.gauge("wal.flushes", lambda: self.flushes)
         registry.gauge("wal.forced_records", lambda: self.forced_records)
         registry.gauge("wal.group_commits", lambda: self.group_commits)
-        registry.gauge("wal.writer.batches", lambda: self.writer_batches)
-        registry.gauge("wal.writer.coalesced", lambda: self.writer_coalesced)
-        registry.gauge("wal.writer.max_batch", lambda: self.writer_max_batch)
-        registry.gauge("wal.writer.window_ns", lambda: self.writer_window_ns)
         self.flush_ns = registry.histogram("wal.flush_ns")
 
     def bind(self, registry: MetricsRegistry) -> None:
@@ -104,22 +83,6 @@ class LogStats:
         held)."""
         self.group_commits += 1
 
-    def note_writer_batch(self, waiters: int) -> None:
-        """Count one writer force that covered ``waiters`` parked
-        committers (log mutex held).
-
-        Every waiter beyond the first rode along instead of paying its
-        own force, so they also count as group commits — keeping
-        ``wal.group_commits`` comparable across the inline and writer
-        paths.
-        """
-        self.writer_batches += 1
-        if waiters > 1:
-            self.writer_coalesced += waiters - 1
-            self.group_commits += waiters - 1
-        if waiters > self.writer_max_batch:
-            self.writer_max_batch = waiters
-
     def snapshot(self) -> dict[str, int]:
         """Thread-safe snapshot of the counters."""
         return {
@@ -127,9 +90,6 @@ class LogStats:
             "flushes": self.flushes,
             "forced_records": self.forced_records,
             "group_commits": self.group_commits,
-            "writer_batches": self.writer_batches,
-            "writer_coalesced": self.writer_coalesced,
-            "writer_max_batch": self.writer_max_batch,
         }
 
 
@@ -144,11 +104,6 @@ class LogManager:
         #: simulated latency of a log force (seconds); concurrent forces
         #: are coalesced (group commit), see :meth:`flush`
         self.flush_delay = flush_delay
-        #: group-commit linger window (seconds) for the dedicated writer
-        #: thread: ``None`` adapts to the observed arrival rate, ``0.0``
-        #: forces as soon as the queue is non-empty, a positive value is
-        #: a fixed window.  Ignored while no writer runs.
-        self.group_commit_window: float | None = None
         self.stats = LogStats(metrics)
         #: span tracker (Database(op_tracing=True)); the database
         #: assembly (re)assigns this on every build, so a restart with
@@ -167,17 +122,6 @@ class LogManager:
         #: durable pointer to the most recent complete checkpoint
         self.master_lsn = NULL_LSN
         self._flush_stall: Callable[[], None] | None = None
-        # --- dedicated WAL writer thread (group-commit pipeline) ---
-        self._writer_thread: threading.Thread | None = None
-        self._writer_cv = threading.Condition(self._mutex)
-        self._writer_stop = False
-        self._writer_abort = False
-        #: committers currently parked on the writer
-        self._flush_waiters = 0
-        #: EMA of the gap between successive flush requests (ns); the
-        #: adaptive window is derived from it
-        self._arrival_ema_ns: int | None = None
-        self._last_arrival_ns: int | None = None
 
     # ------------------------------------------------------------------
     # append / read
@@ -296,11 +240,6 @@ class LogManager:
             )
             if target <= self._flushed_lsn:
                 return
-            if self._writer_thread is not None and not self._writer_stop:
-                if self._wait_for_writer(target):
-                    return
-                # The writer shut down mid-wait (crash/stop): fall
-                # through and force inline like a writerless log.
             self._pending_cover = max(self._pending_cover, target)
             while True:
                 if target <= self._flushed_lsn:
@@ -335,160 +274,6 @@ class LogManager:
                     self.stats.note_group_commit()
                 self._force_in_flight = False
                 self._flush_done.notify_all()
-
-    # ------------------------------------------------------------------
-    # dedicated WAL writer thread (group-commit pipeline)
-    # ------------------------------------------------------------------
-    @property
-    def wal_writer_active(self) -> bool:
-        """Whether the dedicated writer thread is running."""
-        with self._mutex:
-            return (
-                self._writer_thread is not None and not self._writer_stop
-            )
-
-    def start_wal_writer(self) -> None:
-        """Start the dedicated writer thread (idempotent).
-
-        While the writer runs, :meth:`flush` callers never force the
-        log themselves: they enqueue their target LSN, wake the writer
-        and park on the flush condition until a covering force
-        completes.  The writer coalesces whatever accumulated while the
-        previous force was in flight, lingering up to the adaptive
-        group-commit window for stragglers (:attr:`group_commit_window`).
-        """
-        with self._mutex:
-            if self._writer_thread is not None:
-                return
-            self._writer_stop = False
-            self._writer_abort = False
-            thread = threading.Thread(
-                target=self._writer_loop, name="wal-writer", daemon=True
-            )
-            self._writer_thread = thread
-        thread.start()
-
-    def stop_wal_writer(self, *, drain: bool = True) -> None:
-        """Stop the writer thread (idempotent, no-op without one).
-
-        ``drain=True`` (shutdown) lets the writer issue one final force
-        covering everything pending before it exits; ``drain=False``
-        (crash) abandons pending requests — parked committers wake and
-        fall back to the inline path, mirroring in-flight commits dying
-        with the process.
-        """
-        with self._mutex:
-            thread = self._writer_thread
-            if thread is None:
-                return
-            self._writer_stop = True
-            self._writer_abort = not drain
-            self._writer_cv.notify_all()
-            self._flush_done.notify_all()
-        thread.join()
-        with self._mutex:
-            self._writer_thread = None
-            self._writer_stop = False
-            self._writer_abort = False
-
-    def _wait_for_writer(self, target: int) -> bool:
-        """Park on the writer until ``target`` is durable (mutex held).
-
-        Feeds the arrival-rate EMA the adaptive window is derived from,
-        registers the request, wakes the writer and waits — notified
-        once per completed force, never polled.  Returns ``False`` when
-        the writer shut down before covering the request; the caller
-        then forces inline.
-        """
-        now = perf_counter_ns()
-        last = self._last_arrival_ns
-        self._last_arrival_ns = now
-        if last is not None:
-            gap = max(now - last, 0)
-            ema = self._arrival_ema_ns
-            self._arrival_ema_ns = gap if ema is None else (ema + gap) // 2
-        self._pending_cover = max(self._pending_cover, target)
-        self._flush_waiters += 1
-        self._writer_cv.notify()
-        try:
-            while target > self._flushed_lsn:
-                if self._writer_thread is None or self._writer_stop:
-                    return False
-                self._flush_done.wait()
-            return True
-        finally:
-            self._flush_waiters -= 1
-
-    def _current_window_ns(self) -> int:
-        """Linger window for the writer's next force, in nanoseconds.
-
-        A fixed :attr:`group_commit_window` is used as-is.  The adaptive
-        default lingers ~:data:`_ADAPTIVE_GAPS` arrival-gap EMAs — long
-        enough to gather a burst of near-simultaneous committers — but
-        returns 0 when that would exceed the cost of the force itself
-        (sparse traffic: waiting would only add latency for a lone
-        committer, never save a force).
-        """
-        if self.group_commit_window is not None:
-            return max(0, int(self.group_commit_window * 1e9))
-        ema = self._arrival_ema_ns
-        if ema is None:
-            return 0
-        cap_ns = int(max(self.flush_delay, _ADAPTIVE_CAP_FLOOR) * 1e9)
-        window = _ADAPTIVE_GAPS * ema
-        return window if window < cap_ns else 0
-
-    def _writer_loop(self) -> None:
-        while True:
-            with self._mutex:
-                while (
-                    not self._writer_stop
-                    and self._pending_cover <= self._flushed_lsn
-                ):
-                    self._writer_cv.wait()
-                if self._writer_stop and (
-                    self._writer_abort
-                    or self._pending_cover <= self._flushed_lsn
-                ):
-                    # Wake parked committers so they can fall back to
-                    # the inline path (or observe durability).
-                    self._flush_done.notify_all()
-                    return
-                window_ns = self._current_window_ns()
-                self.stats.writer_window_ns = window_ns
-                if window_ns > 0:
-                    deadline = perf_counter_ns() + window_ns
-                    while not self._writer_stop:
-                        before = self._pending_cover
-                        remaining = deadline - perf_counter_ns()
-                        if remaining <= 0:
-                            break  # window closed
-                        self._writer_cv.wait(remaining / 1e9)
-                        if self._pending_cover == before:
-                            break  # queue drained: no new arrivals
-                # An inline force can only be in flight across a
-                # start/stop race; wait it out rather than double-force.
-                while self._force_in_flight:
-                    self._flush_done.wait()
-                cover = self._pending_cover
-                if cover <= self._flushed_lsn:
-                    continue
-                waiters = max(1, self._flush_waiters)
-                self._pending_cover = NULL_LSN
-                self._force_in_flight = True
-            t0 = perf_counter_ns()
-            try:
-                if self.flush_delay > 0.0:
-                    threading.Event().wait(self.flush_delay)
-            finally:
-                with self._mutex:
-                    cover = min(cover, len(self._records))
-                    self._flushed_lsn = max(self._flushed_lsn, cover)
-                    self.stats.note_flush()
-                    self.stats.flush_ns.record(perf_counter_ns() - t0)
-                    self.stats.note_writer_batch(waiters)
-                    self._force_in_flight = False
-                    self._flush_done.notify_all()
 
     @property
     def flushed_lsn(self) -> int:

@@ -129,7 +129,6 @@ def test_shipped_tree_resolves_crabbing_helpers() -> None:
     graph = cg.build(iter_py_files([SRC]))
     callees = _callees(graph, "repro.gist.tree.GiST._locate_leaf")
     assert "repro.gist.tree.GiST._choose_in_chain" in callees
-    assert "repro.gist.tree.GiST._try_hinted_leaf" in callees
     # unresolved calls are mostly stdlib/builtins; a four-digit count
     # of resolved in-tree edges is the health floor
     assert graph.resolved > 1000

@@ -42,6 +42,34 @@ class TestMultiPut:
         assert _all(db, btree) == set(pairs)
         assert check_tree(btree).ok
 
+    @pytest.mark.parametrize(
+        "fixture, pairs, everything",
+        [
+            # organize order with heavy ties: 50 pairs over 7 keys
+            (
+                "btree",
+                [(i % 7, f"r{i}") for i in range(50)],
+                Interval(0, 10),
+            ),
+            # an extension with no organize order, collinear points
+            (
+                "rtree",
+                [(Rect.point(i / 10, i / 10), f"p{i}") for i in range(10)],
+                Rect(0, 0, 1, 1),
+            ),
+        ],
+        ids=["organized-ties", "no-organize"],
+    )
+    def test_batch_shapes(self, request, db, fixture, pairs, everything):
+        tree = request.getfixturevalue(fixture)
+        txn = db.begin()
+        assert tree.multi_put(txn, pairs) == len(pairs)
+        db.commit(txn)
+        txn = db.begin()
+        assert set(tree.search(txn, everything)) == set(pairs)
+        db.commit(txn)
+        assert check_tree(tree).ok
+
     def test_rollback_undoes_whole_batch(self, db, btree):
         txn = db.begin()
         btree.insert(txn, 100, "keep")

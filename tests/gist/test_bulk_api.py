@@ -1,55 +1,10 @@
-"""Convenience bulk APIs: insert_many, count, delete_where."""
+"""Convenience bulk APIs: count, delete_where."""
 
 import threading
 
 from repro.errors import TransactionAbort
 from repro.ext.btree import BTreeExtension, Interval
-from repro.ext.rtree import Rect
 from repro.gist.checker import check_tree
-
-
-class TestInsertMany:
-    def test_inserts_all_pairs(self, db, btree):
-        txn = db.begin()
-        n = btree.insert_many(
-            txn, [(i, f"r{i}") for i in (5, 1, 9, 3, 7)]
-        )
-        db.commit(txn)
-        assert n == 5
-        txn = db.begin()
-        assert {k for k, _ in btree.search(txn, Interval(0, 10))} == {
-            1,
-            3,
-            5,
-            7,
-            9,
-        }
-        db.commit(txn)
-
-    def test_uses_organize_order_when_available(self, db, btree):
-        # BTreeExtension organizes by key; insertion must still be
-        # correct whatever the order
-        txn = db.begin()
-        btree.insert_many(txn, [(i % 7, f"r{i}") for i in range(50)])
-        db.commit(txn)
-        assert check_tree(btree).ok
-
-    def test_empty_batch(self, db, btree):
-        txn = db.begin()
-        assert btree.insert_many(txn, []) == 0
-        db.commit(txn)
-
-    def test_works_without_organize(self, db, rtree):
-        txn = db.begin()
-        n = rtree.insert_many(
-            txn,
-            [(Rect.point(i / 10, i / 10), f"p{i}") for i in range(10)],
-        )
-        db.commit(txn)
-        assert n == 10
-        txn = db.begin()
-        assert rtree.count(txn, Rect(0, 0, 1, 1)) == 10
-        db.commit(txn)
 
 
 class TestCount:

@@ -1,4 +1,6 @@
-"""Observability knobs must survive ``Database.restart``."""
+"""Constructor knobs must survive ``Database.restart``."""
+
+import inspect
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
@@ -70,70 +72,59 @@ class TestRestartPropagation:
         assert db3.log.tracker is db3.spans
 
 
-class TestWalPipelineKnobs:
-    """The WAL writer pipeline knobs must survive ``Database.restart``."""
+#: constructor keywords ``restart`` need not forward: objects the new
+#: instance adopts or rebuilds (``flightrec`` is forwarded, but as the
+#: same instance — see ``test_flight_recorder_knobs_carry_over``), and
+#: settings that live in the surviving store / log
+_NOT_FORWARDED = {
+    "store",
+    "log",
+    "hooks",
+    "fault_plan",
+    "flightrec",
+    "io_delay",
+    "flush_delay",
+    "page_capacity",
+}
 
-    def test_wal_writer_carries_over(self):
-        db = Database(page_capacity=8, wal_writer=True)
-        db.create_tree("t", BTreeExtension())
-        assert db.log.wal_writer_active
-        db2 = _crash_restart(db)
-        assert db2.wal_writer is True
-        assert db2.log.wal_writer_active
-        # and the revived writer actually serves commits
-        tree = db2.tree("t")
-        txn = db2.begin()
-        tree.insert(txn, 2, "r2")
-        db2.commit(txn)
-        assert db2.log.stats.writer_batches > 0
-        db2.shutdown()
+#: a non-default value for every other keyword
+_NON_DEFAULT = {
+    "pool_capacity": 40,
+    "lock_timeout": 1.5,
+    "metrics_enabled": False,
+    "io_retries": 9,
+    "io_retry_backoff": 0.0,
+    "protocol_checks": True,
+    "op_tracing": True,
+    "trace_capacity": 77,
+    "flight_recorder": False,
+    "flight_capacity": 9,
+}
 
-    def test_wal_writer_off_stays_off(self):
-        db = Database(page_capacity=8)
-        db.create_tree("t", BTreeExtension())
-        db2 = _crash_restart(db)
-        assert db2.wal_writer is False
-        assert not db2.log.wal_writer_active
-        assert db2.log._writer_thread is None
 
-    def test_group_commit_window_carries_over(self):
-        db = Database(
-            page_capacity=8, wal_writer=True, group_commit_window=0.004
-        )
-        db.create_tree("t", BTreeExtension())
-        db2 = _crash_restart(db)
-        assert db2.group_commit_window == 0.004
-        assert db2.log.group_commit_window == 0.004
-        db2.shutdown()
+def test_every_knob_survives_restart(monkeypatch):
+    """Walks the constructor signature, so a knob added without
+    ``restart`` forwarding (or without a value here) fails."""
+    knobs = set(inspect.signature(Database.__init__).parameters)
+    assert knobs - {"self"} - _NOT_FORWARDED == set(_NON_DEFAULT)
+    db = Database(page_capacity=8, **_NON_DEFAULT)
+    db.create_tree("t", BTreeExtension())
+    forwarded = {}
 
-    def test_explicit_restart_override_wins(self):
-        db = Database(page_capacity=8, wal_writer=True)
-        db.create_tree("t", BTreeExtension())
-        db2 = _crash_restart(db, wal_writer=False)
-        assert not db2.log.wal_writer_active
-        db3 = _crash_restart(db2, wal_writer=True, group_commit_window=0.002)
-        assert db3.log.wal_writer_active
-        assert db3.log.group_commit_window == 0.002
-        db3.shutdown()
+    class Spy(Database):
+        def __init__(self, **config):
+            forwarded.update(config)
+            super().__init__(**config)
 
-    def test_writer_composes_with_leaf_hints(self):
-        # both knobs on together: batch inserts through the writer with
-        # the hint cache live, and both survive the restart
-        db = Database(page_capacity=8, wal_writer=True, leaf_hints=True)
-        tree = db.create_tree("t", BTreeExtension())
-        txn = db.begin()
-        tree.multi_put(txn, [(i, f"r{i}") for i in range(40)])
-        db.commit(txn)
-        db.crash()
-        db2 = db.restart({"t": BTreeExtension()})
-        assert db2.leaf_hints is True
-        assert db2.log.wal_writer_active
-        tree2 = db2.tree("t")
-        txn = db2.begin()
-        got = {k for k, _ in tree2.search(txn, Interval(0, 100))}
-        db2.commit(txn)
-        assert got == set(range(40))
-        db2.shutdown()
+    monkeypatch.setattr("repro.database.Database", Spy)
+    db2 = _crash_restart(db)
+    assert {k: forwarded[k] for k in _NON_DEFAULT} == _NON_DEFAULT
+    assert db2.pool.capacity == 40
+    assert db2.locks.default_timeout == 1.5
+    # an explicit argument still wins, and is what carries on
+    db3 = _crash_restart(db2, pool_capacity=64)
+    assert db3.pool.capacity == 64
+    assert _crash_restart(db3).pool.capacity == 64
 
 
 class TestPartitionKnobs:
@@ -163,28 +154,28 @@ class TestPartitionKnobs:
 
     def test_db_knobs_propagate_to_every_worker(self):
         cluster = self._cluster(
-            partitions=2, page_capacity=16, leaf_hints=True
+            partitions=2, page_capacity=16, op_tracing=True
         )
         reopened = cluster.restart()
         try:
             for info in reopened.describe().values():
                 assert info["page_capacity"] == 16
-                assert info["leaf_hints"] is True
+                assert info["op_tracing"] is True
         finally:
             reopened.shutdown()
 
     def test_explicit_reopen_override_wins(self):
         cluster = self._cluster(partitions=2, page_capacity=16)
-        reopened = cluster.restart(leaf_hints=True)
+        reopened = cluster.restart(op_tracing=True)
         try:
             for info in reopened.describe().values():
                 assert info["page_capacity"] == 16  # propagated
-                assert info["leaf_hints"] is True  # overridden
+                assert info["op_tracing"] is True  # overridden
             # and the override itself now propagates onward
             again = reopened.restart()
             try:
                 for info in again.describe().values():
-                    assert info["leaf_hints"] is True
+                    assert info["op_tracing"] is True
             finally:
                 again.shutdown()
         finally:

@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import WALError
 from repro.wal.log import LogManager
-from repro.wal.records import NULL_LSN, CommitRecord, DummyClr
+from repro.wal.records import (
+    NULL_LSN,
+    AddLeafEntryRecord,
+    CommitRecord,
+    DummyClr,
+)
 
 
 def rec(xid: int) -> CommitRecord:
@@ -52,6 +57,28 @@ class TestAppend:
         assert next(it).lsn == 1
         log.append(rec(1))
         assert next(it).lsn == 2
+
+
+class TestAppendMany:
+    def test_batch_append_assigns_contiguous_lsns(self):
+        log = LogManager()
+        records = [
+            AddLeafEntryRecord(
+                xid=1, tree="t", page_id=7, key=i, rid=f"r{i}"
+            )
+            for i in range(4)
+        ]
+        lsns = log.append_many(records)
+        assert lsns == [1, 2, 3, 4]
+        assert [r.lsn for r in records] == lsns
+        # per-txn backchain threads through the batch
+        assert records[0].prev_lsn == 0
+        assert records[3].prev_lsn == 3
+        assert log.last_lsn_of(1) == 4
+
+    def test_empty_batch(self):
+        log = LogManager()
+        assert log.append_many([]) == []
 
 
 class TestDurability:
