@@ -258,6 +258,16 @@ def _is_lockmanager_call(call: ast.Call) -> bool:
     )
 
 
+def _is_shard_mutex(expr: ast.expr) -> bool:
+    """``with shard.lock:`` — the buffer pool's hot paths take the shard
+    mutex directly instead of through ``_locked(shard)``."""
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr == "lock"
+        and "shard" in ast.unparse(expr.value).lower()
+    )
+
+
 def _mutex_role(fn: FunctionInfo, recv: str) -> str:
     ns = _namespace(fn)
     # strip a self./subscript prefix down to the salient attribute
@@ -315,6 +325,10 @@ class LockOrderAnalyzer:
     def _own_roles(self, fn: FunctionInfo) -> set:
         roles: set = set()
         for node in ast.walk(fn.node):
+            if isinstance(node, ast.With) and any(
+                _is_shard_mutex(item.context_expr) for item in node.items
+            ):
+                roles.add("BufferPool:shard")
             if not isinstance(node, ast.Call):
                 continue
             role = self._acquire_role(fn, node)
@@ -429,7 +443,10 @@ class LockOrderAnalyzer:
                         text = ast.unparse(expr).lower()
                     except Exception:
                         text = ""
-                    if any(
+                    if _is_shard_mutex(expr):
+                        self._push(fn, expr, held, "BufferPool:shard", None)
+                        entered += 1
+                    elif any(
                         text.endswith(s)
                         for s in ("lock", "mutex", "cond", "_cv")
                     ):

@@ -128,41 +128,80 @@ def as_interval(pred: object) -> Interval:
 
 
 class BTreeExtension(GiSTExtension):
-    """Ordered-domain extension: interval BPs, sorted node layout."""
+    """Ordered-domain extension: interval BPs, sorted node layout.
+
+    The template calls these methods once per entry of every node it
+    visits, so each compares raw keys, :class:`Interval` and
+    :class:`MultiPoint` arguments directly by type; none builds a
+    throw-away point ``Interval`` to compare a raw key against a bound.
+    """
 
     name = "btree"
 
     def consistent(self, pred: object, query: object) -> bool:
         """Intersection test between predicates (contract: :meth:`GiSTExtension.consistent`)."""
+        if isinstance(query, Interval):
+            if isinstance(pred, (Interval, MultiPoint)):
+                return pred.intersects(query)
+            return query.contains(pred)
         if isinstance(query, MultiPoint):
-            return query.intersects(as_interval(pred))
-        if isinstance(pred, MultiPoint):
-            return pred.intersects(as_interval(query))
-        return as_interval(pred).intersects(as_interval(query))
+            if isinstance(pred, Interval):
+                return query.intersects(pred)
+            if isinstance(pred, MultiPoint):
+                return any(map(query.contains, pred.keys))
+            return query.contains(pred)
+        if isinstance(pred, (Interval, MultiPoint)):
+            return pred.contains(query)
+        return pred == query
 
     def union(self, preds: Sequence[object]) -> object:
         """Tightest covering predicate of the inputs (contract: :meth:`GiSTExtension.union`)."""
         if not preds:
             raise ValueError("union of no predicates")
-        result = as_interval(preds[0])
-        for pred in preds[1:]:
-            result = result.union_with(as_interval(pred))
-        return result
+        members = iter(preds)
+        lo, hi, lo_incl, hi_incl = _bounds(next(members))
+        for pred in members:
+            p_lo, p_hi, p_lo_incl, p_hi_incl = _bounds(pred)
+            # same tie-breaking as Interval.union_with
+            if not lo < p_lo:
+                if p_lo < lo:
+                    lo, lo_incl = p_lo, p_lo_incl
+                else:
+                    lo_incl = lo_incl or p_lo_incl
+            if not hi > p_hi:
+                if p_hi > hi:
+                    hi, hi_incl = p_hi, p_hi_incl
+                else:
+                    hi_incl = hi_incl or p_hi_incl
+        return Interval(lo, hi, lo_incl, hi_incl)
 
     def penalty(self, bp: object, key: object) -> float:
         """How far the interval must stretch to admit ``key``.
 
         Numeric domains get the exact stretch; non-numeric ordered
         domains fall back to a containment indicator, which still steers
-        the descent into covering subtrees first.
+        the descent into covering subtrees first.  Never negative, and
+        ``0.0`` whenever ``bp`` covers ``key`` (contract:
+        :meth:`GiSTExtension.penalty`).
         """
-        interval = as_interval(bp)
-        point = as_interval(key)
-        if interval.contains(point.lo) and interval.contains(point.hi):
-            return 0.0
+        if isinstance(bp, Interval):
+            if isinstance(key, Interval):
+                key_lo, key_hi = key.lo, key.hi
+                covered = bp.contains(key_lo) and bp.contains(key_hi)
+            else:
+                key_lo = key_hi = key
+                covered = bp.contains(key)
+            if covered:
+                return 0.0
+            bp_lo, bp_hi = bp.lo, bp.hi
+        else:
+            key_lo, key_hi, _, _ = _bounds(key)
+            if key_lo == bp and key_hi == bp:
+                return 0.0
+            bp_lo = bp_hi = bp
         try:
-            below = max(0.0, float(interval.lo) - float(point.lo))
-            above = max(0.0, float(point.hi) - float(interval.hi))
+            below = max(0.0, float(bp_lo) - float(key_lo))
+            above = max(0.0, float(key_hi) - float(bp_hi))
             return below + above
         except (TypeError, ValueError):
             return 1.0
@@ -171,15 +210,27 @@ class BTreeExtension(GiSTExtension):
         self, preds: Sequence[object]
     ) -> tuple[list[int], list[int]]:
         """Partition entry indices for a split (contract: :meth:`GiSTExtension.pick_split`)."""
-        order = sorted(
-            range(len(preds)), key=lambda i: as_interval(preds[i]).lo
-        )
+        order = _order_by_lo(preds)
         mid = len(order) // 2
         return order[:mid], order[mid:]
 
     def same(self, a: object, b: object) -> bool:
         """Predicate equality (contract: :meth:`GiSTExtension.same`)."""
-        return as_interval(a) == as_interval(b)
+        if isinstance(a, Interval):
+            if isinstance(b, Interval):
+                return a == b
+            return a.lo == b and a.hi == b
+        if isinstance(b, Interval):
+            return b.lo == a and b.hi == a
+        return a == b
+
+    def covers(self, bp: object, key: object) -> bool:
+        """True if ``bp`` already bounds ``key`` (contract: :meth:`GiSTExtension.covers`)."""
+        if isinstance(bp, Interval) and not isinstance(
+            key, (Interval, MultiPoint)
+        ):
+            return bp.contains(key)
+        return super().covers(bp, key)
 
     def eq_query(self, key: object) -> object:
         """Exact-match predicate for a key (contract: :meth:`GiSTExtension.eq_query`)."""
@@ -192,9 +243,20 @@ class BTreeExtension(GiSTExtension):
 
     def organize(self, preds: Sequence[object]) -> list[int]:
         """Sorted intra-node layout (contract: :meth:`GiSTExtension.organize`)."""
-        return sorted(
-            range(len(preds)), key=lambda i: as_interval(preds[i]).lo
-        )
+        return _order_by_lo(preds)
+
+
+def _order_by_lo(preds: Sequence[object]) -> list[int]:
+    """Indices of ``preds`` in ascending order of lower bound (stable)."""
+    lows = [pred.lo if isinstance(pred, Interval) else pred for pred in preds]
+    return sorted(range(len(lows)), key=lows.__getitem__)
+
+
+def _bounds(pred: object) -> tuple:
+    """``(lo, hi, lo_incl, hi_incl)`` of an interval or of a raw key."""
+    if isinstance(pred, Interval):
+        return pred.lo, pred.hi, pred.lo_incl, pred.hi_incl
+    return pred, pred, True, True
 
 
 # Interval is a frozen dataclass over ordered scalars: page snapshots may

@@ -227,8 +227,9 @@ class SearchCursor:
                 self._block_on_rid(blocked_rid)
                 continue  # rescan the leaf, dedup via self.seen
             child_memo = tree.nsn.memo_for_children(page)
+            consistent, query = tree.ext.consistent, self.query
             for node_entry in page.entries:
-                if tree.ext.consistent(node_entry.pred, self.query):
+                if consistent(node_entry.pred, query):
                     self.stack.append(
                         tree._stack_pointer(txn, node_entry.child, child_memo)
                     )
@@ -242,10 +243,11 @@ class SearchCursor:
         or ``None`` when the pass completed."""
         tree, txn = self.tree, self.txn
         locks = tree.db.locks
+        consistent, query, seen = tree.ext.consistent, self.query, self.seen
         for entry in frame.page.entries:
-            if (entry.key, entry.rid) in self.seen:
+            if (entry.key, entry.rid) in seen:
                 continue
-            if not tree.ext.consistent(entry.key, self.query):
+            if not consistent(entry.key, query):
                 continue
             if self.lock_rids:
                 granted = locks.acquire(
@@ -259,7 +261,7 @@ class SearchCursor:
             # Holding the record lock: a deletion mark can only belong
             # to a finished (committed) deleter or to this transaction;
             # either way the entry is invisible (section 7).
-            self.seen.add((entry.key, entry.rid))
+            seen.add((entry.key, entry.rid))
             if not entry.deleted:
                 self._buffer.append((entry.key, entry.rid))
             if self.lock_rids and not self.repeatable:

@@ -55,7 +55,14 @@ class GiSTExtension(ABC):
     @abstractmethod
     def penalty(self, bp: object, key: object) -> float:
         """Domain-specific cost of inserting ``key`` under a subtree
-        bounded by ``bp`` (typically: how much ``bp`` must grow)."""
+        bounded by ``bp`` (typically: how much ``bp`` must grow).
+
+        Never negative, and ``0`` whenever ``covers(bp, key)`` — no
+        growth is the cheapest a subtree can be.  ``locateLeaf`` relies
+        on it: it descends into the first zero-penalty entry without
+        evaluating the node's remaining entries, which is the entry
+        ``min`` over all of them would have returned.
+        """
 
     @abstractmethod
     def pick_split(self, preds: Sequence[object]) -> tuple[list[int], list[int]]:

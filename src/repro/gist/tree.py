@@ -764,8 +764,9 @@ class GiST:
                     )
                 return
             child_memo = self.nsn.memo_for_children(page)
+            consistent = self.ext.consistent
             for node_entry in page.entries:
-                if self.ext.consistent(node_entry.pred, query):
+                if consistent(node_entry.pred, query):
                     stack.append(
                         self._stack_pointer(
                             txn, node_entry.child, child_memo
@@ -1254,6 +1255,7 @@ class GiST:
         the caller releases them when the operation completes.
         """
         pool = self.db.pool
+        penalty = self.ext.penalty
         stack: list[StackEntry] = []
         memo = self.nsn.current()
         entry = self._stack_pointer(txn, self.root_pid, memo)
@@ -1308,10 +1310,17 @@ class GiST:
                 pid, memo = entry.pid, entry.memo
                 continue
             stack.append(StackEntry(page.pid, memo, nsn_seen=page.nsn))
-            best = min(
-                page.entries,
-                key=lambda e: self.ext.penalty(e.pred, key),
-            )
+            # The first min-penalty entry, as min() would return it;
+            # penalties are never negative (GiSTExtension.penalty), so
+            # the first zero is already that entry.
+            best = None
+            best_penalty = 0.0
+            for node_entry in page.entries:
+                entry_penalty = penalty(node_entry.pred, key)
+                if best is None or entry_penalty < best_penalty:
+                    best, best_penalty = node_entry, entry_penalty
+                    if entry_penalty == 0:
+                        break
             child_memo = self.nsn.memo_for_children(page)
             child_entry = self._stack_pointer(txn, best.child, child_memo)
             pool.unfix(frame)
@@ -1332,13 +1341,12 @@ class GiST:
         best = frame
         best_penalty = self._chain_penalty(frame.page, key)
         current = frame
-        while (
-            current.page.nsn > memo and current.page.rightlink != NO_PAGE
-        ):
-            next_pid = current.page.rightlink
+        page = frame.page
+        while page.nsn > memo and page.rightlink != NO_PAGE:
             self.stats.bump("rightlink_follows")
-            nxt = pool.fix(next_pid, mode)
-            penalty = self._chain_penalty(nxt.page, key)
+            nxt = pool.fix(page.rightlink, mode)
+            page = nxt.page
+            penalty = self._chain_penalty(page, key)
             if current is not best:
                 pool.unfix(current)
             if penalty < best_penalty:
@@ -1942,8 +1950,9 @@ class GiST:
                 self.db.hooks.fire("delete:marked", pid=page.pid, rid=rid)
                 return True
             child_memo = self.nsn.memo_for_children(page)
+            consistent = self.ext.consistent
             for node_entry in page.entries:
-                if self.ext.consistent(node_entry.pred, eq):
+                if consistent(node_entry.pred, eq):
                     stack.append(
                         self._stack_pointer(txn, node_entry.child, child_memo)
                     )
@@ -2140,6 +2149,7 @@ class GiST:
         """Search the whole tree for a specific (key, rid) leaf entry,
         returning its X-latched leaf (logical-undo fallback path)."""
         pool = self.db.pool
+        consistent = self.ext.consistent
         eq = self.ext.eq_query(key)
         stack = [self.root_pid]
         while stack:
@@ -2150,11 +2160,9 @@ class GiST:
                 if page.find_leaf_entry(key, rid) is not None:
                     return frame
             else:
-                stack.extend(
-                    e.child
-                    for e in page.entries
-                    if self.ext.consistent(e.pred, eq)
-                )
+                for node_entry in page.entries:
+                    if consistent(node_entry.pred, eq):
+                        stack.append(node_entry.child)
             pool.unfix(frame)
         return None
 

@@ -342,7 +342,12 @@ class BufferPool:
 
     @contextmanager
     def _locked(self, shard: _Shard) -> Iterator[None]:
-        """Acquire a shard's mutex, counting the acquisition."""
+        """Acquire a shard's mutex, counting the acquisition.
+
+        ``_pin`` and ``unpin`` — two acquisitions per page fix — take
+        ``shard.lock`` directly with the same bookkeeping instead of
+        paying for a generator context manager each time.
+        """
         with shard.lock:
             shard.lock_acquisitions += 1
             witness = self._witness
@@ -549,21 +554,29 @@ class BufferPool:
         shard = self._shard(pid)
         while True:
             wait_for: threading.Event | None = None
-            with self._locked(shard):
-                frame = shard.frames.get(pid)
-                if frame is not None:
-                    frame.pin_count += 1
-                    frame.ref = True
-                    shard.hits += 1
-                    return frame
-                if pid in shard.writeback:
-                    wait_for = shard.writeback[pid]
-                elif pid in shard.loading:
-                    wait_for = shard.loading[pid]
-                else:
-                    event = threading.Event()
-                    shard.loading[pid] = event
-                    shard.misses += 1
+            with shard.lock:  # self._locked(shard), inlined
+                shard.lock_acquisitions += 1
+                witness = self._witness
+                if witness is not None:
+                    witness.note_acquired("shard", shard.index)
+                try:
+                    frame = shard.frames.get(pid)
+                    if frame is not None:
+                        frame.pin_count += 1
+                        frame.ref = True
+                        shard.hits += 1
+                        return frame
+                    if pid in shard.writeback:
+                        wait_for = shard.writeback[pid]
+                    elif pid in shard.loading:
+                        wait_for = shard.loading[pid]
+                    else:
+                        event = threading.Event()
+                        shard.loading[pid] = event
+                        shard.misses += 1
+                finally:
+                    if witness is not None:
+                        witness.note_released("shard", shard.index)
             if wait_for is not None:
                 wait_for.wait()
                 continue
@@ -629,13 +642,23 @@ class BufferPool:
     def unpin(self, pid: PageId) -> None:
         """Drop one pin on ``pid``."""
         shard = self._shard(pid)
-        with self._locked(shard):
-            frame = shard.frames.get(pid)
-            if frame is None or frame.pin_count <= 0:
-                raise BufferPoolError(f"unpin of page {pid} that is not pinned")
-            frame.pin_count -= 1
-        if self._witness is not None:
-            self._witness.note_unpinned(pid)
+        with shard.lock:  # self._locked(shard), inlined
+            shard.lock_acquisitions += 1
+            witness = self._witness
+            if witness is not None:
+                witness.note_acquired("shard", shard.index)
+            try:
+                frame = shard.frames.get(pid)
+                if frame is None or frame.pin_count <= 0:
+                    raise BufferPoolError(
+                        f"unpin of page {pid} that is not pinned"
+                    )
+                frame.pin_count -= 1
+            finally:
+                if witness is not None:
+                    witness.note_released("shard", shard.index)
+        if witness is not None:
+            witness.note_unpinned(pid)
         if self._track_fixes:
             ledger = getattr(self._fix_local, "frames", None)
             if ledger is not None:

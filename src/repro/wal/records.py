@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import cache
 from typing import Sequence
 
 from repro.storage.page import (
@@ -45,6 +46,18 @@ from repro.storage.page import (
 NULL_LSN = 0
 
 
+@cache
+def _fingerprint_fields(record_type: type) -> tuple[str, ...]:
+    """Names of the fields a record of this class serializes, in
+    declaration order (one ``dataclasses.fields()`` walk per class, not
+    per append)."""
+    return tuple(
+        f.name
+        for f in dataclass_fields(record_type)
+        if f.name not in ("checksum", "_fingerprint")
+    )
+
+
 def record_fingerprint(record: "LogRecord") -> bytes:
     """Canonical byte encoding of a record's full content.
 
@@ -53,15 +66,14 @@ def record_fingerprint(record: "LogRecord") -> bytes:
     :func:`~repro.storage.page.page_fingerprint`; every other payload
     value goes in via ``repr`` (dataclass entries included).
     """
-    parts = [type(record).__name__]
-    for f in dataclass_fields(record):
-        if f.name in ("checksum", "_fingerprint"):
-            continue
-        value = getattr(record, f.name)
+    record_type = type(record)
+    parts = [record_type.__name__]
+    for name in _fingerprint_fields(record_type):
+        value = getattr(record, name)
         if isinstance(value, Page):
-            parts.append(f"{f.name}=page:{page_fingerprint(value).decode()}")
+            parts.append(f"{name}=page:{page_fingerprint(value).decode()}")
         else:
-            parts.append(f"{f.name}={value!r}")
+            parts.append(f"{name}={value!r}")
     return "|".join(parts).encode("utf-8", "backslashreplace")
 
 

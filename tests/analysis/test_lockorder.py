@@ -36,6 +36,9 @@ def test_shipped_tree_has_the_expected_protocol_edges() -> None:
     assert ("GiST:node", "GiST:parent") in edges
     # every fix reaches through the buffer shard mutex
     assert ("GiST:node", "BufferPool:shard") in edges
+    # ... also where the pool takes it as a bare ``with shard.lock:``
+    # (``_pin``/``unpin``) instead of through ``_locked(shard)``
+    assert ("BufferPool:node", "BufferPool:shard") in edges
     # and the shard mutex is innermost: no shard -> latch edge ever
     assert not any(
         src.endswith(":shard") and not dst.endswith(":shard")

@@ -1,8 +1,12 @@
 """B-tree extension: interval algebra and extension-method contract."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.ext.btree import BTreeExtension, Interval, as_interval
+from repro.database import Database
+from repro.ext.btree import BTreeExtension, Interval, MultiPoint, as_interval
+from repro.gist.extension import GiSTExtension
 
 
 class TestInterval:
@@ -117,3 +121,193 @@ class TestExtensionContract:
         iv = Interval(1, 2)
         assert as_interval(iv) is iv
         assert as_interval(7) == Interval(7, 7)
+
+
+class TestMultiPointConsistency:
+    ext = BTreeExtension()
+
+    def test_multipoint_vs_multipoint_is_share_a_member(self):
+        a = MultiPoint.of([1, 5, 9])
+        assert self.ext.consistent(a, MultiPoint.of([2, 5]))
+        assert self.ext.consistent(MultiPoint.of([2, 5]), a)
+        assert not self.ext.consistent(a, MultiPoint.of([2, 6]))
+        assert not self.ext.consistent(a, MultiPoint.of([]))
+        assert self.ext.consistent(a, a)
+
+    def test_multipoint_on_either_side(self):
+        mp = MultiPoint.of([1, 5, 9])
+        for other, expected in [
+            (5, True),
+            (4, False),
+            (Interval(2, 5, hi_incl=False), False),
+            (Interval(2, 5), True),
+            (Interval(9, 12, lo_incl=False), False),
+        ]:
+            assert self.ext.consistent(mp, other) is expected
+            assert self.ext.consistent(other, mp) is expected
+
+
+class _ParentBTree:
+    """The predicate methods as they were before they compared by type:
+    both sides normalised through ``as_interval`` on every call.  Kept
+    here as the reference the fast paths must agree with."""
+
+    def consistent(self, pred, query):
+        if isinstance(query, MultiPoint):
+            return query.intersects(as_interval(pred))
+        if isinstance(pred, MultiPoint):
+            return pred.intersects(as_interval(query))
+        return as_interval(pred).intersects(as_interval(query))
+
+    def union(self, preds):
+        result = as_interval(preds[0])
+        for pred in preds[1:]:
+            result = result.union_with(as_interval(pred))
+        return result
+
+    def penalty(self, bp, key):
+        interval = as_interval(bp)
+        point = as_interval(key)
+        if interval.contains(point.lo) and interval.contains(point.hi):
+            return 0.0
+        try:
+            below = max(0.0, float(interval.lo) - float(point.lo))
+            above = max(0.0, float(point.hi) - float(interval.hi))
+            return below + above
+        except (TypeError, ValueError):
+            return 1.0
+
+    def same(self, a, b):
+        return as_interval(a) == as_interval(b)
+
+    def covers(self, bp, key):
+        return GiSTExtension.covers(self, bp, key)
+
+    def sort_order(self, preds):
+        return sorted(
+            range(len(preds)), key=lambda i: as_interval(preds[i]).lo
+        )
+
+
+# Small domains, so equal and touching bounds come up all the time.
+DOMAINS = (
+    st.integers(min_value=-4, max_value=4),
+    st.sampled_from([-2, -1.5, -1, 0, 0.5, 1, 1.0, 2.5]),
+    st.sampled_from(["a", "b", "bb", "c", "d"]),
+)
+
+
+@st.composite
+def _intervals(draw, values):
+    a, b = draw(values), draw(values)
+    lo, hi = (a, b) if a <= b else (b, a)
+    if lo == hi:
+        return Interval(lo, hi)  # an open point interval is empty
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+def _multipoints(values):
+    return st.lists(values, max_size=4).map(MultiPoint.of)
+
+
+def _in_one_domain(*shapes):
+    """A tuple of predicates over one ordered domain; each shape picks
+    what the position may hold (``k`` raw key, ``i`` Interval, ``m``
+    MultiPoint)."""
+
+    def position(values, shape):
+        options = {
+            "k": values,
+            "i": _intervals(values),
+            "m": _multipoints(values),
+        }
+        return st.one_of([options[kind] for kind in shape])
+
+    return st.sampled_from(DOMAINS).flatmap(
+        lambda values: st.tuples(*(position(values, s) for s in shapes))
+    )
+
+
+class TestFastPathsAgreeWithNormalisingReference:
+    ext = BTreeExtension()
+    ref = _ParentBTree()
+
+    @given(_in_one_domain("kim", "kim"))
+    def test_consistent(self, preds):
+        pred, query = preds
+        got = self.ext.consistent(pred, query)
+        assert got == self.ext.consistent(query, pred)  # symmetric
+        if isinstance(pred, MultiPoint) and isinstance(query, MultiPoint):
+            # the reference raises TypeError here (fixed in this file's
+            # TestMultiPointConsistency): share a member
+            assert got == bool(set(pred.keys) & set(query.keys))
+        else:
+            assert got == self.ref.consistent(pred, query)
+
+    @given(_in_one_domain("ki", "ki"))
+    def test_penalty(self, preds):
+        bp, key = preds
+        got = self.ext.penalty(bp, key)
+        assert got == self.ref.penalty(bp, key)
+        assert got >= 0
+
+    @given(_in_one_domain("ki", "ki"))
+    def test_covers(self, preds):
+        bp, key = preds
+        assert self.ext.covers(bp, key) == self.ref.covers(bp, key)
+        assert self.ext.covers(None, key)
+        if self.ext.covers(bp, key) and not isinstance(key, Interval):
+            assert self.ext.penalty(bp, key) == 0  # keys are raw values
+
+    @given(
+        st.sampled_from(DOMAINS).flatmap(
+            lambda values: st.lists(
+                st.one_of(values, _intervals(values)), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_union_and_sort_order(self, preds):
+        assert self.ext.union(preds) == self.ref.union(preds)
+        order = self.ref.sort_order(preds)
+        assert self.ext.organize(preds) == order
+        if len(preds) > 1:
+            mid = len(order) // 2
+            assert self.ext.pick_split(preds) == (order[:mid], order[mid:])
+
+    @given(_in_one_domain("ki", "ki"))
+    def test_same(self, preds):
+        a, b = preds
+        assert self.ext.same(a, b) == self.ref.same(a, b)
+        assert self.ext.same(a, a)
+
+
+def test_point_search_builds_no_interval_per_entry(monkeypatch):
+    """The gate behind the fast paths: comparing a raw key or a BP with
+    the query allocates nothing, so a point search constructs the
+    ``eq_query`` interval and no other — however many entries it scans."""
+    db = Database()
+    ext = BTreeExtension()
+    tree = db.create_tree("t", ext)
+    keys = list(range(8_000))
+    for start in range(0, len(keys), 100):
+        txn = db.begin()
+        for key in keys[start : start + 100]:
+            tree.insert(txn, (key * 7919) % 8_000, f"r{key}")
+        db.commit(txn)
+    assert tree.height() >= 3
+
+    built = []
+    validate = Interval.__post_init__
+
+    def counting(self):
+        built.append((self.lo, self.hi))
+        validate(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting)
+    for probe in (0, 1234, 4000, 7999):
+        del built[:]
+        txn = db.begin()
+        rows = tree.search(txn, ext.eq_query(probe))
+        db.commit(txn)
+        assert [key for key, _ in rows] == [probe]
+        assert built == [(probe, probe)]

@@ -13,8 +13,14 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.database import Database
 from repro.errors import TransactionAbort
+from repro.ext.btree import BTreeExtension
+from repro.ext.rdtree import RDTreeExtension
+from repro.ext.rtree import Rect, RTreeExtension
 from repro.gist.checker import check_tree
 from repro.gist.extension import GiSTExtension
 
@@ -154,3 +160,43 @@ class TestCustomExtensionGetsEverything:
         db.commit(txn)
         assert report.entries_collected == 60
         assert report.nodes_deleted > 0
+
+
+_coords = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@st.composite
+def _rects(draw):
+    x1, x2, y1, y2 = (draw(_coords) for _ in range(4))
+    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+
+_key_sets = st.frozensets(st.integers(min_value=0, max_value=12), min_size=1)
+
+SHIPPED = (
+    (BTreeExtension(), _coords),
+    (RTreeExtension(), _rects()),
+    (RDTreeExtension(), _key_sets),
+)
+
+
+class TestPenaltyContract:
+    """``penalty`` is never negative and is zero under a covering BP —
+    what lets ``locateLeaf`` stop at the first zero-penalty entry and
+    still pick the entry ``min`` would."""
+
+    @given(st.data())
+    def test_non_negative_and_zero_when_covered(self, data):
+        ext, keys = data.draw(st.sampled_from(SHIPPED))
+        members = data.draw(st.lists(keys, min_size=1, max_size=6))
+        bp = ext.union(members)
+        probe = data.draw(keys)
+        assert ext.penalty(bp, probe) >= 0
+        if ext.covers(bp, probe):
+            assert ext.penalty(bp, probe) == 0
+        for member in members:
+            assert ext.covers(bp, member)
+            assert ext.penalty(bp, member) == 0

@@ -1,6 +1,9 @@
 """Insertion (Figure 4): splits, BP propagation, NSN juggling."""
 
-from repro.ext.btree import Interval
+import random
+
+from repro.ext.btree import BTreeExtension, Interval
+from repro.ext.rtree import Rect, RTreeExtension
 from repro.gist.checker import check_tree
 from repro.lock.modes import LockMode
 from repro.storage.page import NO_PAGE
@@ -166,3 +169,46 @@ class TestInterleavedWorkload:
         assert len(btree.search(txn, Interval(0, 39))) == 40
         db.commit(txn)
         assert check_tree(btree).ok
+
+
+class TestLocateLeafChoice:
+    """``locateLeaf`` stops at the first zero-penalty entry; that must be
+    the entry ``min`` over all penalties returns (first minimum)."""
+
+    @staticmethod
+    def _assert_min_penalty_path(db, tree, key):
+        ext, pool = tree.ext, db.pool
+        txn = db.begin()
+        frame, stack = tree._locate_leaf(txn, key)
+        path = [entry.pid for entry in stack] + [frame.page.pid]
+        pool.unfix(frame)
+        for pid, chosen in zip(path, path[1:]):
+            with pool.fixed(pid, LatchMode.S) as node:
+                best = min(
+                    node.page.entries,
+                    key=lambda e: ext.penalty(e.pred, key),
+                )
+            assert best.child == chosen
+        db.commit(txn)
+
+    def test_btree_descends_like_min(self, db):
+        tree = db.create_tree("bt", BTreeExtension())
+        txn = db.begin()
+        for i in range(200):
+            tree.insert(txn, (i * 37) % 400, f"r{i}")
+        db.commit(txn)
+        for key in (-5, 0, 111, 200.5, 399, 1000):
+            self._assert_min_penalty_path(db, tree, key)
+
+    def test_rtree_overlapping_bps_descend_like_min(self, db):
+        tree = db.create_tree("rt", RTreeExtension())
+        rng = random.Random(7)
+        txn = db.begin()
+        for i in range(200):
+            x, y = rng.randrange(100), rng.randrange(100)
+            tree.insert(txn, Rect(x, y, x + 10, y + 10), f"r{i}")
+        db.commit(txn)
+        assert tree.height() >= 3
+        for _ in range(40):
+            x, y = rng.randrange(-20, 120), rng.randrange(-20, 120)
+            self._assert_min_penalty_path(db, tree, Rect(x, y, x + 1, y + 1))
