@@ -30,7 +30,6 @@ from repro.cluster.shadow import WalShadow
 from repro.database import Database
 from repro.errors import ChannelClosedError, best_effort
 from repro.gist.checker import check_tree
-from repro.wal.records import CommitRecord
 
 
 @dataclass
@@ -190,8 +189,9 @@ class PartitionWorker:
 
         Reads return their results positionally; the whole batch
         commits atomically *within this partition*.  The ack carries
-        the commit record's LSN and the shadow's durable boundary —
-        the two numbers the commit-LSN oracle audits after a kill.
+        the commit record's LSN (0 for a batch that only read) and the
+        shadow's durable boundary — the two numbers the commit-LSN
+        oracle audits after a kill.
         """
         tree_name, ops = payload
         db = self.db
@@ -229,9 +229,7 @@ class PartitionWorker:
         except BaseException:
             best_effort(db.rollback, txn)
             raise
-        mark = max(1, db.log.end_lsn)
-        db.commit(txn)
-        commit_lsn = self._commit_lsn(txn.xid, mark)
+        commit_lsn = db.commit(txn)
         # Durability-before-acknowledgment: the shadow append happens
         # on this side of the response frame.
         self.shadow.append_durable(db.log)
@@ -240,12 +238,6 @@ class PartitionWorker:
             "commit_lsn": commit_lsn,
             "durable_lsn": self.shadow.shadowed_lsn,
         }
-
-    def _commit_lsn(self, xid: int, mark: int) -> int:
-        for record in self.db.log.records_from(mark):
-            if isinstance(record, CommitRecord) and record.xid == xid:
-                return record.lsn
-        return 0  # pragma: no cover - commit always logs
 
     def _do_scan(self, payload: tuple) -> tuple:
         """Read-only range scan; results sorted when the domain allows.

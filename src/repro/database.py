@@ -36,6 +36,7 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import IsolationLevel, Transaction
 from repro.wal.log import LogManager
 from repro.wal.records import (
+    NULL_LSN,
     AddLeafEntryRecord,
     CheckpointRecord,
     FreePageRecord,
@@ -300,17 +301,23 @@ class Database:
             self.flightrec.record("txn.begin", xid=txn.xid)
         return txn
 
-    def commit(self, txn: Transaction) -> None:
-        """Commit ``txn``: force the log, release locks and predicates."""
+    def commit(self, txn: Transaction) -> int:
+        """Commit ``txn``; returns its commit LSN, 0 if it wrote nothing.
+
+        A transaction that logged forces its Commit record before its
+        locks and predicates are released; one that did not appends
+        nothing and forces nothing (DESIGN.md §5 "Commit protocol").
+        """
         spans = self.spans
         span = spans.begin("commit") if spans is not None else None
         try:
-            self.txns.commit(txn)
+            lsn = self.txns.commit(txn)
         finally:
             if spans is not None:
                 spans.finish(span)
         if self.flightrec is not None:
             self.flightrec.record("txn.commit", xid=txn.xid)
+        return lsn
 
     def rollback(self, txn: Transaction) -> None:
         """Abort ``txn``: undo all of its effects, then release everything."""
@@ -381,10 +388,16 @@ class Database:
     # checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
-        """Take a fuzzy checkpoint; returns its LSN."""
+        """Take a fuzzy checkpoint; returns its LSN.
+
+        The ATT lists only transactions with a backchain: one that has
+        not logged has nothing to undo, and if it stays read-only the
+        log never mentions it again, so recovery could not tell it ended.
+        """
         att = {
-            txn.xid: self.log.last_lsn_of(txn.xid)
+            txn.xid: lsn
             for txn in self.txns.active_transactions()
+            if (lsn := self.log.last_lsn_of(txn.xid)) != NULL_LSN
         }
         record = CheckpointRecord(
             xid=SYSTEM_XID, att=att, dpt=self.pool.dirty_page_table()

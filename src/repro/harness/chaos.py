@@ -43,7 +43,6 @@ from repro.faults import FaultKind, FaultPlan
 from repro.gist.checker import check_tree
 from repro.harness.crash import CrashRecoveryHarness, CrashTrialResult
 from repro.harness.report import render_table
-from repro.wal.records import CommitRecord
 
 
 @dataclass
@@ -213,9 +212,8 @@ class ChaosHarness(CrashRecoveryHarness):
                     zombie_rids.update(pending_deletes)
                 continue
             if will_commit:
-                mark = max(1, db.log.end_lsn)
                 try:
-                    db.commit(txn)
+                    commit_lsn = db.commit(txn)
                 except StorageFaultError:
                     # commit's log force cannot fault (faults target the
                     # page store), but stay safe: treat as in-flight
@@ -226,11 +224,7 @@ class ChaosHarness(CrashRecoveryHarness):
                     continue
                 result.committed_txns += 1
                 commit_log.append(
-                    (
-                        self._commit_lsn(db, txn.xid, mark),
-                        pending_inserts,
-                        pending_deletes,
-                    )
+                    (commit_lsn, pending_inserts, pending_deletes)
                 )
             else:
                 result.uncommitted_txns += 1
@@ -288,7 +282,7 @@ class ChaosHarness(CrashRecoveryHarness):
         valid_end = report.valid_end_lsn
         expected: dict[object, object] = {}
         for commit_lsn, inserts, deletes in commit_log:
-            if commit_lsn > valid_end or commit_lsn == 0:
+            if commit_lsn > valid_end:
                 result.lost_commits += 1
                 continue
             for key, rid in inserts:
@@ -450,15 +444,10 @@ class ChaosHarness(CrashRecoveryHarness):
             finally:
                 armed[0] = False
             if will_commit:
-                mark = max(1, db.log.end_lsn)
-                db.commit(txn)
+                commit_lsn = db.commit(txn)
                 result.committed_txns += 1
                 commit_log.append(
-                    (
-                        self._commit_lsn(db, txn.xid, mark),
-                        pending_inserts,
-                        pending_deletes,
-                    )
+                    (commit_lsn, pending_inserts, pending_deletes)
                 )
             else:
                 # Abandon in flight, like a client that vanished: the
@@ -482,7 +471,7 @@ class ChaosHarness(CrashRecoveryHarness):
         valid_end = report.valid_end_lsn
         expected: dict[object, object] = {}
         for commit_lsn, inserts, deletes in commit_log:
-            if commit_lsn > valid_end or commit_lsn == 0:
+            if commit_lsn > valid_end:
                 result.lost_commits += 1
                 continue
             for key, rid in inserts:
@@ -932,14 +921,6 @@ class ChaosHarness(CrashRecoveryHarness):
         for violation in db.witness.drain_new():
             result.protocol_violations += 1
             result.errors.append(f"protocol[{phase}]: {violation}")
-
-    @staticmethod
-    def _commit_lsn(db: Database, xid: int, mark: int) -> int:
-        """LSN of ``xid``'s commit record, scanning from ``mark``."""
-        for record in db.log.records_from(mark):
-            if isinstance(record, CommitRecord) and record.xid == xid:
-                return record.lsn
-        return 0  # pragma: no cover - commit always logs
 
 
 def main(argv: list[str] | None = None) -> int:

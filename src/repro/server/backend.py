@@ -117,10 +117,10 @@ class LocalBackend:
         except BaseException:
             best_effort(db.rollback, txn)
             raise
-        db.commit(txn)
+        commit_lsn = db.commit(txn)
         return {
             "results": results,
-            "commit_lsn": db.log.flushed_lsn,
+            "commit_lsn": commit_lsn,
             "durable_lsn": db.log.flushed_lsn,
         }
 

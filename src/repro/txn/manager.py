@@ -1,7 +1,9 @@
 """The transaction manager: begin / commit / rollback / savepoints.
 
-Commit forces the log (WAL durability), releases the transaction's
-predicates and locks, and logs an End record.  Rollback walks the
+Commit forces the transaction's Commit record (WAL durability), releases
+its predicates and locks, and logs an End record; a transaction whose
+log backchain is empty wrote nothing, so it only releases — no record,
+no force (DESIGN.md §5 "Commit protocol").  Rollback walks the
 transaction's log backchain, dispatching each undoable record to the
 **undo executor** (installed by the database assembly): page-oriented
 records compensate in place, leaf content records undo *logically*
@@ -86,35 +88,45 @@ class TransactionManager:
             self._active[xid] = txn
         return txn
 
-    def commit(self, txn: Transaction) -> None:
-        """Commit: force the commit record, release locks/predicates, log End."""
+    def commit(self, txn: Transaction) -> int:
+        """Commit ``txn``; returns its commit LSN, 0 if it never logged.
+
+        A writer forces its Commit record, releases, then logs End; a
+        transaction with no backchain only releases.
+        """
         txn.require_active()
-        lsn = self.log.append(CommitRecord(xid=txn.xid))
-        self.log.flush(lsn)  # commit is durable before it is acknowledged
+        lsn = NULL_LSN
+        if self.log.last_lsn_of(txn.xid) != NULL_LSN:
+            lsn = self.log.append(CommitRecord(xid=txn.xid))
+            self.log.flush(lsn)  # durable before it is acknowledged
         self._finish(txn, TxnState.COMMITTED)
-        self.log.append(EndRecord(xid=txn.xid))
+        if lsn != NULL_LSN:
+            self.log.append(EndRecord(xid=txn.xid))
+        return lsn
 
     def commit_many(self, txns: "list[Transaction]") -> None:
         """Commit a batch with one log force covering every commit record.
 
-        All commit records are appended via the batched log path, then a
-        single flush to the highest LSN makes the whole batch durable
-        at once — the caller-driven analogue of group commit, for
-        callers holding several ready-to-commit transactions.  Finish
-        work (lock/predicate release, End records) follows per
-        transaction, in order.
+        The commit records of the members that logged are appended via
+        the batched log path, then a single flush to the highest LSN
+        makes the whole batch durable at once — the caller-driven
+        analogue of group commit, for callers holding several
+        ready-to-commit transactions.  Finish work (lock/predicate
+        release, End records) follows per transaction, in order.  A
+        member that never logged gets no record; a batch of them, no force.
         """
-        if not txns:
-            return
         for txn in txns:
             txn.require_active()
-        lsns = self.log.append_many(
-            [CommitRecord(xid=txn.xid) for txn in txns]
-        )
-        self.log.flush(lsns[-1])
+        last = self.log.last_lsn_of
+        logged = [t.xid for t in txns if last(t.xid) != NULL_LSN]
+        if logged:
+            lsns = self.log.append_many(
+                [CommitRecord(xid=xid) for xid in logged]
+            )
+            self.log.flush(lsns[-1])
         for txn in txns:
             self._finish(txn, TxnState.COMMITTED)
-        self.log.append_many([EndRecord(xid=txn.xid) for txn in txns])
+        self.log.append_many([EndRecord(xid=xid) for xid in logged])
 
     def rollback(self, txn: Transaction) -> None:
         """Abort ``txn``: undo all its effects, then release everything."""
@@ -123,10 +135,13 @@ class TransactionManager:
                 f"cannot roll back finished transaction {txn.xid}"
             )
         txn.state = TxnState.ROLLING_BACK
-        self.log.append(AbortRecord(xid=txn.xid))
-        self._undo_back_to(txn, NULL_LSN)
+        logged = self.log.last_lsn_of(txn.xid) != NULL_LSN
+        if logged:
+            self.log.append(AbortRecord(xid=txn.xid))
+            self._undo_back_to(txn, NULL_LSN)
         self._finish(txn, TxnState.ABORTED)
-        self.log.append(EndRecord(xid=txn.xid))
+        if logged:
+            self.log.append(EndRecord(xid=txn.xid))
 
     def _finish(self, txn: Transaction, state: TxnState) -> None:
         if self.predicates is not None:

@@ -25,6 +25,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.wal.records import (
     NULL_LSN,
     DummyClr,
+    EndRecord,
     LogRecord,
 )
 
@@ -126,16 +127,24 @@ class LogManager:
     # ------------------------------------------------------------------
     # append / read
     # ------------------------------------------------------------------
+    def _append_locked(self, record: LogRecord) -> int:
+        lsn = len(self._records) + 1
+        record.lsn = lsn
+        record.prev_lsn = self._last_lsn_of.get(record.xid, NULL_LSN)
+        record.stamp_checksum()
+        self._records.append(record)
+        if isinstance(record, EndRecord):
+            # the transaction is over: nothing reads its backchain again
+            self._last_lsn_of.pop(record.xid, None)
+        else:
+            self._last_lsn_of[record.xid] = lsn
+        self.stats.note_append()
+        return lsn
+
     def append(self, record: LogRecord) -> int:
         """Assign an LSN, backchain the record, checksum it, append it."""
         with self._mutex:
-            lsn = len(self._records) + 1
-            record.lsn = lsn
-            record.prev_lsn = self._last_lsn_of.get(record.xid, NULL_LSN)
-            record.stamp_checksum()
-            self._records.append(record)
-            self._last_lsn_of[record.xid] = lsn
-            self.stats.note_append()
+            lsn = self._append_locked(record)
         if self.tracker is not None:
             self.tracker.note_wal_append()
         return lsn
@@ -151,19 +160,8 @@ class LogManager:
         """
         if not records:
             return []
-        lsns: list[int] = []
         with self._mutex:
-            for record in records:
-                lsn = len(self._records) + 1
-                record.lsn = lsn
-                record.prev_lsn = self._last_lsn_of.get(
-                    record.xid, NULL_LSN
-                )
-                record.stamp_checksum()
-                self._records.append(record)
-                self._last_lsn_of[record.xid] = lsn
-                self.stats.note_append()
-                lsns.append(lsn)
+            lsns = [self._append_locked(record) for record in records]
         if self.tracker is not None:
             for _ in lsns:
                 self.tracker.note_wal_append()

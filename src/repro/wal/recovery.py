@@ -323,10 +323,10 @@ class RestartRecovery:
         self.db.in_restart = True
         try:
             self.report.losers.extend(sorted(att))
-            todo = {
-                xid: lsn for xid, lsn in att.items() if lsn != NULL_LSN
-            }
-            finished = sorted(set(att) - set(todo))
+            # every ATT entry has a backchain (checkpoints list no
+            # transaction that never logged)
+            todo = dict(att)
+            finished: list[int] = []
             while todo:
                 xid, lsn = max(todo.items(), key=lambda kv: kv[1])
                 record = log.get(lsn)
@@ -344,7 +344,6 @@ class RestartRecovery:
                 else:
                     todo[xid] = nxt
             for xid in finished:
-                log.set_last_lsn(xid, log.last_lsn_of(xid))
                 log.append(EndRecord(xid=xid))
         finally:
             self.db.in_restart = False

@@ -25,6 +25,9 @@ class TestBasicOps:
         assert ack["commit_lsn"] > 0
         assert ack["durable_lsn"] >= ack["commit_lsn"]
         assert cluster.get("t", 42) == ["r42"]
+        # a batch that only read has no commit record to name
+        (ack,) = cluster.apply_batch("t", [("get", 42)]).values()
+        assert (ack["results"], ack["commit_lsn"]) == ([["r42"]], 0)
         cluster.delete("t", 42, "r42")
         assert cluster.get("t", 42) == []
 

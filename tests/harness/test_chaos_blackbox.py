@@ -1,18 +1,25 @@
 """Failed chaos trials ship a replayable flight-recorder black box."""
 
 import os
+from unittest import mock
 
+from repro.database import Database
 from repro.faults import FaultKind
 from repro.harness.chaos import ChaosHarness
 from repro.obs.export import canonical_events, load_jsonl
 
 
 class _BrokenOracleHarness(ChaosHarness):
-    """Test-only: misreport every commit LSN so the oracle's expected
-    contents are wrong and any trial with surviving commits fails."""
+    """Test-only: misreport every commit LSN as beyond the log's end,
+    so the oracle's expected contents are wrong and any trial with
+    surviving commits fails."""
 
-    def _commit_lsn(self, db, xid, mark):
-        return 0
+    def run_trial(self, *args, **kwargs):
+        real = Database.commit
+        with mock.patch.object(
+            Database, "commit", lambda db, txn: real(db, txn) + 10**9
+        ):
+            return super().run_trial(*args, **kwargs)
 
 
 #: a quiet fault mix (no WAL-tail loss) so commits always survive and

@@ -14,15 +14,25 @@ from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
 from repro.storage.disk import PageStore
-from repro.wal.records import CommitRecord
+from repro.txn.transaction import IsolationLevel
 from repro.wal.recovery import RestartRecovery
 
 
 def record_history():
-    """A small history with commits, aborts, deletes, splits, GC."""
+    """A small history with commits, aborts, deletes, splits, GC — and
+    read-only transactions between the writers, which the log must
+    never hear of."""
     db = Database(page_capacity=4)
     tree = db.create_tree("sw", BTreeExtension())
     effects: list[tuple[int, str, object, object]] = []  # commit-ordered
+    readers: set[int] = set()
+
+    def reader(isolation, finish, query=Interval(-1, 10**6)):
+        txn = db.begin(isolation)
+        readers.add(txn.xid)
+        tree.search(txn, query)
+        if finish is not None:
+            assert finish(txn) in (0, None)
 
     def committed_txn(ops):
         txn = db.begin()
@@ -31,27 +41,28 @@ def record_history():
                 tree.insert(txn, key, rid)
             else:
                 tree.delete(txn, key, rid)
-        db.commit(txn)
-        commit_lsn = db.log.last_lsn_of(txn.xid)
-        # the End record follows the commit; find the commit lsn exactly
-        for record in db.log.records_from(1):
-            if isinstance(record, CommitRecord) and record.xid == txn.xid:
-                commit_lsn = record.lsn
+        commit_lsn = db.commit(txn)
         for kind, key, rid in ops:
             effects.append((commit_lsn, kind, key, rid))
 
     committed_txn([("insert", i, f"a{i}") for i in range(8)])
+    reader(IsolationLevel.REPEATABLE_READ, db.commit)
     committed_txn([("insert", i + 10, f"b{i}") for i in range(8)])
+    reader(IsolationLevel.READ_COMMITTED, db.rollback)
     committed_txn([("delete", 3, "a3"), ("insert", 99, "c0")])
     # an aborted transaction in the middle
     loser = db.begin()
     tree.insert(loser, 55, "loser")
     db.rollback(loser)
+    reader(IsolationLevel.READ_UNCOMMITTED, db.commit)
     committed_txn([("insert", 42, "d0"), ("delete", 12, "b2")])
-    # and one transaction left in flight at the end
+    # a reader and a writer left in flight at the end, out of each
+    # other's way
+    reader(IsolationLevel.REPEATABLE_READ, None, Interval(0, 20))
     dangling = db.begin()
     tree.insert(dangling, 77, "dangling")
-    return db, effects
+    assert not any(r.xid in readers for r in db.log.records_from(1))
+    return db, effects, readers
 
 
 def expected_for_prefix(effects, k: int) -> dict:
@@ -69,7 +80,7 @@ def expected_for_prefix(effects, k: int) -> dict:
 
 class TestPrefixSweep:
     def test_every_prefix_recovers_consistently(self):
-        db, effects = record_history()
+        db, effects, readers = record_history()
         end = db.log.end_lsn
         assert end > 50  # the history is non-trivial
         failures = []
@@ -78,10 +89,12 @@ class TestPrefixSweep:
             store = PageStore(page_capacity=4)
             fresh = Database(store=store, log=log, page_capacity=4)
             try:
-                RestartRecovery(fresh, {"sw": BTreeExtension()}).run()
+                report = RestartRecovery(fresh, {"sw": BTreeExtension()}).run()
             except Exception as exc:
                 failures.append(f"k={k}: recovery raised {exc!r}")
                 continue
+            if readers & set(report.losers):
+                failures.append(f"k={k}: a reader among {report.losers}")
             if "sw" not in fresh.trees:
                 continue  # prefix predates the tree
             tree = fresh.tree("sw")

@@ -16,6 +16,7 @@ from repro.server import (
     ReproClient,
     call_with_retry,
 )
+from repro.wal.records import CommitRecord
 
 
 @pytest.fixture
@@ -82,6 +83,19 @@ class TestVerbs:
         assert results[2] == ["a"]
         assert results[4] == []
         assert ack["commit_lsn"] > 0
+
+    def test_ack_names_the_batchs_own_commit_record(self, client, backend):
+        log = backend.db.log
+        ack = client.batch("t", [("put", 1, "a")])
+        record = log.get(ack["commit_lsn"])
+        assert isinstance(record, CommitRecord)
+        assert log.get(record.prev_lsn).rid == "a"
+        # a batch that only read put nothing in the log
+        end = log.end_lsn
+        ack = client.batch("t", [("get", 1)])
+        assert ack["results"] == [["a"]]
+        assert ack["commit_lsn"] == 0
+        assert log.end_lsn == end
 
     def test_ping_health_stats(self, client):
         assert client.ping() == "pong"

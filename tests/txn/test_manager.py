@@ -24,14 +24,37 @@ class TestLifecycle:
         )
 
     def test_commit_writes_and_forces_commit_record(self, db):
+        tree = db.create_tree("bt", BTreeExtension())
         txn = db.begin()
-        db.commit(txn)
+        tree.insert(txn, 1, "a")
+        commit_lsn = db.commit(txn)
         assert txn.state is TxnState.COMMITTED
-        records = list(db.log.records_from(1))
+        records = [r for r in db.log.records_from(1) if r.xid == txn.xid]
         commits = [r for r in records if isinstance(r, CommitRecord)]
         ends = [r for r in records if isinstance(r, EndRecord)]
         assert len(commits) == 1 and len(ends) == 1
-        assert db.log.flushed_lsn >= commits[0].lsn
+        assert commits[0].lsn == commit_lsn
+        assert db.log.flushed_lsn >= commit_lsn
+        assert ends[0].lsn > commit_lsn
+
+    def test_read_only_commit_logs_and_forces_nothing(self, db):
+        tree = db.create_tree("bt", BTreeExtension())
+        txn = db.begin()
+        assert tree.search(txn, Interval(0, 10)) == []
+        db.locks.acquire(txn.xid, ("rid", "x"), LockMode.S)
+        assert db.tree("bt").predicates.predicates_of(txn.xid)
+        end, flushed = db.log.end_lsn, db.log.flushed_lsn
+        flushes = db.log.stats.flushes
+        assert db.commit(txn) == 0
+        assert txn.state is TxnState.COMMITTED
+        assert db.txns.is_committed(txn.xid)
+        assert db.txns.active_transactions() == []
+        assert db.locks.locks_of(txn.xid) == set()
+        assert not db.tree("bt").predicates.predicates_of(txn.xid)
+        assert db.log.end_lsn == end
+        assert db.log.flushed_lsn == flushed
+        assert db.log.stats.flushes == flushes
+        assert all(r.xid != txn.xid for r in db.log.records_from(1))
 
     def test_commit_releases_locks(self, db):
         txn = db.begin()
@@ -40,11 +63,32 @@ class TestLifecycle:
         assert db.locks.holders(("rid", "x")) == {}
 
     def test_rollback_writes_abort_and_end(self, db):
+        tree = db.create_tree("bt", BTreeExtension())
         txn = db.begin()
+        tree.insert(txn, 1, "a")
         db.rollback(txn)
         assert txn.state is TxnState.ABORTED
-        kinds = [type(r).__name__ for r in db.log.records_from(1)]
-        assert "AbortRecord" in kinds and "EndRecord" in kinds
+        kinds = [
+            type(r).__name__
+            for r in db.log.records_from(1)
+            if r.xid == txn.xid
+        ]
+        assert kinds.count("AbortRecord") == 1
+        assert kinds[-1] == "EndRecord"
+        assert kinds.index("AbortRecord") < kinds.index("RemoveLeafEntryClr")
+
+    def test_read_only_rollback_logs_nothing(self, db):
+        tree = db.create_tree("bt", BTreeExtension())
+        txn = db.begin()
+        assert tree.search(txn, Interval(0, 10)) == []
+        end, flushed = db.log.end_lsn, db.log.flushed_lsn
+        db.rollback(txn)
+        assert txn.state is TxnState.ABORTED
+        assert db.txns.is_finished(txn.xid)
+        assert not db.txns.is_committed(txn.xid)
+        assert db.locks.locks_of(txn.xid) == set()
+        assert not db.tree("bt").predicates.predicates_of(txn.xid)
+        assert (db.log.end_lsn, db.log.flushed_lsn) == (end, flushed)
 
     def test_double_commit_raises(self, db):
         txn = db.begin()
@@ -105,9 +149,9 @@ class TestRollbackUndoesWork:
             if r.undo_next is not None and r.xid == txn.xid
         ]
         assert clrs  # compensation was logged
-        # walking the chain from the txn's last lsn hits only CLRs and
+        # walking the chain back from the End record hits only CLRs and
         # lands before any undoable record
-        lsn = db.log.last_lsn_of(txn.xid)
+        lsn = [r for r in db.log.records_from(1) if r.xid == txn.xid][-1].lsn
         seen_undoable = 0
         while lsn:
             record = db.log.get(lsn)

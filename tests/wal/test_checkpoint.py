@@ -74,6 +74,50 @@ class TestCheckpointRecovery:
         db2.commit(txn)
         assert rows == [(1, "keep")]
 
+    def test_reader_open_at_checkpoint_is_no_loser(self):
+        """A transaction that has not logged stays out of the ATT: if it
+        commits read-only the log never mentions it again, and restart
+        must not name it a loser or write an End record for it."""
+        db, tree = build()
+        setup = db.begin()
+        tree.insert(setup, 1, "keep")
+        db.commit(setup)
+        reader = db.begin()
+        assert tree.search(reader, Interval(0, 10)) == [(1, "keep")]
+        lsn = db.checkpoint()
+        assert reader.xid not in db.log.get(lsn).att
+        assert db.commit(reader) == 0
+        writer = db.begin()
+        tree.insert(writer, 20, "after")
+        db.commit(writer)
+        db.crash()
+        db2 = db.restart({"cp": BTreeExtension()})
+        assert db2.recovery_report.losers == []
+        assert db2.recovery_report.undone_records == 0
+        assert all(r.xid != reader.xid for r in db2.log.records_from(1))
+        txn = db2.begin()
+        assert db2.tree("cp").search(txn, Interval(0, 30)) == [
+            (1, "keep"),
+            (20, "after"),
+        ]
+        db2.commit(txn)
+
+    def test_reader_at_checkpoint_that_writes_later_is_undone(self):
+        """Left out of the ATT, found again by the analysis scan: its
+        first record lies after the checkpoint."""
+        db, tree = build()
+        late = db.begin()
+        tree.search(late, Interval(0, 10))
+        db.checkpoint()
+        tree.insert(late, 2, "lose")
+        db.log.flush()
+        db.crash()
+        db2 = db.restart({"cp": BTreeExtension()})
+        assert db2.recovery_report.losers == [late.xid]
+        txn = db2.begin()
+        assert db2.tree("cp").search(txn, Interval(0, 10)) == []
+        db2.commit(txn)
+
     def test_work_after_checkpoint_redone(self):
         db, tree = build()
         db.checkpoint()

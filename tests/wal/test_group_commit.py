@@ -70,6 +70,14 @@ class TestGroupCommitThroughput:
                 tree.insert(txn, wid * 100 + i, f"{wid}-{i}")
                 db.commit(txn)
 
+        # a lone committer has nobody to share with and no reason to
+        # force more than once per commit
+        before = db.log.stats.snapshot()
+        worker(6)
+        lone = db.log.stats.snapshot()
+        assert lone["flushes"] - before["flushes"] <= commits_per_thread
+        assert lone["group_commits"] == before["group_commits"]
+
         threads = [
             threading.Thread(target=worker, args=(w,)) for w in range(6)
         ]
@@ -84,7 +92,7 @@ class TestGroupCommitThroughput:
         # every commit is durable, but the log was forced far fewer
         # times than once per commit
         assert db.log.flushed_lsn == db.log.end_lsn or stats["flushes"] > 0
-        assert stats["group_commits"] > 0
-        assert stats["flushes"] < total_commits
+        assert stats["group_commits"] > lone["group_commits"]
+        assert stats["flushes"] - lone["flushes"] < total_commits
         # and the wall clock reflects sharing, not 48 serialized sleeps
         assert elapsed < total_commits * 0.004

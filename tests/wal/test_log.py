@@ -9,6 +9,7 @@ from repro.wal.records import (
     AddLeafEntryRecord,
     CommitRecord,
     DummyClr,
+    EndRecord,
 )
 
 
@@ -34,6 +35,17 @@ class TestAppend:
         assert log.get(2).prev_lsn == NULL_LSN
         assert log.last_lsn_of(1) == 3
         assert log.last_lsn_of(2) == 2
+
+    def test_end_record_drops_the_backchain_head(self):
+        log = LogManager()
+        log.append(rec(1))
+        log.append(rec(2))
+        assert log.append(EndRecord(xid=1)) == 3
+        assert log.get(3).prev_lsn == 1  # chained before the drop
+        assert log.last_lsn_of(1) == NULL_LSN
+        assert log.last_lsn_of(2) == 2
+        log.append_many([rec(3), EndRecord(xid=3), EndRecord(xid=2)])
+        assert log._last_lsn_of == {}
 
     def test_get_out_of_range_raises(self):
         log = LogManager()

@@ -13,12 +13,15 @@ crashed (losing all buffered pages) and restarted; the test asserts that
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
 from repro.gist.maintenance import vacuum
+from repro.txn.transaction import IsolationLevel
 from repro.wal.records import AddLeafEntryRecord, GarbageCollectionRecord
 
 
@@ -273,3 +276,60 @@ class TestInterruptedSMO:
         assert check_tree(tree).ok
         # and the log shows no split undo (no PageImageClr)
         assert "PageImageClr" not in record_types(db)
+
+
+SCENARIOS = [
+    (cls, name)
+    for cls in (
+        TestContentRecords,
+        TestSplitRecords,
+        TestGarbageCollectionRecord,
+        TestNodeDeletionRecords,
+        TestInterruptedSMO,
+    )
+    for name in sorted(vars(cls))
+    if name.startswith("test_")
+]
+
+
+@pytest.mark.parametrize(
+    "cls,name", SCENARIOS, ids=[name for _, name in SCENARIOS]
+)
+def test_matrix_with_readers_interleaved(cls, name, monkeypatch):
+    """The whole matrix again, a read-only transaction (isolation levels
+    in rotation, full-range scan, committed or rolled back) running
+    before every writer begins: same oracle, and no log a scenario
+    crashes or leaves behind carries a reader's xid."""
+    levels = itertools.cycle(IsolationLevel)
+    finishes = itertools.cycle((Database.commit, Database.rollback))
+    readers: dict[Database, set[int]] = {}
+    ran: list[int] = []
+    real_begin, real_crash = Database.begin, Database.crash
+
+    def assert_log_never_saw_readers(db):
+        seen = {r.xid for r in db.log.records_from(1)}
+        assert not seen & readers.get(db, set())
+
+    def begin(db, isolation=IsolationLevel.REPEATABLE_READ):
+        if db.trees and not db.txns.active_transactions():
+            reader = real_begin(db, next(levels))
+            readers.setdefault(db, set()).add(reader.xid)
+            ran.append(reader.xid)
+            for tree in db.trees.values():
+                tree.search(reader, Interval(-1, 10**9))
+            assert next(finishes)(db, reader) in (0, None)
+        return real_begin(db, isolation)
+
+    def crash(db):
+        # checked here, not at the end: restart hands out xids again
+        # from the highest one the log knows
+        assert_log_never_saw_readers(db)
+        readers.pop(db, None)
+        real_crash(db)
+
+    monkeypatch.setattr(Database, "begin", begin)
+    monkeypatch.setattr(Database, "crash", crash)
+    getattr(cls(), name)()
+    assert ran, "the scenario began nothing on a tree"
+    for db in readers:
+        assert_log_never_saw_readers(db)
