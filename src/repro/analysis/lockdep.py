@@ -18,7 +18,8 @@ Design constraints:
   never calls back out, so it can never participate in a cycle itself.
 * **Zero overhead when off.**  Nothing in the hot path touches this
   module unless a witness was attached (``Database(protocol_checks=
-  True)``); the gating pattern mirrors ``GiST._fault_cleanup`` and is
+  True)``); the gating pattern mirrors the fault cleanup of
+  ``repro.gist.stats.OpEnvelope`` and is
   counter-asserted in ``benchmarks/bench_hotpath.py``.
 * **Hard vs. warn.**  ``latch-lock-wait`` and ``wal-rule`` are *hard*
   violations: the shipped tree must never produce one (signaling locks

@@ -27,8 +27,8 @@ abstract interpreter per function plus composable summaries:
 
 Checked exits are normal returns, fall-through, and *top-level*
 ``raise`` statements.  Implicit exception propagation is deliberately
-out of scope — that path is owned at runtime by ``_fault_cleanup``
-sweeps and the lockdep leak ledger (see DESIGN.md §15).
+out of scope — that path is owned at runtime by ``OpEnvelope``'s
+fault-cleanup sweep and the lockdep leak ledger (see DESIGN.md §15).
 
 Findings reuse the PR 5 rule ids (``latch-release``, ``pin-balance``)
 so suppression markers and the fixture battery stay stable; a site is

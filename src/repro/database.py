@@ -371,12 +371,10 @@ class Database:
         :meth:`repro.gist.tree.GiST.multi_delete`."""
         return self._tree_of(tree).multi_delete(txn, pairs)
 
-    def bulk_load(
-        self, txn: Transaction, tree: "GiST | str", pairs, *, fill=0.75
-    ) -> int:
+    def bulk_load(self, txn: Transaction, tree: "GiST | str", pairs) -> int:
         """Bottom-up bulk load of an empty tree; see
         :meth:`repro.gist.tree.GiST.bulk_load`."""
-        return self._tree_of(tree).bulk_load(txn, pairs, fill=fill)
+        return self._tree_of(tree).bulk_load(txn, pairs)
 
     # duck-typed predicate registry for the transaction manager
     def release_transaction(self, xid: int) -> None:

@@ -6,7 +6,8 @@ from repro.gist.extension import GiSTExtension
 from repro.gist.maintenance import VacuumReport, vacuum
 from repro.gist.nsn import CounterNSN, LSNBasedNSN, NSNSource
 from repro.gist.stack import StackEntry
-from repro.gist.tree import GiST, TreeStats
+from repro.gist.stats import TreeStats
+from repro.gist.tree import GiST
 
 __all__ = [
     "CheckReport",

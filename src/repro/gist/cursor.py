@@ -191,9 +191,8 @@ class SearchCursor:
             if page.nsn > last_handled and page.rightlink != NO_PAGE:
                 tree.stats.bump("rightlink_follows")
                 tree.stats.bump("nsn_restarts")
-                tree.metrics.tracer.event(
+                tree._note_event(
                     "gist.restart.nsn_mismatch",
-                    tree=tree.name,
                     pid=pid,
                     memo=last_handled,
                     nsn=page.nsn,

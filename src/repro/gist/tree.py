@@ -1,12 +1,34 @@
 """The concurrent, recoverable GiST (sections 3 and 5–9 of the paper).
 
-This module implements the tree template: insertion (Figure 4), deletion
-by logical delete (section 7), unique-index insertion (section 8), and
-the structure-modification machinery — node split with NSN/rightlink
-juggling (section 3), recursive splitting, root split, and bottom-up BP
-propagation with predicate percolation.  Search lives in
-:mod:`repro.gist.cursor`, garbage collection / node deletion in
-:mod:`repro.gist.maintenance`.
+This module is the core a reader checks against Figures 3–4 and Table
+1: the search entry points (the traversal itself lives in
+:mod:`repro.gist.cursor`), insertion (Figure 4), deletion by logical
+delete (section 7), and the structure-modification machinery — node
+split with NSN/rightlink juggling (section 3), recursive splitting,
+root split, and bottom-up BP propagation with predicate percolation —
+plus opportunistic garbage collection and logical undo.  Node deletion
+is in :mod:`repro.gist.maintenance`.
+
+Each protocol step is stated once.  Whoever located a leaf writes it
+through the same two steps, :meth:`GiST._prepare_leaf` (collect
+garbage, split, pin the leaf's signaling lock) and
+:meth:`GiST._write_run` (expand BPs, log and add the entries, attach
+the insert predicates); entries are marked by one traversal,
+:meth:`GiST._mark_deleted_batch`.
+
+:mod:`repro.gist.batch` (``multi_put``/``multi_get``/``multi_delete``),
+:mod:`repro.gist.bulk` (``bulk_load``) and :mod:`repro.gist.unique`
+(section 8) build on the core and are imported when their public
+method is first called; ``import repro.gist.tree`` loads none of them.
+All they use of a tree is:
+
+* the public ``insert``, ``delete`` and ``search``;
+* ``_locate_leaf``, ``_prepare_leaf``, ``_pin_leaf``, ``_write_run``,
+  ``_release_path_signaling``, ``_wait_for_predicates`` (batch, bulk),
+  ``_mark_deleted_batch`` (batch), ``_insert_located`` (unique);
+* ``rid_lock``, ``stats.bump``, the ``_h_insert_ns``/``_h_delete_ns``
+  histograms, and the attributes ``db``, ``ext``, ``predicates``,
+  ``metrics``, ``name``, ``unique`` and ``root_pid``.
 
 Protocol rules enforced throughout:
 
@@ -27,23 +49,20 @@ Protocol rules enforced throughout:
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from time import perf_counter_ns
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import (
     KeyNotFoundError,
     RecoveryError,
     ReproError,
     StorageFaultError,
-    UniqueViolationError,
 )
+from repro.gist.cursor import SearchCursor
 from repro.gist.extension import GiSTExtension
 from repro.gist.nsn import CounterNSN, LSNBasedNSN, NSNSource
 from repro.gist.stack import StackEntry
+from repro.gist.stats import OpEnvelope, TreeStats
 from repro.lock.modes import LockMode
-from repro.obs.metrics import MetricsRegistry
 from repro.predicate.manager import (
     PredicateKind,
     PredicateLock,
@@ -69,7 +88,6 @@ from repro.wal.records import (
     MarkLeafEntryRecord,
     PageImageClr,
     RemoveLeafEntryClr,
-    RootReplaceRecord,
     RootSplitRecord,
     SplitRecord,
     UnmarkLeafEntryClr,
@@ -77,66 +95,6 @@ from repro.wal.records import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
-
-
-class TreeStats:
-    """Operation counters exposed to the benchmark harness.
-
-    Dual-homed: the tree keeps its own plain-int counters (what tests
-    and the harness read as ``tree.stats.splits``) and mirrors every
-    bump into shared ``gist.*`` counters on the database's metrics
-    registry, so multi-tree workloads aggregate naturally in
-    ``db.metrics.snapshot()``.
-    """
-
-    FIELDS = (
-        "searches",
-        "inserts",
-        "deletes",
-        "splits",
-        "root_splits",
-        "bp_updates",
-        "rightlink_follows",
-        "predicate_blocks",
-        "gc_runs",
-        "gc_entries",
-        "node_deletes",
-        "parent_redescents",
-        "nsn_restarts",
-        "drain_waits",
-        "batch_ops",
-        "batch_keys",
-        "batch_leaf_runs",
-        "batch_descents_saved",
-        "bulk_loads",
-        "bulk_pages_built",
-    )
-
-    #: registry names diverging from the plain ``gist.<field>`` scheme
-    _NAME_OVERRIDES = {
-        "nsn_restarts": "gist.restarts.nsn_mismatch",
-        "drain_waits": "gist.drain.waits",
-    }
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
-        registry = registry or MetricsRegistry()
-        self._counters = {}
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-            name = self._NAME_OVERRIDES.get(field, f"gist.{field}")
-            self._counters[field] = registry.counter(name)
-
-    def bump(self, field: str, amount: int = 1) -> None:
-        """Increment a named counter (local and registry-shared)."""
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-        self._counters[field].inc(amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """Thread-safe snapshot of the per-tree counters."""
-        with self._lock:
-            return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class GiST:
@@ -199,8 +157,9 @@ class GiST:
         latched, which makes the acquisition race-free against node
         deletion (the deleter needs that node's X latch to unlink).
         """
-        self.db.locks.acquire(txn.xid, self.node_lock(pid), LockMode.S)
-        txn.note_signaling(self.node_lock(pid))
+        name = self.node_lock(pid)
+        self.db.locks.acquire(txn.xid, name, LockMode.S)
+        txn.note_signaling(name)
         return StackEntry(pid, memo)
 
     def _release_signaling(self, txn: Transaction, pid: PageId) -> None:
@@ -212,90 +171,30 @@ class GiST:
         txn.drop_signaling(name)
         self.db.locks.release(txn.xid, name)
 
+    def _note_event(self, name: str, **data: object) -> None:
+        """Emit one SMO or missed-split event to every recorder: the
+        tracer, the flight recorder and the active operation's span."""
+        self.metrics.tracer.event(name, tree=self.name, **data)
+        if self.db.flightrec is not None:
+            self.db.flightrec.record(name, tree=self.name, **data)
+        if self.db.spans is not None:
+            self.db.spans.note_event(name, **data)
+
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
-    @contextmanager
-    def _fault_cleanup(self):
-        """Release leaked pins/latches when a storage fault unwinds.
-
-        A :class:`~repro.errors.StorageFaultError` surfacing out of a
-        page fix aborts the operation mid-descent, past frames it still
-        holds pinned and latched; without cleanup the thread's next
-        operation self-deadlocks re-acquiring its own latch.  Every
-        public entry point (and the undo executor's leaf methods) runs
-        under this guard.  No-op unless a fault plan is installed.
-        """
-        try:
-            yield
-        except StorageFaultError:
-            self.db.pool.release_thread_fixes()
-            raise
-
     def search(self, txn: Transaction, query: object) -> list[tuple]:
         """All ``(key, rid)`` pairs satisfying ``query`` (Figure 3)."""
-        from repro.gist.cursor import SearchCursor
-
-        spans = self.db.spans
-        span = spans.begin("search", self.name) if spans is not None else None
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        cursor = SearchCursor(self, txn, query)
-        try:
-            with self._fault_cleanup():
+        with OpEnvelope(self, "search", self._h_search_ns):
+            cursor = SearchCursor(self, txn, query)
+            try:
                 return cursor.fetch_all()
-        finally:
-            cursor.close()
-            if timed:
-                dur = perf_counter_ns() - t0
-                self._h_search_ns.record(dur)
-                self.metrics.tracer.record_span(
-                    "gist.search", dur, tree=self.name
-                )
-            if spans is not None:
-                spans.finish(span)
+            finally:
+                cursor.close()
 
     def open_cursor(self, txn: Transaction, query: object):
         """An incremental search cursor (restorable across savepoints)."""
-        from repro.gist.cursor import SearchCursor
-
         return SearchCursor(self, txn, query)
-
-    def insert(self, txn: Transaction, key: object, rid: object) -> None:
-        """Insert a ``(key, rid)`` pair (Figure 4; section 6 or 8)."""
-        txn.require_active()
-        key = self.ext.normalize_key(key)
-        spans = self.db.spans
-        span = spans.begin("insert", self.name) if spans is not None else None
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        try:
-            if self.unique:
-                with self._fault_cleanup():
-                    self._insert_unique(txn, key, rid)
-            else:
-                # Phase 1: X-lock the data record before touching the tree.
-                self.db.locks.acquire(
-                    txn.xid, self.rid_lock(rid), LockMode.X
-                )
-                plock = self.predicates.register(
-                    txn.xid, self.ext.eq_query(key), PredicateKind.INSERT
-                )
-                try:
-                    with self._fault_cleanup():
-                        self._insert_located(txn, key, rid, plock)
-                finally:
-                    self.predicates.unregister(plock)
-        finally:
-            if spans is not None:
-                spans.finish(span)
-        self.stats.bump("inserts")
-        if timed:
-            dur = perf_counter_ns() - t0
-            self._h_insert_ns.record(dur)
-            self.metrics.tracer.record_span(
-                "gist.insert", dur, tree=self.name
-            )
 
     def count(self, txn: Transaction, query: object) -> int:
         """Number of entries satisfying ``query``.
@@ -304,21 +203,57 @@ class GiST:
         repeatable read the counted range is phantom-protected), only
         the materialized result list is avoided.
         """
-        from repro.gist.cursor import SearchCursor
-
-        spans = self.db.spans
-        span = spans.begin("scan", self.name) if spans is not None else None
-        cursor = SearchCursor(self, txn, query)
-        try:
-            with self._fault_cleanup():
+        with OpEnvelope(self, "scan", self._h_search_ns, "gist.search"):
+            cursor = SearchCursor(self, txn, query)
+            try:
                 total = 0
                 while cursor.fetch_next() is not None:
                     total += 1
                 return total
-        finally:
-            cursor.close()
-            if spans is not None:
-                spans.finish(span)
+            finally:
+                cursor.close()
+
+    def insert(self, txn: Transaction, key: object, rid: object) -> None:
+        """Insert a ``(key, rid)`` pair (Figure 4; section 6 or 8)."""
+        txn.require_active()
+        key = self.ext.normalize_key(key)
+        with OpEnvelope(self, "insert", self._h_insert_ns):
+            # Phase 1: X-lock the data record before touching the tree.
+            self.db.locks.acquire(txn.xid, self.rid_lock(rid), LockMode.X)
+            plock = self.predicates.register(
+                txn.xid, self.ext.eq_query(key), PredicateKind.INSERT
+            )
+            try:
+                if self.unique:
+                    from repro.gist.unique import insert_unique
+
+                    insert_unique(self, txn, key, rid, plock)
+                else:
+                    self._insert_located(txn, key, rid, plock)
+            finally:
+                self.predicates.unregister(plock)
+            self.stats.bump("inserts")
+
+    def delete(self, txn: Transaction, key: object, rid: object) -> None:
+        """Logically delete a ``(key, rid)`` pair (section 7).
+
+        The entry is only *marked*; it stays physically present so that
+        repeatable-read scans block on the deleter's record lock, and
+        the path to it is left unshrunk.  Physical removal happens later
+        through garbage collection (:mod:`repro.gist.maintenance`).
+        """
+        txn.require_active()
+        key = self.ext.normalize_key(key)
+        with OpEnvelope(self, "delete", self._h_delete_ns):
+            self.db.locks.acquire(txn.xid, self.rid_lock(rid), LockMode.X)
+            missing = self._mark_deleted_batch(
+                txn, self.ext.eq_query(key), {(key, rid)}
+            )
+            if missing:
+                raise KeyNotFoundError(
+                    f"({key!r}, {rid!r}) not found in tree {self.name!r}"
+                )
+            self.stats.bump("deletes")
 
     def delete_where(self, txn: Transaction, query: object) -> int:
         """Logically delete every entry satisfying ``query``.
@@ -333,381 +268,81 @@ class GiST:
             self.delete(txn, key, rid)
         return len(victims)
 
-    def delete(self, txn: Transaction, key: object, rid: object) -> None:
-        """Logically delete a ``(key, rid)`` pair (section 7).
-
-        The entry is only *marked*; it stays physically present so that
-        repeatable-read scans block on the deleter's record lock, and
-        the path to it is left unshrunk.  Physical removal happens later
-        through garbage collection (:mod:`repro.gist.maintenance`).
-        """
-        txn.require_active()
-        key = self.ext.normalize_key(key)
-        spans = self.db.spans
-        span = spans.begin("delete", self.name) if spans is not None else None
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        try:
-            self.db.locks.acquire(txn.xid, self.rid_lock(rid), LockMode.X)
-            with self._fault_cleanup():
-                found = self._mark_deleted(txn, key, rid)
-        finally:
-            if spans is not None:
-                spans.finish(span)
-        if not found:
-            raise KeyNotFoundError(
-                f"({key!r}, {rid!r}) not found in tree {self.name!r}"
-            )
-        self.stats.bump("deletes")
-        if timed:
-            dur = perf_counter_ns() - t0
-            self._h_delete_ns.record(dur)
-            self.metrics.tracer.record_span(
-                "gist.delete", dur, tree=self.name
-            )
-
     # ------------------------------------------------------------------
-    # batched operations (multi_get / multi_put / multi_delete)
+    # operations built on the core, each in its own module
     # ------------------------------------------------------------------
-    def _organize_pairs(
-        self, pairs: "Sequence[tuple]"
-    ) -> tuple[list[tuple], bool]:
-        """Normalize keys and sort the batch with the ``organize`` hook.
-
-        Returns ``(pairs, organized)``: the flag records whether the
-        extension actually imposed an order — consecutive pairs of an
-        organized batch are close in the key domain, which licenses the
-        greedy leaf-run extension in :meth:`_multi_put_located`.
-        """
-        pairs = [
-            (self.ext.normalize_key(key), rid) for key, rid in pairs
-        ]
-        order = self.ext.organize([key for key, _ in pairs])
-        if order is not None:
-            pairs = [pairs[i] for i in order]
-        return pairs, order is not None
-
     def multi_put(self, txn: Transaction, pairs: "Sequence[tuple]") -> int:
-        """Batched insert: one descent per *leaf run* of the sorted batch.
+        """Batched insert, one descent per leaf run of the sorted batch;
+        see :func:`repro.gist.batch.multi_put`.  Returns the count."""
+        from repro.gist.batch import multi_put
 
-        The batch is sorted with the extension's ``organize`` hook, then
-        consumed run by run: each run locates its head's target leaf
-        once and appends every subsequent pair the leaf can absorb —
-        key covered by the leaf's BP, a free slot remaining — emitting
-        the leaf's WAL records through the batched log path.  Locking
-        is identical to ``len(pairs)`` point inserts: every RID is
-        X-locked and every insert predicate registered *before* the
-        tree is touched, the target leaf's signaling lock is pinned to
-        end of transaction, and each pair checks the search predicates
-        queued ahead of it.  Unique trees fall back to the per-key
-        protocol (section 8's duplicate defence is inherently
-        per-key).  Returns the count.
-        """
-        txn.require_active()
-        pairs, organized = self._organize_pairs(pairs)
-        if not pairs:
-            return 0
-        if self.unique:
-            for key, rid in pairs:
-                self.insert(txn, key, rid)
-            return len(pairs)
-        spans = self.db.spans
-        span = (
-            spans.begin("multi_put", self.name)
-            if spans is not None
-            else None
-        )
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        plocks: list[PredicateLock] = []
-        try:
-            # Phase 1 for the whole batch: X-lock every data record and
-            # register every insert predicate before touching the tree.
-            for key, rid in pairs:
-                self.db.locks.acquire(
-                    txn.xid, self.rid_lock(rid), LockMode.X
-                )
-                plocks.append(
-                    self.predicates.register(
-                        txn.xid,
-                        self.ext.eq_query(key),
-                        PredicateKind.INSERT,
-                    )
-                )
-            with self._fault_cleanup():
-                self._multi_put_located(txn, pairs, plocks, organized)
-        finally:
-            for plock in plocks:
-                self.predicates.unregister(plock)
-            if spans is not None:
-                spans.finish(span)
-        self.stats.bump("inserts", len(pairs))
-        self.stats.bump("batch_ops")
-        self.stats.bump("batch_keys", len(pairs))
-        if timed:
-            dur = perf_counter_ns() - t0
-            self._h_insert_ns.record(dur)
-            self.metrics.tracer.record_span(
-                "gist.multi_put", dur, tree=self.name, keys=len(pairs)
-            )
-        return len(pairs)
+        return multi_put(self, txn, pairs)
 
-    def _multi_put_located(
-        self,
-        txn: Transaction,
-        pairs: list[tuple],
-        plocks: list[PredicateLock],
-        organized: bool,
-    ) -> None:
-        """Consume the sorted batch one leaf run at a time.
+    def multi_get(self, txn: Transaction, keys: "Sequence[object]") -> dict:
+        """Batched point lookup, ``{normalized key: [rids]}``; see
+        :func:`repro.gist.batch.multi_get`."""
+        from repro.gist.batch import multi_get
 
-        With an ``organized`` batch the run is extended greedily over
-        consecutive pairs up to the leaf's free slots — BP coverage is
-        an invariant maintained by expansion (:meth:`_update_bp`), not
-        a placement requirement, and consecutive organized keys are
-        close so one expansion covers the whole run (a B-tree append
-        batch expands the rightmost leaf exactly as point inserts
-        would).  Unorganized batches only extend runs over keys the
-        leaf's BP already covers.
-        """
-        pool = self.db.pool
-        i, n = 0, len(pairs)
-        while i < n:
-            key, rid = pairs[i]
-            frame, stack = self._locate_leaf(txn, key)
-            conflicts: list = []
-            run = [(key, rid)]
-            try:
-                if frame.page.is_full:
-                    self._gc_leaf(txn, frame)
-                if frame.page.is_full:
-                    self.db.hooks.fire(
-                        "insert:before-split", pid=frame.page.pid
-                    )
-                    frame = self._split_atomic(
-                        txn, frame, stack, key_hint=key
-                    )
-                page = frame.page
-                # The run's leaf keeps its signaling lock to end of
-                # transaction (section 7.2 / 9), like any insert target.
-                leaf_name = self.node_lock(page.pid)
-                if self.db.locks.held_mode(txn.xid, leaf_name) is None:
-                    self.db.locks.acquire(txn.xid, leaf_name, LockMode.S)
-                    txn.note_signaling(leaf_name)
-                txn.pin_signaling_to_eot(leaf_name)
-                # Extend the run: subsequent pairs the leaf can absorb
-                # without a split (and, for unorganized batches,
-                # without a BP expansion).
-                free = page.capacity - len(page.entries)
-                while (
-                    i + len(run) < n
-                    and len(run) < free
-                    and (
-                        organized
-                        or self.ext.covers(
-                            page.bp, pairs[i + len(run)][0]
-                        )
-                    )
-                ):
-                    run.append(pairs[i + len(run)])
-                # One BP expansion up the tree covers the whole run.
-                if page.bp is not None and any(
-                    not self.ext.covers(page.bp, k) for k, _ in run
-                ):
-                    self._update_bp(
-                        txn,
-                        frame,
-                        self.ext.union(
-                            [page.bp] + [k for k, _ in run]
-                        ),
-                        stack,
-                    )
-                records = [
-                    AddLeafEntryRecord(
-                        xid=txn.xid,
-                        tree=self.name,
-                        page_id=page.pid,
-                        nsn=page.nsn,
-                        key=k,
-                        rid=r,
-                    )
-                    for k, r in run
-                ]
-                lsns = self.db.log.append_many(records)
-                for record in records:
-                    record.redo_page(page)
-                frame.mark_dirty(lsns[-1])
-                # Phase 6 per pair: attach its insert predicate, collect
-                # the search predicates queued ahead of it (FIFO).
-                for offset, (k, _) in enumerate(run):
-                    plock = plocks[i + offset]
-                    self.predicates.attach(plock, page.pid)
-                    conflicts.extend(
-                        self.predicates.conflicting(
-                            page.pid,
-                            k,
-                            kinds=(PredicateKind.SEARCH,),
-                            exclude_owner=txn.xid,
-                            before=plock,
-                        )
-                    )
-                pid = page.pid
-            finally:
-                if frame.latch.held_by_me() is not None:
-                    pool.unfix(frame)
-                self._release_path_signaling(txn, stack)
-            self.stats.bump("batch_leaf_runs")
-            if len(run) > 1:
-                self.stats.bump("batch_descents_saved", len(run) - 1)
-            self.db.hooks.fire(
-                "multi_put:run", pid=pid, count=len(run)
-            )
-            if conflicts:
-                self.stats.bump("predicate_blocks")
-                PredicateManager.wait_for_owners(
-                    self.db.locks, txn.xid, conflicts
-                )
-            i += len(run)
+        return multi_get(self, txn, keys)
 
-    def multi_get(
-        self, txn: Transaction, keys: "Sequence[object]"
-    ) -> dict:
-        """Batched point lookup: rids for each key, one shared descent.
+    def multi_delete(self, txn: Transaction, pairs: "Sequence[tuple]") -> int:
+        """Batched logical delete of ``(key, rid)`` pairs; see
+        :func:`repro.gist.batch.multi_delete`.  Returns the count."""
+        from repro.gist.batch import multi_delete
 
-        Returns ``{normalized key: [rids]}`` for every requested key
-        (missing keys map to an empty list).  When the extension can
-        express a multi-point predicate (:meth:`~repro.gist.extension.
-        GiSTExtension.multi_eq_query`), the whole sorted batch is
-        answered by a single cursor descent under one phantom-protected
-        predicate — locking and isolation are exactly those of a
-        :meth:`search` with that predicate.  Otherwise it degrades to
-        one point search per distinct key.
-        """
-        results: dict = {
-            self.ext.normalize_key(key): [] for key in keys
-        }
-        if not results:
-            return results
-        distinct = list(results)
-        order = self.ext.organize(distinct)
-        if order is not None:
-            distinct = [distinct[i] for i in order]
-        query = self.ext.multi_eq_query(distinct)
-        if query is None:
-            for key in distinct:
-                for _, rid in self.search(txn, self.ext.eq_query(key)):
-                    results[key].append(rid)
-            return results
-        self.stats.bump("batch_ops")
-        self.stats.bump("batch_keys", len(distinct))
-        if len(distinct) > 1:
-            self.stats.bump("batch_descents_saved", len(distinct) - 1)
-        for found_key, rid in self.search(txn, query):
-            bucket = results.get(found_key)
-            if bucket is not None:
-                bucket.append(rid)
-            else:
-                # key types whose equality is not hash equality: route
-                # through the extension's consistency test instead
-                for key in distinct:
-                    if self.ext.consistent(
-                        found_key, self.ext.eq_query(key)
-                    ):
-                        results[key].append(rid)
-        return results
+        return multi_delete(self, txn, pairs)
 
-    def multi_delete(
-        self, txn: Transaction, pairs: "Sequence[tuple]"
-    ) -> int:
-        """Batched logical delete of ``(key, rid)`` pairs.
+    def bulk_load(self, txn: Transaction, pairs: "Sequence[tuple]") -> int:
+        """Build the tree bottom-up from a sorted batch (empty tree
+        only); see :func:`repro.gist.bulk.bulk_load`.  Returns the count."""
+        from repro.gist.bulk import bulk_load
 
-        X-locks every target RID up front, then marks all entries in
-        one multi-point traversal (one descent visiting exactly the
-        leaves the batch touches, batched WAL emission per leaf).
-        Raises :class:`KeyNotFoundError` if any pair is absent — after
-        marking everything that was found, mirroring a partially
-        executed loop of :meth:`delete` calls.  Extensions without
-        ``multi_eq_query`` degrade to the per-pair protocol.
-        """
-        txn.require_active()
-        pairs, _ = self._organize_pairs(pairs)
-        if not pairs:
-            return 0
-        spans = self.db.spans
-        span = (
-            spans.begin("multi_delete", self.name)
-            if spans is not None
-            else None
-        )
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        try:
-            query = self.ext.multi_eq_query([key for key, _ in pairs])
-            if query is None:
-                for key, rid in pairs:
-                    self.delete(txn, key, rid)
-                return len(pairs)
-            for key, rid in pairs:
-                self.db.locks.acquire(
-                    txn.xid, self.rid_lock(rid), LockMode.X
-                )
-            targets = set(pairs)
-            with self._fault_cleanup():
-                found = self._mark_deleted_batch(txn, query, targets)
-            missing = targets - found
-            if missing:
-                key, rid = min(missing, key=repr)
-                raise KeyNotFoundError(
-                    f"({key!r}, {rid!r}) not found in tree {self.name!r}"
-                )
-        finally:
-            if spans is not None:
-                spans.finish(span)
-        self.stats.bump("deletes", len(pairs))
-        self.stats.bump("batch_ops")
-        self.stats.bump("batch_keys", len(pairs))
-        if len(pairs) > 1:
-            self.stats.bump("batch_descents_saved", len(pairs) - 1)
-        if timed:
-            dur = perf_counter_ns() - t0
-            self._h_delete_ns.record(dur)
-            self.metrics.tracer.record_span(
-                "gist.multi_delete", dur, tree=self.name, keys=len(pairs)
-            )
-        return len(pairs)
+        return bulk_load(self, txn, pairs)
 
+    # ------------------------------------------------------------------
+    # logical deletion (section 7)
+    # ------------------------------------------------------------------
     def _mark_deleted_batch(
         self, txn: Transaction, query: object, targets: set
     ) -> set:
         """Mark every targeted ``(key, rid)`` found under ``query``.
 
-        The multi-point analogue of ``_mark_deleted``: one traversal,
-        marking all of a leaf's targeted entries with a single batched
-        WAL append.  Returns the set of pairs actually marked.
+        The one mark traversal: a point delete passes an equality query
+        and a single pair, ``multi_delete`` a multi-point query and the
+        batch.  All of a leaf's targeted entries are marked with a
+        single batched WAL append.  Returns the targets *not* found.
         """
         memo = self.nsn.current()
         stack = [self._stack_pointer(txn, self.root_pid, memo)]
-        found: set = set()
+        missing = set(targets)
+        rids = {rid for _, rid in missing}
         try:
-            while stack and len(found) < len(targets):
+            while stack and missing:
                 entry = stack.pop()
-                self._mark_visit_batch(txn, entry, query, targets, found, stack)
+                self._mark_visit_batch(txn, entry, query, missing, rids, stack)
                 self._release_signaling(txn, entry.pid)
         finally:
             # Drain: release signaling locks of unvisited pointers.
             for entry in stack:
                 self._release_signaling(txn, entry.pid)
-        return found
+        return missing
 
     def _mark_visit_batch(
         self,
         txn: Transaction,
         entry: StackEntry,
         query: object,
-        targets: set,
-        found: set,
+        missing: set,
+        rids: set,
         stack: list[StackEntry],
     ) -> None:
+        """Visit one node: mark its entries named in ``missing`` (and
+        strike them from it), or stack its consistent children.
+
+        ``rids`` are the targets' RIDs: a leaf entry is tested by RID
+        first, as ``find_leaf_entry`` does, so that keys costly to hash
+        (an R-tree's rectangles) are hashed for the candidates only.
+        """
         pool, log = self.db.pool, self.db.log
         pid = entry.pid
         last_handled = entry.memo
@@ -716,7 +351,9 @@ class GiST:
         try:
             if frame.page.is_leaf:
                 # Trade the S latch for X; the unlatched window is
-                # compensated by the NSN check below (see _mark_visit).
+                # compensated by the NSN check below.  Clearing the
+                # binding first keeps the finally correct if the
+                # re-fix itself fails (e.g. an injected read fault).
                 pool.unfix(frame)
                 frame = None
                 frame = pool.fix(pid, LatchMode.X)
@@ -724,24 +361,17 @@ class GiST:
             if page.nsn > last_handled and page.rightlink != NO_PAGE:
                 self.stats.bump("rightlink_follows")
                 self.stats.bump("nsn_restarts")
-                self.metrics.tracer.event(
+                self._note_event(
                     "gist.restart.nsn_mismatch",
-                    tree=self.name,
                     pid=page.pid,
                     memo=last_handled,
                     nsn=page.nsn,
                 )
                 stack.append(StackEntry(page.rightlink, last_handled))
             if page.is_leaf:
-                victims = [
-                    e
-                    for e in page.entries
-                    if not e.deleted
-                    and (e.key, e.rid) in targets
-                    and (e.key, e.rid) not in found
-                ]
-                if not victims:
-                    return
+                # An entry already marked is not a victim: its deleter
+                # committed (we hold the record's X lock, so it must
+                # have finished; an abort would have unmarked it).
                 records = [
                     MarkLeafEntryRecord(
                         xid=txn.xid,
@@ -751,16 +381,21 @@ class GiST:
                         key=e.key,
                         rid=e.rid,
                     )
-                    for e in victims
+                    for e in page.entries
+                    if e.rid in rids
+                    and not e.deleted
+                    and (e.key, e.rid) in missing
                 ]
+                if not records:
+                    return
                 lsns = log.append_many(records)
                 for record in records:
                     record.redo_page(page)
                 frame.mark_dirty(lsns[-1])
-                for e in victims:
-                    found.add((e.key, e.rid))
+                for record in records:
+                    missing.discard((record.key, record.rid))
                     self.db.hooks.fire(
-                        "delete:marked", pid=page.pid, rid=e.rid
+                        "delete:marked", pid=page.pid, rid=record.rid
                     )
                 return
             child_memo = self.nsn.memo_for_children(page)
@@ -777,308 +412,6 @@ class GiST:
                 pool.unfix(frame)
 
     # ------------------------------------------------------------------
-    # bottom-up bulk load
-    # ------------------------------------------------------------------
-    def bulk_load(
-        self,
-        txn: Transaction,
-        pairs: "Sequence[tuple]",
-        *,
-        fill: float = 0.75,
-    ) -> int:
-        """Build the tree bottom-up from a sorted batch (empty tree only).
-
-        The structure — empty leaves at ``fill`` fraction of capacity,
-        internal levels above them, and the root attach — is built in
-        **one nested top action** while the root's X latch is held: a
-        crash at any point either rolls the whole structure back (the
-        undoable :class:`~repro.wal.records.RootReplaceRecord` restores
-        the old root image before the Get-Page undos free the child
-        pages) or, after the NTA committed, leaves a legal tree of empty
-        leaves.  The entries themselves are then filled in
-        transactionally per leaf through the batched log path, so a
-        rollback of ``txn`` after the load logically deletes every
-        entry but keeps the (empty) structure — exactly like any
-        completed SMO.  Locking matches :meth:`multi_put`: all RIDs are
-        X-locked and all insert predicates registered up front, and
-        search predicates attached to the old root replicate to every
-        built page.  When the tree is not an empty leaf (or the batch
-        fits in the root) this degrades to the :meth:`multi_put` run
-        protocol.  Returns the number of entries loaded.
-        """
-        if not 0.0 < fill <= 1.0:
-            raise ValueError(f"fill factor {fill!r} outside (0, 1]")
-        txn.require_active()
-        pairs, organized = self._organize_pairs(pairs)
-        if not pairs:
-            return 0
-        if self.unique:
-            seen_keys: set = set()
-            for key, _ in pairs:
-                if key in seen_keys:
-                    raise UniqueViolationError(key)
-                seen_keys.add(key)
-        spans = self.db.spans
-        span = (
-            spans.begin("bulk_load", self.name)
-            if spans is not None
-            else None
-        )
-        timed = self.metrics.enabled
-        t0 = perf_counter_ns() if timed else 0
-        plocks: list[PredicateLock] = []
-        try:
-            for key, rid in pairs:
-                self.db.locks.acquire(
-                    txn.xid, self.rid_lock(rid), LockMode.X
-                )
-                plocks.append(
-                    self.predicates.register(
-                        txn.xid,
-                        self.ext.eq_query(key),
-                        PredicateKind.INSERT,
-                    )
-                )
-            with self._fault_cleanup():
-                loaded = self._bulk_load_located(txn, pairs, plocks, fill)
-                if not loaded:
-                    if self.unique:
-                        # The tree has prior content: the in-batch
-                        # duplicate check above is not enough, run the
-                        # full per-key duplicate protocol.
-                        for i, (key, rid) in enumerate(pairs):
-                            self.predicates.unregister(plocks[i])
-                            plocks[i] = None  # type: ignore[call-overload]
-                            self._insert_unique(txn, key, rid)
-                    else:
-                        self._multi_put_located(
-                            txn, pairs, plocks, organized
-                        )
-        finally:
-            for plock in plocks:
-                if plock is not None:
-                    self.predicates.unregister(plock)
-            if spans is not None:
-                spans.finish(span)
-        self.stats.bump("inserts", len(pairs))
-        self.stats.bump("batch_ops")
-        self.stats.bump("batch_keys", len(pairs))
-        if timed:
-            dur = perf_counter_ns() - t0
-            self._h_insert_ns.record(dur)
-            self.metrics.tracer.record_span(
-                "gist.bulk_load", dur, tree=self.name, keys=len(pairs)
-            )
-        return len(pairs)
-
-    def _bulk_load_located(
-        self,
-        txn: Transaction,
-        pairs: list[tuple],
-        plocks: list[PredicateLock],
-        fill: float,
-    ) -> bool:
-        """Build structure + fill leaves; False if the fast path is off.
-
-        Returns ``False`` without touching the tree when the root is
-        not an empty leaf or the batch fits in it — the caller then
-        falls back to the run-based insert protocol.
-        """
-        pool, log = self.db.pool, self.db.log
-        unfixed = False
-        filled_leaves: list[tuple[PageId, list[tuple]]] = []
-        root_frame = pool.fix(self.root_pid, LatchMode.X)
-        try:
-            root = root_frame.page
-            if not root.is_leaf or root.entries:
-                return False
-            capacity = root.capacity
-            per_leaf = max(2, min(capacity, int(capacity * fill)))
-            if len(pairs) <= capacity:
-                return False  # a single leaf suffices; no structure to build
-            old_image = root.snapshot()
-
-            # The whole structure is one atomic action (section 9.1).
-            # Everything below is pure in-memory page building — the
-            # only waits are log appends, which are legal under latches.
-            saved = log.begin_nta(txn.xid)
-            chunks = [
-                pairs[i : i + per_leaf]
-                for i in range(0, len(pairs), per_leaf)
-            ]
-            built: list[tuple[PageId, object]] = []
-            level_nodes: list[tuple[PageId, object]] = []
-            for chunk in chunks:
-                bp = self.ext.union([key for key, _ in chunk])
-                pid = self._bulk_build_page(
-                    txn, PageKind.LEAF, 0, bp, [], capacity
-                )
-                built.append((pid, bp))
-                level_nodes.append((pid, bp))
-                filled_leaves.append((pid, chunk))
-            level = 1
-            while len(level_nodes) > capacity:
-                parents: list[tuple[PageId, object]] = []
-                for i in range(0, len(level_nodes), per_leaf):
-                    group = level_nodes[i : i + per_leaf]
-                    entries = [
-                        InternalEntry(pred=bp, child=pid)
-                        for pid, bp in group
-                    ]
-                    bp = self.ext.union([bp for _, bp in group])
-                    pid = self._bulk_build_page(
-                        txn, PageKind.INTERNAL, level, bp, entries, capacity
-                    )
-                    built.append((pid, bp))
-                    parents.append((pid, bp))
-                level_nodes = parents
-                level += 1
-
-            # Attach: swap the empty root leaf's image for an internal
-            # node over the top level.  Root pid (and its BP: the whole
-            # space) stay stable, so no descent ever sees a moved root.
-            new_image = Page(
-                pid=root.pid,
-                kind=PageKind.INTERNAL,
-                level=level,
-                nsn=root.nsn,
-                capacity=capacity,
-                entries=[
-                    InternalEntry(pred=bp, child=pid)
-                    for pid, bp in level_nodes
-                ],
-            )
-            record = RootReplaceRecord(
-                xid=txn.xid,
-                page_id=root.pid,
-                new_image=new_image,
-                old_image=old_image,
-            )
-            lsn = log.append(record)
-            record.redo_page(root)
-            root_frame.mark_dirty(lsn)
-            # Inside the atomic action, after the attach: a crash hook
-            # here exercises the RootReplaceRecord undo path.
-            self.db.hooks.fire("bulk:attached", pid=root.pid)
-            log.end_nta(txn.xid, saved)
-            self.db.hooks.fire(
-                "bulk:structure-built",
-                pid=root.pid,
-                pages=len(built),
-                levels=level,
-            )
-            # Search predicates attached to the root-as-leaf must reach
-            # every page of the new structure they are consistent with
-            # (the attachment invariant) — same rule as a split.
-            for pid, bp in built:
-                self.predicates.replicate_for_split(root.pid, pid, bp)
-            self.stats.bump("bulk_loads")
-            self.metrics.tracer.event(
-                "gist.bulk_load",
-                tree=self.name,
-                pages=len(built),
-                levels=level,
-                keys=len(pairs),
-            )
-            pool.unfix(root_frame)
-            unfixed = True
-        finally:
-            if not unfixed and root_frame.latch.held_by_me() is not None:
-                pool.unfix(root_frame)
-
-        # Fill phase: transactional content, one batched append per leaf.
-        conflicts: list = []
-        offset = 0
-        for pid, chunk in filled_leaves:
-            frame = pool.fix(pid, LatchMode.X)
-            try:
-                page = frame.page
-                leaf_name = self.node_lock(page.pid)
-                if self.db.locks.held_mode(txn.xid, leaf_name) is None:
-                    # A freshly built page cannot have a queued X waiter
-                    # (drain deleters only probe no-wait), so this never
-                    # blocks under the latch.
-                    self.db.locks.acquire(
-                        txn.xid, leaf_name, LockMode.S
-                    )  # lint: allow(lock-wait-under-latch): never waits
-                    txn.note_signaling(leaf_name)
-                txn.pin_signaling_to_eot(leaf_name)
-                records = [
-                    AddLeafEntryRecord(
-                        xid=txn.xid,
-                        tree=self.name,
-                        page_id=page.pid,
-                        nsn=page.nsn,
-                        key=k,
-                        rid=r,
-                    )
-                    for k, r in chunk
-                ]
-                lsns = log.append_many(records)
-                for rec in records:
-                    rec.redo_page(page)
-                frame.mark_dirty(lsns[-1])
-                for j, (k, _) in enumerate(chunk):
-                    plock = plocks[offset + j]
-                    self.predicates.attach(plock, page.pid)
-                    conflicts.extend(
-                        self.predicates.conflicting(
-                            page.pid,
-                            k,
-                            kinds=(PredicateKind.SEARCH,),
-                            exclude_owner=txn.xid,
-                            before=plock,
-                        )
-                    )
-            finally:
-                pool.unfix(frame)
-            self.db.hooks.fire(
-                "bulk:leaf-filled", pid=pid, count=len(chunk)
-            )
-            offset += len(chunk)
-        if conflicts:
-            self.stats.bump("predicate_blocks")
-            PredicateManager.wait_for_owners(
-                self.db.locks, txn.xid, conflicts
-            )
-        return True
-
-    def _bulk_build_page(
-        self,
-        txn: Transaction,
-        kind: PageKind,
-        level: int,
-        bp: object,
-        entries: list,
-        capacity: int,
-    ) -> PageId:
-        """Allocate, log and install one bulk-built page; returns its id.
-
-        Logged as Get-Page (undoable: rollback of the enclosing NTA
-        frees the page) plus a redo-only full image, the same shape the
-        other structure modifications use.
-        """
-        pool, log, store = self.db.pool, self.db.log, self.db.store
-        pid = store.allocate()
-        log.append(GetPageRecord(xid=txn.xid, page_id=pid))
-        page = Page(
-            pid=pid,
-            kind=kind,
-            level=level,
-            capacity=capacity,
-            bp=bp,
-            entries=entries,
-        )
-        record = PageImageClr(
-            xid=txn.xid, page_id=pid, image=page.snapshot()
-        )
-        lsn = log.append(record)
-        frame = pool.adopt(page)
-        frame.mark_dirty(lsn)
-        self.stats.bump("bulk_pages_built")
-        return pid
-
-    # ------------------------------------------------------------------
     # insertion machinery
     # ------------------------------------------------------------------
     def _insert_located(
@@ -1087,12 +420,56 @@ class GiST:
         key: object,
         rid: object,
         plock: PredicateLock,
-    ) -> None:
-        """Phases 2–6 of section 6 (the tree part of an insertion)."""
-        pool = self.db.pool
+        leaf_check: "Callable[..., list | None] | None" = None,
+    ) -> list | None:
+        """Phases 2–6 of section 6 (the tree part of an insertion).
+
+        ``leaf_check(tree, txn, frame, key, rid, plock)``, when given,
+        runs on the prepared leaf (section 8's last-line duplicate
+        defence, :mod:`repro.gist.unique`); what it returns other than
+        ``None`` vetoes the write and is handed back to the caller once
+        the leaf is released.  Returns ``None`` when the entry went in.
+        """
         frame, stack = self._locate_leaf(txn, key)
         self.db.hooks.fire("insert:leaf-located", pid=frame.page.pid)
-        retry_wait: list | None = None
+        veto: list | None = None
+        conflicts: list = []
+        try:
+            frame = self._prepare_leaf(txn, frame, stack, key)
+            if leaf_check is not None:
+                veto = leaf_check(self, txn, frame, key, rid, plock)
+            if veto is None:
+                conflicts = self._write_run(
+                    txn, frame, stack, [(key, rid)], [plock]
+                )
+            pid = frame.page.pid
+        finally:
+            # A failure inside a split may have already handed the frame
+            # off (e.g. a root split unfixes the old root); only release
+            # what this thread still holds.
+            if frame.latch.held_by_me() is not None:
+                self.db.pool.unfix(frame)
+            self._release_path_signaling(txn, stack)
+        if veto is not None:
+            return veto
+        self.db.hooks.fire("insert:done", pid=pid)
+        self._wait_for_predicates(txn, conflicts)
+        return None
+
+    def _prepare_leaf(
+        self,
+        txn: Transaction,
+        frame: Frame,
+        stack: list[StackEntry],
+        key: object,
+    ) -> Frame:
+        """Make room on the located, X-latched leaf and pin it.
+
+        Returns the X-latched frame to write — the leaf itself or, after
+        a split, the side with the lower penalty for ``key``.  If a step
+        fails the frame this thread still holds is released here, so the
+        caller only ever owns what it passed in or what it got back.
+        """
         try:
             if frame.page.is_full:
                 # Opportunistic garbage collection may avoid the split
@@ -1101,142 +478,89 @@ class GiST:
             if frame.page.is_full:
                 self.db.hooks.fire("insert:before-split", pid=frame.page.pid)
                 frame = self._split_atomic(txn, frame, stack, key_hint=key)
-            page = frame.page
-            # The target leaf's signaling lock is retained to end of
-            # transaction (section 7.2 / section 9): the logical-undo
-            # path to this leaf must stay intact.
-            leaf_name = self.node_lock(page.pid)
-            if self.db.locks.held_mode(txn.xid, leaf_name) is None:
-                self.db.locks.acquire(txn.xid, leaf_name, LockMode.S)
-                txn.note_signaling(leaf_name)
-            txn.pin_signaling_to_eot(leaf_name)
-
-            if self.unique:
-                # Last-line duplicate defence (section 8): a racing
-                # inserter of the same key whose entry or "= key"
-                # predicate reached this leaf first.
-                retry_wait = self._unique_leaf_check(
-                    txn, frame, key, rid, plock
-                )
-            if retry_wait is None:
-                self._perform_leaf_insert(txn, frame, stack, key, rid)
-            conflicts = ()
-            if retry_wait is None:
-                # Phase 6: register our insert predicate, then check the
-                # search predicates attached *ahead of it* (FIFO
-                # fairness, section 10.3).
-                self.predicates.attach(plock, page.pid)
-                conflicts = self.predicates.conflicting(
-                    page.pid,
-                    key,
-                    kinds=(PredicateKind.SEARCH,),
-                    exclude_owner=txn.xid,
-                    before=plock,
-                )
-            pid = page.pid
-        finally:
-            # A failure inside a split may have already handed the frame
-            # off (e.g. a root split unfixes the old root); only release
-            # what this thread still holds.
+            self._pin_leaf(txn, frame.page.pid)
+        except BaseException:
             if frame.latch.held_by_me() is not None:
-                pool.unfix(frame)
-            self._release_path_signaling(txn, stack)
-        if retry_wait is not None:
-            self.stats.bump("predicate_blocks")
-            self._wait_for_txns(txn, retry_wait)
-            raise _RetryUniqueProbe()
-        self.db.hooks.fire("insert:done", pid=pid)
+                self.db.pool.unfix(frame)
+            raise
+        return frame
+
+    def _pin_leaf(self, txn: Transaction, pid: PageId) -> None:
+        """Retain the written leaf's signaling lock to end of transaction
+        (section 7.2 / section 9): the logical-undo path to this leaf
+        must stay intact.  Called with the leaf X-latched."""
+        name = self.node_lock(pid)
+        if self.db.locks.held_mode(txn.xid, name) is None:
+            self.db.locks.acquire(txn.xid, name, LockMode.S)
+            txn.note_signaling(name)
+        txn.pin_signaling_to_eot(name)
+
+    def _write_run(
+        self,
+        txn: Transaction,
+        frame: Frame,
+        stack: list[StackEntry],
+        run: list[tuple],
+        plocks: list[PredicateLock],
+    ) -> list:
+        """Phases 4–6 of section 6 for a run of pairs on one prepared leaf.
+
+        ``plocks`` are the run's registered insert predicates, pair for
+        pair.  Returns the search predicates queued ahead of them; the
+        caller waits for their owners once the leaf is released
+        (:meth:`_wait_for_predicates`).
+        """
+        page = frame.page
+        pid, bp = page.pid, page.bp
+        # Phase 4: expand ancestors' BPs (with predicate percolation);
+        # one expansion up the tree covers the whole run.
+        if bp is not None:
+            covers = self.ext.covers
+            for key, _ in run:
+                if not covers(bp, key):
+                    self._update_bp(
+                        txn,
+                        frame,
+                        self.ext.union([bp] + [k for k, _ in run]),
+                        stack,
+                    )
+                    break
+        # Phase 5: the content change itself, ascribed to the txn and
+        # emitted through the batched log path.
+        xid, name, nsn = txn.xid, self.name, page.nsn
+        records = [
+            AddLeafEntryRecord(
+                xid=xid, tree=name, page_id=pid, nsn=nsn, key=key, rid=rid
+            )
+            for key, rid in run
+        ]
+        lsns = self.db.log.append_many(records)
+        for record in records:
+            record.redo_page(page)
+        frame.mark_dirty(lsns[-1])
+        # Phase 6 per pair: attach its insert predicate, then collect
+        # the search predicates attached *ahead of it* (FIFO fairness,
+        # section 10.3).
+        conflicts: list = []
+        predicates = self.predicates
+        for (key, _), plock in zip(run, plocks):
+            predicates.attach(plock, pid)
+            conflicts += predicates.conflicting(
+                pid,
+                key,
+                kinds=(PredicateKind.SEARCH,),
+                exclude_owner=xid,
+                before=plock,
+            )
+        return conflicts
+
+    def _wait_for_predicates(self, txn: Transaction, conflicts: list) -> None:
+        """Block on the owners of conflicting predicates (no latches)."""
         if conflicts:
             self.stats.bump("predicate_blocks")
             PredicateManager.wait_for_owners(
                 self.db.locks, txn.xid, conflicts
             )
-
-    def _perform_leaf_insert(
-        self,
-        txn: Transaction,
-        frame: Frame,
-        stack: list[StackEntry],
-        key: object,
-        rid: object,
-    ) -> None:
-        """Phases 4–5: BP expansion up the tree, then the leaf entry."""
-        page = frame.page
-        # Phase 4: expand ancestors' BPs (with predicate percolation).
-        if page.bp is not None and not self.ext.covers(page.bp, key):
-            self._update_bp(
-                txn, frame, self.ext.union([page.bp, key]), stack
-            )
-        # Phase 5: the content change itself, ascribed to the txn.
-        record = AddLeafEntryRecord(
-            xid=txn.xid,
-            tree=self.name,
-            page_id=page.pid,
-            nsn=page.nsn,
-            key=key,
-            rid=rid,
-        )
-        lsn = self.db.log.append(record)
-        record.redo_page(page)
-        frame.mark_dirty(lsn)
-
-    def _unique_leaf_check(
-        self,
-        txn: Transaction,
-        frame: Frame,
-        key: object,
-        rid: object,
-        plock: PredicateLock,
-    ) -> list | None:
-        """Final duplicate defence on the target leaf (section 8).
-
-        Returns ``None`` when the insertion may proceed, or a list of
-        transaction ids to wait for before re-running the duplicate
-        probe.  Raises :class:`UniqueViolationError` on a committed
-        duplicate (after S-locking it for error repeatability).
-        """
-        locks = self.db.locks
-        page = frame.page
-        for entry in page.entries:
-            if entry.rid == rid or entry.key != key:
-                continue
-            if entry.deleted:
-                if entry.delete_xid is not None and self.db.txns.is_committed(
-                    entry.delete_xid
-                ):
-                    continue  # awaiting garbage collection
-                if entry.delete_xid == txn.xid:
-                    continue  # we deleted it ourselves earlier
-            granted = locks.acquire(
-                txn.xid, self.rid_lock(entry.rid), LockMode.S, wait=False
-            )
-            if not granted:
-                owners = list(locks.holders(self.rid_lock(entry.rid)))
-                return owners
-            if entry.deleted:
-                continue  # the deleter finished; mark now committed
-            raise UniqueViolationError(key)
-        conflicts = self.predicates.conflicting(
-            page.pid,
-            self.ext.eq_query(key),
-            kinds=(PredicateKind.INSERT,),
-            exclude_owner=txn.xid,
-            before=plock if page.pid in plock.attachments else None,
-        )
-        if conflicts:
-            return [p.owner for p in conflicts]
-        return None
-
-    def _wait_for_txns(self, txn: Transaction, owners: list) -> None:
-        """Block until the listed transactions terminate (no latches)."""
-        from repro.txn.manager import txn_lock_name
-
-        for owner in sorted(set(owners)):
-            if owner == txn.xid:
-                continue
-            name = txn_lock_name(owner)
-            self.db.locks.acquire(txn.xid, name, LockMode.S)
-            self.db.locks.release(txn.xid, name)
 
     def _release_path_signaling(
         self, txn: Transaction, stack: list[StackEntry]
@@ -1257,10 +581,9 @@ class GiST:
         pool = self.db.pool
         penalty = self.ext.penalty
         stack: list[StackEntry] = []
-        memo = self.nsn.current()
-        entry = self._stack_pointer(txn, self.root_pid, memo)
-        pid, memo = entry.pid, entry.memo
+        entry = self._stack_pointer(txn, self.root_pid, self.nsn.current())
         while True:
+            pid, memo = entry.pid, entry.memo
             frame = pool.fix(pid, LatchMode.S)
             if frame.page.is_leaf:
                 # Leaves are modified in place: re-fix in X mode (the
@@ -1274,17 +597,12 @@ class GiST:
                 # locally by choosing the min-penalty node in the
                 # rightlink chain delimited by the memorized value.
                 self.stats.bump("nsn_restarts")
-                self.metrics.tracer.event(
+                self._note_event(
                     "gist.restart.nsn_mismatch",
-                    tree=self.name,
                     pid=page.pid,
                     memo=memo,
                     nsn=page.nsn,
                 )
-                if self.db.spans is not None:
-                    self.db.spans.note_event(
-                        "gist.restart.nsn_mismatch", pid=page.pid
-                    )
                 frame = self._choose_in_chain(txn, frame, memo, key)
                 page = frame.page
             if page.is_leaf:
@@ -1305,11 +623,14 @@ class GiST:
                 self._release_signaling(txn, pid)
                 self._release_path_signaling(txn, stack)
                 stack.clear()
-                memo = self.nsn.current()
-                entry = self._stack_pointer(txn, self.root_pid, memo)
-                pid, memo = entry.pid, entry.memo
+                entry = self._stack_pointer(
+                    txn, self.root_pid, self.nsn.current()
+                )
                 continue
-            stack.append(StackEntry(page.pid, memo, nsn_seen=page.nsn))
+            # The pointer that led here becomes the path entry of the
+            # node visited (after a chain walk: of the sibling chosen).
+            entry.pid, entry.nsn_seen = page.pid, page.nsn
+            stack.append(entry)
             # The first min-penalty entry, as min() would return it;
             # penalties are never negative (GiSTExtension.penalty), so
             # the first zero is already that entry.
@@ -1322,9 +643,8 @@ class GiST:
                     if entry_penalty == 0:
                         break
             child_memo = self.nsn.memo_for_children(page)
-            child_entry = self._stack_pointer(txn, best.child, child_memo)
+            entry = self._stack_pointer(txn, best.child, child_memo)
             pool.unfix(frame)
-            pid, memo = child_entry.pid, child_entry.memo
 
     def _choose_in_chain(
         self, txn: Transaction, frame: Frame, memo: int, key: object
@@ -1458,25 +778,12 @@ class GiST:
             split_rec.redo_page(new_page)
             new_frame.mark_dirty(lsn)
             self.stats.bump("splits")
-            self.metrics.tracer.event(
+            self._note_event(
                 "gist.split",
-                tree=self.name,
                 pid=page.pid,
                 new_pid=new_pid,
                 nsn=split_rec.new_nsn,
             )
-            if self.db.flightrec is not None:
-                self.db.flightrec.record(
-                    "gist.split",
-                    tree=self.name,
-                    pid=page.pid,
-                    new_pid=new_pid,
-                    nsn=split_rec.new_nsn,
-                )
-            if self.db.spans is not None:
-                self.db.spans.note_event(
-                    "gist.split", pid=page.pid, new_pid=new_pid
-                )
 
             # Replicate predicate attachments consistent with the new BP
             # (section 4.3) and the signaling locks (section 10.3).
@@ -1602,27 +909,13 @@ class GiST:
                 target_frame.mark_dirty(lsn)
             self.stats.bump("root_splits")
             self.stats.bump("splits")
-            self.metrics.tracer.event(
+            self._note_event(
                 "gist.root_split",
-                tree=self.name,
                 pid=page.pid,
                 left_pid=left_pid,
                 right_pid=right_pid,
                 nsn=rec.new_nsn,
             )
-            if self.db.flightrec is not None:
-                self.db.flightrec.record(
-                    "gist.root_split",
-                    tree=self.name,
-                    pid=page.pid,
-                    left_pid=left_pid,
-                    right_pid=right_pid,
-                    nsn=rec.new_nsn,
-                )
-            if self.db.spans is not None:
-                self.db.spans.note_event(
-                    "gist.root_split", pid=page.pid
-                )
 
             # Predicates attached to the root replicate to whichever child
             # BP they are consistent with (the attachment invariant).
@@ -1873,155 +1166,6 @@ class GiST:
             pool.unfix(parent)
 
     # ------------------------------------------------------------------
-    # logical deletion (section 7)
-    # ------------------------------------------------------------------
-    def _mark_deleted(
-        self, txn: Transaction, key: object, rid: object
-    ) -> bool:
-        """Locate the leaf entry and mark it deleted.  Returns found."""
-        eq = self.ext.eq_query(key)
-        memo = self.nsn.current()
-        stack = [self._stack_pointer(txn, self.root_pid, memo)]
-        found = False
-        try:
-            while stack and not found:
-                entry = stack.pop()
-                found = self._mark_visit(txn, entry, eq, key, rid, stack)
-                self._release_signaling(txn, entry.pid)
-        finally:
-            # Drain: release signaling locks of unvisited pointers.
-            for entry in stack:
-                self._release_signaling(txn, entry.pid)
-        return found
-
-    def _mark_visit(
-        self,
-        txn: Transaction,
-        entry: StackEntry,
-        eq: object,
-        key: object,
-        rid: object,
-        stack: list[StackEntry],
-    ) -> bool:
-        pool, log = self.db.pool, self.db.log
-        pid = entry.pid
-        last_handled = entry.memo
-        # Peek at the node level with an S latch; leaves need X.
-        frame = pool.fix(pid, LatchMode.S)
-        try:
-            if frame.page.is_leaf:
-                # Trade the S latch for X; the unlatched window is
-                # compensated by the NSN check below.  Clearing the
-                # binding first keeps the finally correct if the
-                # re-fix itself fails (e.g. an injected read fault).
-                pool.unfix(frame)
-                frame = None
-                frame = pool.fix(pid, LatchMode.X)
-            page = frame.page
-            if page.nsn > last_handled and page.rightlink != NO_PAGE:
-                self.stats.bump("rightlink_follows")
-                self.stats.bump("nsn_restarts")
-                self.metrics.tracer.event(
-                    "gist.restart.nsn_mismatch",
-                    tree=self.name,
-                    pid=page.pid,
-                    memo=last_handled,
-                    nsn=page.nsn,
-                )
-                stack.append(StackEntry(page.rightlink, last_handled))
-            if page.is_leaf:
-                leaf_entry = page.find_leaf_entry(key, rid)
-                if leaf_entry is None or leaf_entry.deleted:
-                    # Already deleted => the deleter committed (we hold
-                    # the record's X lock, so it must have finished; an
-                    # abort would have unmarked it).  Not found.
-                    return False
-                record = MarkLeafEntryRecord(
-                    xid=txn.xid,
-                    tree=self.name,
-                    page_id=page.pid,
-                    nsn=page.nsn,
-                    key=key,
-                    rid=rid,
-                )
-                lsn = log.append(record)
-                record.redo_page(page)
-                frame.mark_dirty(lsn)
-                self.db.hooks.fire("delete:marked", pid=page.pid, rid=rid)
-                return True
-            child_memo = self.nsn.memo_for_children(page)
-            consistent = self.ext.consistent
-            for node_entry in page.entries:
-                if consistent(node_entry.pred, eq):
-                    stack.append(
-                        self._stack_pointer(txn, node_entry.child, child_memo)
-                    )
-            return False
-        finally:
-            if frame is not None:
-                pool.unfix(frame)
-
-    # ------------------------------------------------------------------
-    # unique-index insertion (section 8)
-    # ------------------------------------------------------------------
-    def _insert_unique(
-        self, txn: Transaction, key: object, rid: object
-    ) -> None:
-        self.db.locks.acquire(txn.xid, self.rid_lock(rid), LockMode.X)
-        eq = self.ext.eq_query(key)
-        # The search phase leaves "= key" predicates on every node it
-        # visits, which is what turns the insert/insert race into a
-        # detectable deadlock (section 8).
-        plock = self.predicates.register(
-            txn.xid, eq, PredicateKind.INSERT
-        )
-        try:
-            while True:
-                duplicate = self._probe_duplicate(txn, eq, rid, plock)
-                if duplicate is not None:
-                    dup_rid = duplicate
-                    # Repeatability of the error: S-lock the duplicate's
-                    # data record under two-phase locking; the "= key"
-                    # predicates are then unnecessary (section 8).
-                    self.db.locks.acquire(
-                        txn.xid, self.rid_lock(dup_rid), LockMode.S
-                    )
-                    raise UniqueViolationError(key)
-                try:
-                    self._insert_located(txn, key, rid, plock)
-                except _RetryUniqueProbe:
-                    continue
-                return
-        finally:
-            self.predicates.unregister(plock)
-
-    def _probe_duplicate(
-        self,
-        txn: Transaction,
-        eq: object,
-        new_rid: object,
-        plock: PredicateLock,
-    ) -> object | None:
-        """Search phase of a unique insertion.
-
-        Returns the RID of a committed duplicate, or ``None``.  Attaches
-        the caller's "= key" predicate to every visited node and blocks
-        on conflicting insert predicates ahead of it.
-        """
-        from repro.gist.cursor import SearchCursor
-
-        cursor = SearchCursor(
-            self, txn, eq, attach_plock=plock, lock_rids=True
-        )
-        try:
-            for found_key, found_rid in cursor.fetch_all():
-                if found_rid != new_rid:
-                    return found_rid
-            return None
-        finally:
-            cursor.close(keep_plock=True)
-
-    # ------------------------------------------------------------------
     # opportunistic garbage collection (section 7.1)
     # ------------------------------------------------------------------
     def _gc_leaf(self, txn: Transaction, frame: Frame) -> int:
@@ -2069,23 +1213,7 @@ class GiST:
         """Logical undo of a leaf insertion: re-locate the leaf (the
         entry may have moved right through splits) and remove the entry,
         writing the compensating record."""
-        with self._fault_cleanup():
-            frame = self._locate_for_undo(
-                record.page_id, record.key, record.rid
-            )
-        try:
-            clr = RemoveLeafEntryClr(
-                xid=txn_xid,
-                page_id=frame.page.pid,
-                key=record.key,
-                rid=record.rid,
-            )
-            clr.undo_next = record.prev_lsn
-            lsn = self.db.log.append(clr)
-            clr.redo_page(frame.page)
-            frame.mark_dirty(lsn)
-        finally:
-            self.db.pool.unfix(frame)
+        self._undo_leaf_entry(record, txn_xid, RemoveLeafEntryClr)
         # Immediate garbage collection / BP shrink is permitted only
         # outside restart recovery (section 9.2); we leave both to
         # vacuum even at runtime, which is strictly more conservative.
@@ -2098,12 +1226,26 @@ class GiST:
         restart: bool,
     ) -> None:
         """Logical undo of a logical deletion: unmark the entry."""
-        with self._fault_cleanup():
+        self._undo_leaf_entry(record, txn_xid, UnmarkLeafEntryClr)
+
+    def _undo_leaf_entry(
+        self,
+        record: AddLeafEntryRecord | MarkLeafEntryRecord,
+        txn_xid: int,
+        clr_type: type[RemoveLeafEntryClr] | type[UnmarkLeafEntryClr],
+    ) -> None:
+        """Locate the entry's current leaf, log the CLR, apply it."""
+        try:
             frame = self._locate_for_undo(
                 record.page_id, record.key, record.rid
             )
+        except StorageFaultError:
+            # the fault unwound mid-walk, past a frame still fixed;
+            # same cleanup as OpEnvelope, which undo does not run under
+            self.db.pool.release_thread_fixes()
+            raise
         try:
-            clr = UnmarkLeafEntryClr(
+            clr = clr_type(
                 xid=txn_xid,
                 page_id=frame.page.pid,
                 key=record.key,
@@ -2195,8 +1337,3 @@ class GiST:
                 if page.is_internal:
                     frontier.extend(e.child for e in page.entries)
         return sorted(seen)
-
-
-class _RetryUniqueProbe(ReproError):
-    """Internal: the unique-insert leaf check found a conflicting insert
-    predicate ahead; re-run the duplicate probe."""

@@ -11,23 +11,29 @@ while another races past it.
 In production use no hooks are registered and :meth:`Hooks.fire` is a
 single dictionary miss — effectively free.
 
-Hook points used by the library (each receives keyword context):
+Hook points used by the library (each receives keyword context).  The
+table is the contract: ``tests/sync/test_hooks.py`` scans the source for
+``hooks.fire("<name>", ...)`` and fails when a point is fired but not
+listed here, or listed but never fired.
 
-========================  ====================================================
-point                     context
-========================  ====================================================
-``search:node-visited``   ``pid``, ``is_leaf`` — node examined, latch released
-``search:child-pushed``   ``pid``, ``child`` — child pointer pushed on stack
-``insert:leaf-located``   ``pid`` — target leaf chosen (latched)
-``insert:before-split``   ``pid`` — leaf about to be split
-``insert:after-split``    ``pid``, ``new_pid`` — split atomic action committed
-``insert:before-parent``  ``pid`` — about to re-latch parent for SMO
-``insert:done``           ``pid`` — leaf entry installed
-``delete:marked``         ``pid``, ``rid`` — leaf entry marked deleted
-``gc:collected``          ``pid``, ``count`` — leaf garbage-collected
-``node-delete:attempt``   ``pid`` — empty node deletion attempted
-``node-delete:done``      ``pid`` — node unlinked and freed
-========================  ====================================================
+==========================  ==================================================
+point                       context
+==========================  ==================================================
+``search:node-visited``     ``pid``, ``is_leaf`` — node examined, latch released
+``insert:leaf-located``     ``pid`` — target leaf chosen (latched)
+``insert:before-split``     ``pid`` — leaf about to be split
+``insert:after-split``      ``pid``, ``new_pid`` — split atomic action committed
+``insert:before-parent``    ``pid`` — about to re-latch parent for SMO
+``insert:done``             ``pid`` — leaf entry installed
+``multi_put:run``           ``pid``, ``count`` — one leaf run written, unlatched
+``bulk:attached``           ``pid`` — built structure attached, NTA still open
+``bulk:structure-built``    ``pid``, ``pages``, ``levels`` — structure NTA ended
+``bulk:leaf-filled``        ``pid``, ``count`` — one built leaf filled, unlatched
+``delete:marked``           ``pid``, ``rid`` — leaf entry marked deleted
+``gc:collected``            ``pid``, ``count`` — leaf garbage-collected
+``node-delete:attempt``     ``pid`` — empty node deletion attempted
+``node-delete:done``        ``pid`` — node unlinked and freed
+==========================  ==================================================
 """
 
 from __future__ import annotations

@@ -203,6 +203,47 @@ class TestMultiDelete:
         db.rollback(txn)
         assert _all(db, btree) == {(1, "a"), (2, "b")}
 
+    def test_pair_named_twice_raises_for_the_repeat(self, db, btree):
+        txn = db.begin()
+        btree.multi_put(txn, [(3, "r3"), (4, "r4")])
+        db.commit(txn)
+        before = btree.stats.snapshot()
+        txn = db.begin()
+        with pytest.raises(KeyNotFoundError):
+            btree.multi_delete(txn, [(3, "r3"), (3, "r3")])
+        # like a loop of delete() calls: the first naming was marked and
+        # counted, the repeat found nothing left to delete
+        after = btree.stats.snapshot()
+        assert after["deletes"] - before["deletes"] == 1
+        assert after["batch_ops"] == before["batch_ops"]
+        assert btree.search(txn, Interval(3, 3)) == []
+        db.rollback(txn)
+        assert _all(db, btree) == {(3, "r3"), (4, "r4")}
+
+    def test_missing_pair_counts_only_marked_entries(self, db, btree):
+        txn = db.begin()
+        btree.multi_put(txn, [(1, "a"), (2, "b")])
+        db.commit(txn)
+        before = btree.stats.snapshot()["deletes"]
+        txn = db.begin()
+        with pytest.raises(KeyNotFoundError):
+            btree.multi_delete(txn, [(1, "a"), (9, "ghost"), (2, "b")])
+        assert btree.stats.snapshot()["deletes"] - before == 2
+        db.rollback(txn)
+
+    def test_pair_named_twice_through_local_backend_batch(self):
+        from repro.server.backend import LocalBackend
+
+        db = Database(page_capacity=8)
+        db.create_tree("t", BTreeExtension())
+        backend = LocalBackend(db)
+        backend.batch("t", [("put_many", [(3, "r3"), (4, "r4")])])
+        with pytest.raises(KeyNotFoundError):
+            backend.batch("t", [("delete_many", [(3, "r3"), (3, "r3")])])
+        # the batch is one transaction: the mark rolled back with it
+        assert backend.get("t", 3) == ["r3"]
+        assert backend.multi_delete("t", [(3, "r3"), (4, "r4")]) == 2
+
     def test_rollback_restores_entries(self, db, btree):
         pairs = [(i, f"r{i}") for i in range(20)]
         txn = db.begin()
@@ -231,6 +272,60 @@ class TestMultiDelete:
         txn = db.begin()
         assert rtree.count(txn, Rect(0, 0, 1, 1)) == 4
         db.commit(txn)
+
+
+class TestPageFixGates:
+    """What the batch paths are for, counted and not timed: page fixes
+    (buffer-pool ``hits + misses``) to load 1000 sorted keys at page
+    capacity 16.  A point insert descends from the root every time, a
+    ``multi_put`` once per leaf run, a ``bulk_load`` not at all."""
+
+    N = 1000
+
+    def _load(self, add) -> tuple[int, dict]:
+        db = Database(page_capacity=16, pool_capacity=4096)
+        tree = db.create_tree("batch", BTreeExtension())
+        txn = db.begin()
+        before = db.pool.hits + db.pool.misses
+        add(tree, txn, [(k, f"r{k}") for k in range(self.N)])
+        fixes = db.pool.hits + db.pool.misses - before
+        db.commit(txn)
+        stats = tree.stats.snapshot()
+        db.shutdown()
+        return fixes, stats
+
+    def test_batch_paths_share_descents(self):
+        point, point_stats = self._load(
+            lambda tree, txn, pairs: [tree.insert(txn, k, r) for k, r in pairs]
+        )
+        multi, multi_stats = self._load(
+            lambda tree, txn, pairs: tree.multi_put(txn, pairs)
+        )
+        bulk, bulk_stats = self._load(
+            lambda tree, txn, pairs: tree.bulk_load(txn, pairs)
+        )
+        assert point >= 3 * multi, f"point={point} multi_put={multi} fixes"
+        assert multi_stats["batch_descents_saved"] > 0
+        assert multi_stats["batch_leaf_runs"] < self.N
+        # bottom-up build touches each page about once
+        assert bulk < multi, f"bulk_load={bulk} multi_put={multi} fixes"
+        assert bulk_stats["bulk_pages_built"] > 0
+        # and a point insert is not a batch of one
+        assert not any(
+            count for name, count in point_stats.items() if "batch" in name
+        )
+
+    def test_point_delete_bumps_no_batch_counter(self, db, loaded_btree):
+        before = loaded_btree.stats.snapshot()
+        txn = db.begin()
+        key, rid = loaded_btree.search(txn, Interval(0, 10**6))[0]
+        loaded_btree.delete(txn, key, rid)
+        db.commit(txn)
+        after = loaded_btree.stats.snapshot()
+        assert after["deletes"] == before["deletes"] + 1
+        assert {k: v for k, v in after.items() if "batch" in k} == {
+            k: v for k, v in before.items() if "batch" in k
+        }
 
 
 class TestDatabaseWrappers:

@@ -16,6 +16,27 @@ class TestCount:
         )
         db.commit(txn)
 
+    def test_count_is_sampled_like_a_search(self, db, loaded_btree):
+        """count() runs inside the same envelope as search(): the
+        ``gist.searches`` counter, the ``gist.op.search_ns`` histogram
+        and the ``gist.search`` tracer spans all move together."""
+
+        def observed() -> tuple[int, int, int]:
+            gist = db.metrics.snapshot()["gist"]
+            spans = db.metrics.tracer.events(name="gist.search")
+            return gist["searches"], gist["op"]["search_ns"]["count"], len(spans)
+
+        before = observed()
+        txn = db.begin()
+        for lo in range(3):
+            loaded_btree.search(txn, Interval(lo, lo + 5))
+        for lo in range(2):
+            loaded_btree.count(txn, Interval(lo, lo + 5))
+        db.commit(txn)
+        after = observed()
+        assert [b - a for a, b in zip(before, after)] == [5, 5, 5]
+        assert before[0] == before[1]
+
     def test_count_zero(self, db, loaded_btree):
         txn = db.begin()
         assert loaded_btree.count(txn, Interval(1000, 2000)) == 0

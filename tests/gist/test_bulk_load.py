@@ -6,6 +6,7 @@ from repro.database import Database
 from repro.errors import UniqueViolationError
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
+from repro.sync.latch import LatchMode
 
 
 def _fresh(cap: int = 8) -> tuple[Database, object]:
@@ -35,6 +36,13 @@ class TestBulkLoad:
         stats = tree.stats.snapshot()
         assert stats["bulk_loads"] == 1
         assert stats["bulk_pages_built"] > 200 // 8
+        # built leaves hold int(capacity x 0.75) entries (gist.bulk.FILL)
+        leaf_sizes = []
+        for pid in tree.all_pids():
+            with db.pool.fixed(pid, LatchMode.S) as frame:
+                if frame.page.is_leaf:
+                    leaf_sizes.append(len(frame.page.entries))
+        assert sorted(leaf_sizes) == [200 % 6] + [int(8 * 0.75)] * (200 // 6)
 
     def test_unsorted_input_is_organized_first(self):
         db, tree = _fresh()
@@ -44,32 +52,6 @@ class TestBulkLoad:
         db.commit(txn)
         assert _contents(db, tree) == set(pairs)
         assert check_tree(tree).ok
-
-    def test_fill_factor_spreads_entries(self):
-        db, tree = _fresh(cap=8)
-        txn = db.begin()
-        tree.bulk_load(txn, [(i, f"r{i}") for i in range(100)], fill=0.5)
-        db.commit(txn)
-        db2, tree2 = _fresh(cap=8)
-        txn = db2.begin()
-        tree2.bulk_load(
-            txn, [(i, f"r{i}") for i in range(100)], fill=1.0
-        )
-        db2.commit(txn)
-        assert (
-            tree.stats.snapshot()["bulk_pages_built"]
-            > tree2.stats.snapshot()["bulk_pages_built"]
-        )
-        assert check_tree(tree).ok and check_tree(tree2).ok
-
-    def test_invalid_fill_rejected(self):
-        db, tree = _fresh()
-        txn = db.begin()
-        with pytest.raises(ValueError):
-            tree.bulk_load(txn, [(1, "a")], fill=0.0)
-        with pytest.raises(ValueError):
-            tree.bulk_load(txn, [(1, "a")], fill=1.5)
-        db.rollback(txn)
 
     def test_small_batch_falls_back_to_runs(self):
         db, tree = _fresh(cap=8)

@@ -113,3 +113,36 @@ class TestEventLogAndCounter:
         counter(pid=2)
         assert counter.total == 3
         assert counter.by_key() == {1: 2, 2: 1}
+
+
+class TestHookTable:
+    def test_fired_points_are_the_documented_points(self):
+        """The module docstring's table lists exactly the points the
+        library fires (crash harnesses and the schedule explorer
+        enumerate that table)."""
+        import ast
+        import re
+        from pathlib import Path
+
+        import repro
+        import repro.sync.hooks as hooks_module
+
+        documented = set(
+            re.findall(r"^``([a-z_-]+:[a-z_-]+)``", hooks_module.__doc__, re.M)
+        )
+        fired = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "fire"
+                    and "hooks" in ast.unparse(node.func.value)
+                ):
+                    point = node.args[0]
+                    assert isinstance(point, ast.Constant), (
+                        f"{path}:{node.lineno}: hook point is not a literal"
+                    )
+                    fired.add(point.value)
+        assert fired - documented == set(), "fired but not documented"
+        assert documented - fired == set(), "documented but never fired"
