@@ -4,11 +4,18 @@ A battery of seeded crash trials (random committed/uncommitted mixes,
 random flush points, optional crash inside a structure modification);
 every trial must recover to a structurally consistent tree containing
 exactly the committed work.  The second table measures recovery time
-and work as a function of log length, with and without a checkpoint.
+and work — records redone, pages read and written — as a function of
+log length: without a checkpoint, with one halfway, and after a clean
+shutdown (flush everything, then checkpoint), where restart must touch
+no page at all.
+
+``BENCH_QUICK=1`` skips the 320-transaction rows for CI smoke runs; the
+clean-shutdown 0/0 gate then runs at 80 transactions.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.database import Database
@@ -16,6 +23,7 @@ from repro.ext.btree import BTreeExtension
 from repro.harness.crash import CrashRecoveryHarness, trial_rows
 from repro.wal.recovery import RestartRecovery
 
+QUICK = bool(os.environ.get("BENCH_QUICK"))
 TRIALS = 20
 SMO_TRIALS = 6
 
@@ -67,7 +75,10 @@ def test_c5_crash_battery(benchmark, emit):
     assert all(r["recovered_ok"] == r["trials"] for r in rows)
 
 
-def recovery_time(txns: int, checkpoint: bool) -> dict:
+def recovery_time(txns: int, checkpoint: str) -> dict:
+    """One build → crash → restart; ``checkpoint`` is ``"no"``,
+    ``"halfway"`` (flush + checkpoint after half the transactions) or
+    ``"shutdown"`` (flush + checkpoint after the last one)."""
     db = Database(page_capacity=8)
     tree = db.create_tree("t", BTreeExtension())
     for t in range(txns):
@@ -75,9 +86,11 @@ def recovery_time(txns: int, checkpoint: bool) -> dict:
         for i in range(10):
             tree.insert(txn, t * 100 + i, f"{t}-{i}")
         db.commit(txn)
-        if checkpoint and t == txns // 2:
+        if checkpoint == "halfway" and t == txns // 2:
             db.pool.flush_all()
             db.checkpoint()
+    if checkpoint == "shutdown":
+        db.shutdown()
     log_records = db.log.end_lsn
     db.crash()
     db2 = Database(store=db.store, log=db.log, page_capacity=8)
@@ -86,28 +99,37 @@ def recovery_time(txns: int, checkpoint: bool) -> dict:
     elapsed = time.perf_counter() - start
     return {
         "txns": txns,
-        "checkpoint": "yes" if checkpoint else "no",
+        "checkpoint": checkpoint,
         "log_records": log_records,
         "redo_start": report.redo_start_lsn,
         "redone": report.redone_records,
+        "pages_read": report.pages_read,
+        "pages_written": report.pages_written,
         "recovery_ms": round(elapsed * 1e3, 1),
     }
 
 
 def test_c5_recovery_time_vs_log_length(benchmark, emit):
     rows = []
+    sizes = (20, 80) if QUICK else (20, 80, 320)
 
     def run():
         rows.clear()
-        for txns in (20, 80, 320):
-            rows.append(recovery_time(txns, checkpoint=False))
-        rows.append(recovery_time(320, checkpoint=True))
+        for txns in sizes:
+            rows.append(recovery_time(txns, "no"))
+        rows.append(recovery_time(sizes[-1], "halfway"))
+        rows.append(recovery_time(sizes[-1], "shutdown"))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     emit("C5b — recovery time vs log length (and checkpoint effect)", rows)
-    no_cp = [r for r in rows if r["checkpoint"] == "no"]
-    with_cp = [r for r in rows if r["checkpoint"] == "yes"][0]
+    *no_cp, halfway, shutdown = rows
     # recovery work grows with the log; a checkpoint truncates the redo
     assert no_cp[-1]["redone"] > no_cp[0]["redone"]
-    assert with_cp["redo_start"] > no_cp[-1]["redo_start"]
-    assert with_cp["redone"] < no_cp[-1]["redone"]
+    assert halfway["redo_start"] > no_cp[-1]["redo_start"]
+    assert halfway["redone"] < no_cp[-1]["redone"]
+    # ... and bounds the I/O: only pages dirtied since are read (the
+    # uncheckpointed runs never flushed, so they read none and rebuild
+    # every page) or written; after a clean shutdown none is either
+    assert halfway["pages_written"] < no_cp[-1]["pages_written"]
+    assert (shutdown["pages_read"], shutdown["pages_written"]) == (0, 0)
+    assert shutdown["redone"] == 0

@@ -259,17 +259,21 @@ class Database:
             unique=unique,
             nsn_source=nsn_source,
         )
-        lsn = self.log.append(record)
-        from repro.storage.page import Page
-
         root = Page(
             pid=root_pid,
             kind=PageKind.LEAF,
             capacity=self.store.page_capacity,
         )
-        record.redo_page(root)
+        # resident and X-latched before its first record exists, like
+        # any page a record dirties (BufferPool.dirty_page_table)
         frame = self.pool.adopt(root)
-        frame.mark_dirty(lsn)
+        frame.latch.acquire(LatchMode.X)
+        try:
+            lsn = self.log.append(record)
+            record.redo_page(root)
+            frame.mark_dirty(lsn)
+        finally:
+            frame.latch.release()
         self.log.flush(lsn)
         tree = GiST(
             self,
@@ -388,17 +392,28 @@ class Database:
     def checkpoint(self) -> int:
         """Take a fuzzy checkpoint; returns its LSN.
 
+        ``begin_lsn`` is read before either table and restart analysis
+        starts there, so nothing has to be atomic: a record appended
+        while the tables are being read is scanned, and one appended
+        before is in them — the ATT because ``append`` updates the
+        backchain map it is read from, the DPT because each frame is
+        read under its latch (:meth:`BufferPool.dirty_page_table`).
+
         The ATT lists only transactions with a backchain: one that has
         not logged has nothing to undo, and if it stays read-only the
         log never mentions it again, so recovery could not tell it ended.
         """
+        begin_lsn = self.log.end_lsn + 1
         att = {
             txn.xid: lsn
             for txn in self.txns.active_transactions()
             if (lsn := self.log.last_lsn_of(txn.xid)) != NULL_LSN
         }
         record = CheckpointRecord(
-            xid=SYSTEM_XID, att=att, dpt=self.pool.dirty_page_table()
+            xid=SYSTEM_XID,
+            begin_lsn=begin_lsn,
+            att=att,
+            dpt=self.pool.dirty_page_table(),
         )
         lsn = self.log.append(record)
         self.log.flush(lsn)
@@ -489,6 +504,10 @@ class Database:
                 losers=sorted(report.losers),
                 tail_dropped=report.tail_records_dropped,
                 torn_healed=report.torn_pages_healed,
+                pages_read=report.pages_read,
+                pages_written=report.pages_written,
+                redo_skipped=report.redo_skipped,
+                checkpoint_begin_lsn=report.checkpoint_begin_lsn,
             )
         return new_db
 
@@ -519,6 +538,10 @@ class Database:
         from repro.wal.records import FreePageRecord, GetPageRecord
         from repro.wal.recovery import RestartRecovery
 
+        # A checkpoint's dirty page table describes a buffer pool over
+        # a store that did not survive: without one, analysis puts every
+        # page in the table from its first mention and redo rebuilds it.
+        log.master_lsn = NULL_LSN
         db = cls(log=log, **config)
         if db.flightrec is not None:
             db.flightrec.record("db.open_from_log", end_lsn=log.end_lsn)
@@ -679,7 +702,7 @@ class Database:
                 "hits": self.pool.hits,
                 "misses": self.pool.misses,
                 "evictions": self.pool.evictions,
-                "dirty": len(self.pool.dirty_page_table()),
+                "dirty": self.pool.dirty_count(),
             },
             "log": {
                 **self.log.stats.snapshot(),
@@ -706,7 +729,11 @@ class Database:
     # shutdown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Clean shutdown: checkpoint, flush everything."""
-        self.checkpoint()
+        """Clean shutdown: flush everything, then checkpoint.
+
+        In that order the checkpoint's dirty page table is empty, and a
+        restart from it reads and writes no page.
+        """
         self.pool.flush_all()
+        self.checkpoint()
         self.log.flush()

@@ -205,9 +205,14 @@ def _build_page(
         entries=entries,
     )
     record = PageImageClr(xid=txn.xid, page_id=pid, image=page.snapshot())
-    lsn = log.append(record)
+    # resident and X-latched before its first record exists, like any
+    # page a record dirties (BufferPool.dirty_page_table)
     frame = pool.adopt(page)
-    frame.mark_dirty(lsn)
+    frame.latch.acquire(LatchMode.X)
+    try:
+        frame.mark_dirty(log.append(record))
+    finally:
+        frame.latch.release()
     tree.stats.bump("bulk_pages_built")
     return pid
 

@@ -391,7 +391,7 @@ class GiST:
                 lsns = log.append_many(records)
                 for record in records:
                     record.redo_page(page)
-                frame.mark_dirty(lsns[-1])
+                frame.mark_dirty(lsns[-1], lsns[0])
                 for record in records:
                     missing.discard((record.key, record.rid))
                     self.db.hooks.fire(
@@ -537,7 +537,7 @@ class GiST:
         lsns = self.db.log.append_many(records)
         for record in records:
             record.redo_page(page)
-        frame.mark_dirty(lsns[-1])
+        frame.mark_dirty(lsns[-1], lsns[0])
         # Phase 6 per pair: attach its insert predicate, then collect
         # the search predicates attached *ahead of it* (FIFO fairness,
         # section 10.3).
@@ -884,8 +884,6 @@ class GiST:
             new_nsn=0,
             capacity=page.capacity,
         )
-        lsn = log.append(rec)
-        rec.new_nsn = self.nsn.next_for_split(lsn)
 
         left_frame: Frame | None = None
         right_frame: Frame | None = None
@@ -904,6 +902,10 @@ class GiST:
             pinned_pids.append(right_pid)
             right_frame.latch.acquire(LatchMode.X)
 
+            # Only now the record: all three pages are resident and
+            # X-latched before it exists (BufferPool.dirty_page_table).
+            lsn = log.append(rec)
+            rec.new_nsn = self.nsn.next_for_split(lsn)
             for target_frame in (frame, left_frame, right_frame):
                 rec.redo_page(target_frame.page)
                 target_frame.mark_dirty(lsn)

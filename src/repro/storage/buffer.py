@@ -63,11 +63,17 @@ class Frame:
         #: second-chance reference bit, owned by the frame's shard.
         self.ref = False
 
-    def mark_dirty(self, lsn: int) -> None:
-        """Record that a log record with ``lsn`` modified this page."""
+    def mark_dirty(self, lsn: int, first_lsn: int | None = None) -> None:
+        """Record that log records ``first_lsn``..``lsn`` (default: the
+        one record ``lsn``) modified this page.
+
+        The caller holds the frame's X latch and has held it since
+        before it appended the first of them: that is what lets
+        :meth:`BufferPool.dirty_page_table` trust what it reads here.
+        """
         if not self.dirty:
             self.dirty = True
-            self.rec_lsn = lsn
+            self.rec_lsn = lsn if first_lsn is None else first_lsn
         self.page.page_lsn = max(self.page.page_lsn, lsn)
 
 
@@ -281,9 +287,7 @@ class BufferPool:
             "buffer.resident",
             lambda: sum(len(s.frames) for s in self._shards),
         )
-        self.metrics.gauge(
-            "buffer.dirty", lambda: len(self.dirty_page_table())
-        )
+        self.metrics.gauge("buffer.dirty", self.dirty_count)
         self.metrics.gauge("buffer.hit_rate", self._hit_rate)
         self.metrics.gauge("buffer.shard.count", lambda: self._n_shards)
         for idx, shard in enumerate(self._shards):
@@ -795,14 +799,42 @@ class BufferPool:
         if first_error is not None:
             raise first_error
 
+    def dirty_count(self) -> int:
+        """How many resident frames are dirty right now.
+
+        Latch-free (gauges and ``db.stats()`` call it from any thread):
+        a count, not a table a checkpoint could be built from.
+        """
+        count = 0
+        for shard in self._shards:
+            with self._locked(shard):
+                count += sum(f.dirty for f in shard.frames.values())
+        return count
+
     def dirty_page_table(self) -> dict[PageId, int]:
-        """``{pid: recLSN}`` for every dirty page (checkpointing)."""
+        """``{pid: recLSN}`` for every dirty page (checkpointing).
+
+        Each frame is read under its S latch.  A writer appends its log
+        record and calls :meth:`Frame.mark_dirty` under the X latch, so
+        the read never falls between the two: a record appended before
+        this call either has its page listed here with a recLSN at or
+        below it, or its page was written back since.  One latch is
+        held at a time and nothing else with it; the caller must hold
+        no latch.  A frame evicted between the shard sweep and its
+        latch is read as it was when it left (at worst one entry too
+        many, which redo reads and finds current).
+        """
         table: dict[PageId, int] = {}
         for shard in self._shards:
             with self._locked(shard):
-                for pid, frame in shard.frames.items():
+                frames = list(shard.frames.values())
+            for frame in frames:
+                frame.latch.acquire(LatchMode.S)
+                try:
                     if frame.dirty and frame.rec_lsn is not None:
-                        table[pid] = frame.rec_lsn
+                        table[frame.page.pid] = frame.rec_lsn
+                finally:
+                    frame.latch.release()
         return table
 
     # ------------------------------------------------------------------

@@ -74,8 +74,12 @@ def _is_immutable(value: object) -> bool:
     return False
 
 
-def _copy_value(value: object) -> object:
-    """A safe independent copy: shared if immutable, deep otherwise."""
+def copy_value(value: object) -> object:
+    """A safe independent copy: shared if immutable, deep otherwise.
+
+    The one copy rule for keys and predicates, on pages here and in the
+    redo/undo actions of :mod:`repro.wal.records`.
+    """
     if _is_immutable(value):
         return value
     return copy.deepcopy(value)
@@ -107,7 +111,7 @@ class LeafEntry:
     def copy(self) -> "LeafEntry":
         """An independent copy."""
         return LeafEntry(
-            _copy_value(self.key), self.rid, self.deleted, self.delete_xid
+            copy_value(self.key), self.rid, self.deleted, self.delete_xid
         )
 
     def as_tuple(self) -> tuple[object, object]:
@@ -124,7 +128,7 @@ class InternalEntry:
 
     def copy(self) -> "InternalEntry":
         """An independent copy."""
-        return InternalEntry(_copy_value(self.pred), self.child)
+        return InternalEntry(copy_value(self.pred), self.child)
 
 
 @dataclass
@@ -270,7 +274,7 @@ class Page:
             rightlink=self.rightlink,
             page_lsn=self.page_lsn,
             capacity=self.capacity,
-            bp=_copy_value(self.bp),
+            bp=copy_value(self.bp),
         )
         clone.entries = [entry.copy() for entry in self.entries]
         return clone

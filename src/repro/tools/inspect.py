@@ -14,7 +14,9 @@ from repro.storage.page import NO_PAGE, PageId
 from repro.sync.latch import LatchMode
 from repro.wal.log import LogManager
 from repro.wal.records import (
+    NULL_LSN,
     AddLeafEntryRecord,
+    CheckpointRecord,
     CommitRecord,
     DummyClr,
     EndRecord,
@@ -112,6 +114,11 @@ def describe_record(record) -> str:
         detail = f"page={record.page_id} -{len(record.rids)} entries"
     elif isinstance(record, DummyClr):
         detail = f"nta-end (undo_next={record.undo_next})"
+    elif isinstance(record, CheckpointRecord):
+        detail = (
+            f"begin={record.begin_lsn} att={len(record.att)} "
+            f"dpt={len(record.dpt)}"
+        )
     elif isinstance(record, (CommitRecord, EndRecord)):
         detail = ""
     else:
@@ -129,10 +136,17 @@ def dump_log(
     log: LogManager, *, start_lsn: int = 1, limit: int | None = None
 ) -> str:
     """Render the log tail as one line per record."""
-    lines = [
+    header = (
         f"log: end_lsn={log.end_lsn} flushed={log.flushed_lsn} "
         f"master={log.master_lsn}"
-    ]
+    )
+    if log.master_lsn != NULL_LSN:
+        # what the next restart will start from
+        checkpoint = log.get(log.master_lsn)
+        header += (
+            f" (begin={checkpoint.begin_lsn} dpt={len(checkpoint.dpt)})"
+        )
+    lines = [header]
     count = 0
     for record in log.records_from(start_lsn):
         lines.append(describe_record(record))

@@ -26,7 +26,6 @@ rollback of the transaction that happened to execute them.
 
 from __future__ import annotations
 
-import copy
 import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import cache
@@ -39,6 +38,7 @@ from repro.storage.page import (
     Page,
     PageId,
     PageKind,
+    copy_value,
     page_fingerprint,
 )
 
@@ -201,8 +201,15 @@ class DummyClr(LogRecord):
 
 @dataclass
 class CheckpointRecord(LogRecord):
-    """A fuzzy checkpoint: active-transaction table + dirty page table."""
+    """A fuzzy checkpoint: active-transaction table + dirty page table.
 
+    ``begin_lsn`` is the first LSN not yet assigned when the checkpoint
+    began, read before either table: every record the tables may have
+    missed lies at or above it, so restart analysis starts there (ARIES'
+    begin/end checkpoint pair folded into one record).
+    """
+
+    begin_lsn: int = NULL_LSN
     att: dict[int, int] = field(default_factory=dict)  # xid -> last_lsn
     att_undo: dict[int, int] = field(default_factory=dict)  # xid -> undo_next
     dpt: dict[PageId, int] = field(default_factory=dict)  # pid -> recLSN
@@ -257,11 +264,11 @@ class ParentEntryUpdateRecord(LogRecord):
     def redo_page(self, page: Page) -> None:
         """Apply this record's redo action to one affected page."""
         if page.pid == self.child_pid:
-            page.bp = copy.deepcopy(self.new_bp)
+            page.bp = copy_value(self.new_bp)
         if page.pid == self.parent_pid:
             entry = page.find_child_entry(self.child_pid)
             if entry is not None:
-                entry.pred = copy.deepcopy(self.new_bp)
+                entry.pred = copy_value(self.new_bp)
 
 
 @dataclass
@@ -315,7 +322,7 @@ class SplitRecord(LogRecord):
                 ]
             page.nsn = self.new_nsn
             page.rightlink = self.new_pid
-            page.bp = copy.deepcopy(self.orig_new_bp)
+            page.bp = copy_value(self.orig_new_bp)
         if page.pid == self.new_pid:
             page.kind = self.kind
             page.level = self.level
@@ -323,7 +330,7 @@ class SplitRecord(LogRecord):
             page.entries = [e.copy() for e in self.moved_entries]
             page.nsn = self.old_nsn
             page.rightlink = self.old_rightlink
-            page.bp = copy.deepcopy(self.new_page_bp)
+            page.bp = copy_value(self.new_page_bp)
 
     def undo_page(self, page: Page) -> None:
         """Page-oriented undo (only reachable when a crash interrupted
@@ -340,7 +347,7 @@ class SplitRecord(LogRecord):
                     page.entries.append(entry.copy())
             page.nsn = self.old_nsn
             page.rightlink = self.old_rightlink
-            page.bp = copy.deepcopy(self.old_bp)
+            page.bp = copy_value(self.old_bp)
         # new page: no action necessary (Table 1); Get-Page undo frees it.
 
 
@@ -385,8 +392,8 @@ class RootSplitRecord(LogRecord):
             page.nsn = self.new_nsn
             page.rightlink = NO_PAGE
             page.entries = [
-                InternalEntry(copy.deepcopy(self.left_bp), self.left_pid),
-                InternalEntry(copy.deepcopy(self.right_bp), self.right_pid),
+                InternalEntry(copy_value(self.left_bp), self.left_pid),
+                InternalEntry(copy_value(self.right_bp), self.right_pid),
             ]
         elif page.pid in (self.left_pid, self.right_pid):
             is_left = page.pid == self.left_pid
@@ -395,7 +402,7 @@ class RootSplitRecord(LogRecord):
             page.capacity = self.capacity
             page.nsn = self.old_nsn
             page.rightlink = self.right_pid if is_left else NO_PAGE
-            page.bp = copy.deepcopy(self.left_bp if is_left else self.right_bp)
+            page.bp = copy_value(self.left_bp if is_left else self.right_bp)
             source = self.left_entries if is_left else self.right_entries
             page.entries = [e.copy() for e in source]
 
@@ -484,7 +491,7 @@ class InternalEntryAddRecord(LogRecord):
     def redo_page(self, page: Page) -> None:
         """Apply this record's redo action to one affected page."""
         if page.find_child_entry(self.child) is None:
-            page.add_entry(InternalEntry(copy.deepcopy(self.pred), self.child))
+            page.add_entry(InternalEntry(copy_value(self.pred), self.child))
 
     def undo_page(self, page: Page) -> None:
         """Page-oriented undo (reached only when a crash interrupted the surrounding atomic action)."""
@@ -511,13 +518,13 @@ class InternalEntryUpdateRecord(LogRecord):
         """Apply this record's redo action to one affected page."""
         entry = page.find_child_entry(self.child)
         if entry is not None:
-            entry.pred = copy.deepcopy(self.new_bp)
+            entry.pred = copy_value(self.new_bp)
 
     def undo_page(self, page: Page) -> None:
         """Page-oriented undo (reached only when a crash interrupted the surrounding atomic action)."""
         entry = page.find_child_entry(self.child)
         if entry is not None:
-            entry.pred = copy.deepcopy(self.old_bp)
+            entry.pred = copy_value(self.old_bp)
 
 
 @dataclass
@@ -542,7 +549,7 @@ class InternalEntryDeleteRecord(LogRecord):
     def undo_page(self, page: Page) -> None:
         """Page-oriented undo (reached only when a crash interrupted the surrounding atomic action)."""
         if page.find_child_entry(self.child) is None:
-            page.add_entry(InternalEntry(copy.deepcopy(self.pred), self.child))
+            page.add_entry(InternalEntry(copy_value(self.pred), self.child))
 
 
 @dataclass
@@ -602,7 +609,7 @@ class AddLeafEntryRecord(LogRecord):
     def redo_page(self, page: Page) -> None:
         """Apply this record's redo action to one affected page."""
         if page.find_leaf_entry(self.key, self.rid) is None:
-            page.add_entry(LeafEntry(copy.deepcopy(self.key), self.rid))
+            page.add_entry(LeafEntry(copy_value(self.key), self.rid))
 
 
 @dataclass

@@ -3,16 +3,20 @@
 Three passes over the surviving log:
 
 * **Analysis** — rebuild the active-transaction table (losers), the
-  dirty page table (redo start point), the tree catalog, the set of
-  committed transactions (garbage collection consults it), and the
+  dirty page table (what redo must look at), the tree catalog, the set
+  of committed transactions (garbage collection consults it), and the
   maximum NSN ever issued (the global counter must be recoverable,
   section 10.1).  With a checkpoint on record, ATT/DPT scanning starts
-  there; catalog and NSN metadata are collected from the whole log
-  (cheap for an in-memory log, and equivalent to keeping them in the
-  checkpoint).
-* **Redo** — repeat history: every record (including compensation
-  records) is re-applied to each affected page whose ``page_lsn`` is
-  older, reconstructing page images that never reached disk.
+  at its ``begin_lsn``; without one, at LSN 1, which puts every page in
+  the DPT from its first mention.  Catalog and NSN metadata are
+  collected from the whole log (cheap for an in-memory log, and
+  equivalent to keeping them in the checkpoint).
+* **Redo** — repeat history, but only the part the crash left undone:
+  from the smallest recLSN on, a record (compensation records included)
+  is looked at for an affected page only if the page is in the DPT and
+  the record is at or above its recLSN, and re-applied only if the
+  page's ``page_lsn`` is older.  Pages outside the DPT are never read;
+  only images a record was applied to are written back.
 * **Undo** — roll back loser transactions through the same undo
   executor used at runtime, with ``in_restart`` set: logical undo of
   leaf records re-locates leaves via rightlinks but performs **no
@@ -107,6 +111,13 @@ class RecoveryReport:
     tail_records_dropped: int = 0
     #: torn pages detected during redo and rebuilt by full log replay
     torn_pages_healed: int = 0
+    #: ``begin_lsn`` of the checkpoint analysis started from (0: none)
+    checkpoint_begin_lsn: int = 0
+    #: page images redo read from the store / wrote back to it
+    pages_read: int = 0
+    pages_written: int = 0
+    #: (record, page) pairs the dirty page table let redo pass over
+    redo_skipped: int = 0
 
 
 class RestartRecovery:
@@ -145,7 +156,7 @@ class RestartRecovery:
                     valid_end=valid_end,
                     dropped=dropped,
                 )
-            att, dpt = self._analysis()
+            att, dpt, start = self._analysis()
             self._rebuild_catalog()
             t1 = perf_counter_ns()
             metrics.histogram("recovery.analysis_ns").record(t1 - t0)
@@ -155,7 +166,7 @@ class RestartRecovery:
                 records=self.report.analyzed_records,
                 losers=len(att),
             )
-            self._redo(dpt)
+            self._redo(dpt, start)
             t2 = perf_counter_ns()
             metrics.histogram("recovery.redo_ns").record(t2 - t1)
             tracer.record_span(
@@ -163,6 +174,10 @@ class RestartRecovery:
                 t2 - t1,
                 redone=self.report.redone_records,
                 pages_rebuilt=self.report.pages_rebuilt,
+                pages_read=self.report.pages_read,
+                pages_written=self.report.pages_written,
+                redo_skipped=self.report.redo_skipped,
+                checkpoint_begin_lsn=self.report.checkpoint_begin_lsn,
             )
             self._undo(att)
             self._finalize(att)
@@ -178,7 +193,8 @@ class RestartRecovery:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
-    def _analysis(self) -> tuple[dict[int, int], dict[PageId, int]]:
+    def _analysis(self) -> tuple[dict[int, int], dict[PageId, int], int]:
+        """Returns the ATT, the DPT and the LSN their scan started at."""
         log = self.db.log
         att: dict[int, int] = {}
         dpt: dict[PageId, int] = {}
@@ -190,7 +206,10 @@ class RestartRecovery:
             if isinstance(checkpoint, CheckpointRecord):
                 att.update(checkpoint.att)
                 dpt.update(checkpoint.dpt)
-                start = log.master_lsn
+                # not the record's own LSN: the tables were read while
+                # the log kept growing, and begin_lsn is where that began
+                start = checkpoint.begin_lsn
+                self.report.checkpoint_begin_lsn = start
 
         # Metadata sweep over the whole log: catalog, NSN maximum, and
         # the committed/aborted xid sets (GC visibility needs the full
@@ -223,7 +242,7 @@ class RestartRecovery:
         self._committed = committed
         self._aborted = aborted
         self._max_xid = max_xid
-        return att, dpt
+        return att, dpt, start
 
     def _rebuild_catalog(self) -> None:
         for name, record in self._catalog.items():
@@ -246,12 +265,26 @@ class RestartRecovery:
     # ------------------------------------------------------------------
     # redo
     # ------------------------------------------------------------------
-    def _redo(self, dpt: dict[PageId, int]) -> None:
-        log, store = self.db.log, self.db.store
-        redo_start = min(dpt.values(), default=1)
-        self.report.redo_start_lsn = redo_start
+    def _redo(self, dpt: dict[PageId, int], start: int) -> None:
+        """Repeat history for the pages in ``dpt``, from their recLSNs.
+
+        A page outside the DPT, or a record below its page's recLSN,
+        is on disk already and is passed over without touching the
+        store (the ARIES redo rule).  A page the crash tore is still
+        caught: it was being written, hence dirty, hence in the DPT,
+        and its first redo candidate reads it (one torn earlier and
+        checkpointed as clean is healed the same way by the pool, on
+        its first fix).  ``start`` is where analysis began; with an
+        empty DPT only the allocation records from there on are left
+        to look at.  Written back are the images a record was applied
+        to — which covers every rebuilt one: an image rebuilt for the
+        record at ``lsn`` is below ``lsn`` by construction.
+        """
+        log, store, report = self.db.log, self.db.store, self.report
+        report.redo_start_lsn = min(dpt.values(), default=start)
         images: dict[PageId, Page] = {}
-        for record in log.records_from(redo_start):
+        changed: set[PageId] = set()
+        for record in log.records_from(report.redo_start_lsn):
             if isinstance(record, GetPageRecord):
                 store.mark_allocated(record.page_id)
                 continue
@@ -260,49 +293,50 @@ class RestartRecovery:
                 continue
             applied = False
             for pid in record.affected_pages():
+                rec_lsn = dpt.get(pid)
+                if rec_lsn is None or record.lsn < rec_lsn:
+                    report.redo_skipped += 1
+                    continue
                 page = images.get(pid)
                 if page is None:
-                    if store.exists(pid):
-                        try:
-                            page = store.read(pid)
-                        except TornPageError:
-                            # A torn write reached disk.  The WAL covers
-                            # the page's whole history, so rebuild it by
-                            # replaying every record below this one —
-                            # then let normal redo continue from here.
-                            page = rebuild_page_from_log(
-                                log, store, pid, upto=record.lsn - 1
-                            )
-                            if page is None:
-                                page = Page(
-                                    pid=pid,
-                                    kind=PageKind.LEAF,
-                                    capacity=store.page_capacity,
-                                )
-                            self.report.torn_pages_healed += 1
-                            self.report.pages_rebuilt += 1
-                            self.db.metrics.counter(
-                                "storage.torn_pages_detected"
-                            ).inc()
-                            self.db.metrics.counter(
-                                "storage.torn_pages_healed"
-                            ).inc()
-                    else:
-                        page = Page(
-                            pid=pid,
-                            kind=PageKind.LEAF,
-                            capacity=store.page_capacity,
-                        )
-                        self.report.pages_rebuilt += 1
-                    images[pid] = page
+                    page = images[pid] = self._image_for_redo(pid, record.lsn)
                 if page.page_lsn < record.lsn:
                     record.redo_page(page)
                     page.page_lsn = record.lsn
+                    changed.add(pid)
                     applied = True
             if applied:
-                self.report.redone_records += 1
-        for page in images.values():
-            store.write(page)
+                report.redone_records += 1
+        for pid in sorted(changed):
+            store.write(images[pid])
+        report.pages_written = len(changed)
+
+    def _image_for_redo(self, pid: PageId, lsn: int) -> Page:
+        """The image the record at ``lsn`` is to be compared against:
+        the page as stored, rebuilt from the log below ``lsn`` if it is
+        torn, or empty if it never reached the store."""
+        log, store, report = self.db.log, self.db.store, self.report
+        page: Page | None = None
+        if store.exists(pid):
+            report.pages_read += 1
+            try:
+                return store.read(pid)
+            except TornPageError:
+                # A torn write reached disk.  The WAL covers the page's
+                # whole history, so rebuild it by replaying every record
+                # below this one — then let normal redo continue from
+                # here.
+                page = rebuild_page_from_log(log, store, pid, upto=lsn - 1)
+                report.torn_pages_healed += 1
+                metrics = self.db.metrics
+                metrics.counter("storage.torn_pages_detected").inc()
+                metrics.counter("storage.torn_pages_healed").inc()
+        report.pages_rebuilt += 1
+        if page is None:
+            page = Page(
+                pid=pid, kind=PageKind.LEAF, capacity=store.page_capacity
+            )
+        return page
 
     # ------------------------------------------------------------------
     # undo

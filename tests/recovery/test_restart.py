@@ -7,6 +7,7 @@ from repro.errors import RecoveryError
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
 from repro.wal.recovery import RestartRecovery
+from tests.recovery.test_logical_undo import leaf_of
 
 
 def build():
@@ -175,6 +176,101 @@ class TestCheckpoints:
         # no checkpoint: redo starts at the first page-touching record
         assert report.redo_start_lsn <= 2
         assert contents(db2, db2.tree("t")) == {"r1": 1}
+
+
+def restart_recording_io(db):
+    """``restart`` with the store's reads and writes recorded by pid."""
+    store, read, write = db.store, db.store.read, db.store.write
+    reads, writes = [], []
+    store.read = lambda pid: (reads.append(pid), read(pid))[1]
+    store.write = lambda page: (writes.append(page.pid), write(page))[1]
+    try:
+        db2 = db.restart({"t": BTreeExtension()})
+    finally:
+        del store.read, store.write
+    return db2, reads, writes
+
+
+class TestRestartIO:
+    """Restart costs what the crash left dirty, counted in page I/Os."""
+
+    def build_flushed(self):
+        db, tree = build()
+        txn = db.begin()
+        for i in range(40):
+            tree.insert(txn, i, f"r{i}")
+        db.commit(txn)
+        db.pool.flush_all()
+        return db, tree
+
+    def test_clean_shutdown_restart_touches_no_page(self):
+        db, tree = self.build_flushed()
+        checkpoint = db.log.get(db.checkpoint())
+        assert checkpoint.dpt == {}
+        db.crash()
+        before = db.store.stats.snapshot()
+        db2 = db.restart({"t": BTreeExtension()})
+        after = db.store.stats.snapshot()
+        assert after["reads"] - before["reads"] == 0
+        assert after["writes"] - before["writes"] == 0
+        report = db2.recovery_report
+        assert (report.pages_read, report.pages_written) == (0, 0)
+        assert report.redone_records == 0
+        assert report.redo_skipped == 0
+        assert report.checkpoint_begin_lsn == checkpoint.begin_lsn
+        assert report.redo_start_lsn == checkpoint.begin_lsn
+        assert contents(db2, db2.tree("t")) == {f"r{i}": i for i in range(40)}
+
+    def test_reads_the_dpt_and_writes_what_redo_changed(self):
+        db, tree = self.build_flushed()
+        victims = [(3, "r3"), (17, "r17"), (31, "r31")]
+        leaves = [leaf_of(db, tree, *victim) for victim in victims]
+        assert None not in leaves and len(set(leaves)) == 3
+        txn = db.begin()
+        for key, rid in victims:
+            tree.delete(txn, key, rid)  # marks the entry: one page each
+        db.commit(txn)
+        assert set(db.log.get(db.checkpoint()).dpt) == set(leaves)
+        # one of the three reaches the store after the checkpoint: still
+        # in the DPT, hence read, but current, hence not written
+        db.pool.flush_page(leaves[0])
+        db.crash()
+        db2, reads, writes = restart_recording_io(db)
+        assert sorted(reads) == sorted(leaves)
+        assert writes == sorted(leaves[1:])
+        report = db2.recovery_report
+        assert report.pages_read == 3
+        assert report.pages_written == 2
+        assert report.redone_records == 2
+        # the span and the black box say the same
+        told = {
+            "pages_read": 3,
+            "pages_written": 2,
+            "redo_skipped": report.redo_skipped,
+            "checkpoint_begin_lsn": report.checkpoint_begin_lsn,
+        }
+        [span] = db2.metrics.tracer.events(name="recovery.redo")
+        assert told.items() <= span.data.items()
+        recovered = db2.flightrec.events()[-1]
+        assert recovered.name == "db.recovered"
+        assert told.items() <= recovered.data.items()
+        expected = {f"r{i}": i for i in range(40)}
+        for _, rid in victims:
+            del expected[rid]
+        assert contents(db2, db2.tree("t")) == expected
+        assert check_tree(db2.tree("t")).ok
+
+    def test_without_a_checkpoint_every_page_is_read_and_none_rewritten(self):
+        """No checkpoint: every page is in the DPT from its first
+        mention, so all are read — but what is current stays put."""
+        db, tree = self.build_flushed()
+        pids = sorted(tree.all_pids())
+        db.crash()
+        db2, reads, writes = restart_recording_io(db)
+        assert sorted(reads) == pids
+        assert writes == []
+        assert db2.recovery_report.checkpoint_begin_lsn == 0
+        assert db2.recovery_report.redo_start_lsn == 2
 
 
 class TestCatalogRecovery:

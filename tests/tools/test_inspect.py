@@ -55,6 +55,15 @@ class TestDumpLog:
         text = dump_log(db.log, limit=3)
         assert "truncated" in text
 
+    def test_header_names_what_restart_starts_from(self):
+        db, tree = build()
+        assert "master=0\n" in dump_log(db.log)
+        lsn = db.checkpoint()
+        dirty = len(db.log.get(lsn).dpt)
+        text = dump_log(db.log)
+        assert f"master={lsn} (begin={lsn} dpt={dirty})" in text
+        assert f"begin={lsn} att=0 dpt={dirty}" in text.splitlines()[-1]
+
     def test_describe_every_record_type(self):
         db, tree = build()
         txn = db.begin()

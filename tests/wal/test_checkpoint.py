@@ -1,8 +1,17 @@
 """Fuzzy checkpoints: content, master pointer, interaction with crash."""
 
+import threading
+
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
-from repro.wal.records import CheckpointRecord
+from repro.gist.checker import check_tree
+from repro.sync.hooks import Gate
+from repro.wal.records import (
+    CheckpointRecord,
+    PageImageClr,
+    RootSplitRecord,
+    TreeCreateRecord,
+)
 
 
 def build():
@@ -153,9 +162,212 @@ class TestCheckpointRecovery:
         for i in range(20):
             tree.insert(txn, i, f"r{i}")
         db.commit(txn)
-        db.shutdown()  # checkpoint + flush everything
+        db.shutdown()  # flush everything + checkpoint
         db.crash()  # loses nothing that matters
         db2 = db.restart({"cp": BTreeExtension()})
+        report = db2.recovery_report
+        assert (report.pages_read, report.pages_written) == (0, 0)
         txn = db2.begin()
         assert len(db2.tree("cp").search(txn, Interval(0, 19))) == 20
         db2.commit(txn)
+
+
+def search_all(db, name="cp"):
+    txn = db.begin()
+    rows = db.tree(name).search(txn, Interval(-1, 10**6))
+    db.commit(txn)
+    return sorted(rows)
+
+
+def checkpoint_while_parked(db, wanted, work, then=lambda: None):
+    """Park ``work`` right after it appends a record ``wanted`` accepts
+    (so between ``append`` and ``mark_dirty``, holding whatever it had
+    latched), run ``then``, take a checkpoint on a second thread, let
+    go.  Returns ``(checkpoint record, parked record)``.
+
+    A checkpoint that reads the dirty page table without the frame
+    latches finishes while the writer is parked; one that takes them
+    cannot finish before the writer is released, so the outcome does
+    not depend on timing.
+    """
+    log, gate, parked = db.log, Gate(), []
+    append, append_many = log.append, log.append_many
+
+    def park(records):
+        hit = [r for r in records if wanted(r)]
+        if hit and not parked:
+            parked.append(hit[0])
+            gate.block()
+
+    def parking_append(record):
+        lsn = append(record)
+        park([record])
+        return lsn
+
+    def parking_append_many(records):
+        lsns = append_many(records)
+        park(records)
+        return lsns
+
+    log.append, log.append_many = parking_append, parking_append_many
+    taken = []
+    writer = threading.Thread(target=work)
+    checkpointer = threading.Thread(
+        target=lambda: taken.append(db.checkpoint())
+    )
+    try:
+        writer.start()
+        assert gate.wait_blocked()
+        then()
+        checkpointer.start()
+        checkpointer.join(0.3)
+    finally:
+        gate.open()
+        writer.join(10)
+        checkpointer.join(10)
+        del log.append, log.append_many
+    assert not writer.is_alive() and not checkpointer.is_alive()
+    return db.log.get(taken[0]), parked[0]
+
+
+def tree_rooted_in_last_shard(db):
+    """A tree whose root sits in the pool's last shard: the pages it
+    allocates next wrap round to shards a sweep visits *before* the
+    root's, so blocking on the root's latch comes too late for them."""
+    tree = db.create_tree("t0", BTreeExtension())
+    while db.pool.shard_of(tree.root_pid + 1) != 0:
+        tree = db.create_tree(f"t{len(db.trees)}", BTreeExtension())
+    return tree
+
+
+class TestCheckpointRaces:
+    """The tables are read while the log grows; ``begin_lsn`` and the
+    frame latches make that harmless.  Each test forces one order."""
+
+    def test_first_record_between_att_read_and_append_is_a_loser(self):
+        db, tree = build()
+        late = db.begin()
+        read_dpt = db.pool.dirty_page_table
+
+        def insert_then_read_dpt():
+            # checkpoint() has read the ATT by now and has not appended
+            tree.insert(late, 2, "lose")
+            return read_dpt()
+
+        db.pool.dirty_page_table = insert_then_read_dpt
+        checkpoint = db.log.get(db.checkpoint())
+        assert late.xid not in checkpoint.att  # the table did miss it
+        first = db.log.last_lsn_of(late.xid)
+        db.log.flush()
+        db.crash()
+        db2 = db.restart({"cp": BTreeExtension()})
+        assert db2.recovery_report.losers == [late.xid]
+        assert db2.recovery_report.undone_records == 1
+        assert search_all(db2) == []
+        # ... because analysis started below the record, not at it
+        assert checkpoint.begin_lsn <= first < checkpoint.lsn
+
+    def test_writer_between_append_and_mark_dirty_is_in_the_dpt(self):
+        db = Database(page_capacity=4)
+        a = db.create_tree("a", BTreeExtension())
+        b = db.create_tree("b", BTreeExtension())
+        db.pool.flush_all()
+
+        def writer():
+            txn = db.begin()
+            a.insert(txn, 1, "committed")
+            db.commit(txn)
+
+        def dirty_a_second_page():
+            txn = db.begin()
+            b.insert(txn, 1, "later")
+            db.commit(txn)
+
+        checkpoint, parked = checkpoint_while_parked(
+            db,
+            lambda r: getattr(r, "tree", None) == "a",
+            writer,
+            dirty_a_second_page,
+        )
+        assert checkpoint.dpt[a.root_pid] == parked.lsn
+        assert checkpoint.dpt[b.root_pid] > parked.lsn
+        db.crash()
+        db2 = db.restart({"a": BTreeExtension(), "b": BTreeExtension()})
+        assert search_all(db2, "a") == [(1, "committed")]
+        assert search_all(db2, "b") == [(1, "later")]
+
+    def test_pages_born_by_a_root_split_are_in_the_dpt(self):
+        """A page a record brings into being must be resident and
+        latched *before* that record is appended, or a checkpoint that
+        has already swept its shard never hears of it."""
+        db = Database(page_capacity=4)
+        tree = tree_rooted_in_last_shard(db)
+        txn = db.begin()
+        for i in range(4):
+            tree.insert(txn, i, f"r{i}")
+        db.commit(txn)
+        db.pool.flush_all()
+
+        def writer():
+            txn = db.begin()
+            tree.insert(txn, 4, "r4")  # splits the full root leaf
+            db.commit(txn)
+
+        checkpoint, split = checkpoint_while_parked(
+            db, lambda r: isinstance(r, RootSplitRecord), writer
+        )
+        for pid in split.affected_pages():
+            assert checkpoint.dpt[pid] == split.lsn
+        db.crash()
+        db2 = db.restart({name: BTreeExtension() for name in db.trees})
+        assert search_all(db2, tree.name) == [(i, f"r{i}") for i in range(5)]
+        assert check_tree(db2.tree(tree.name)).ok
+
+    def test_pages_born_by_a_bulk_load_are_in_the_dpt(self):
+        db = Database(page_capacity=4)
+        tree = tree_rooted_in_last_shard(db)
+        db.pool.flush_all()
+        pairs = [(i, f"r{i}") for i in range(10)]
+
+        def writer():
+            txn = db.begin()
+            tree.bulk_load(txn, pairs)
+            db.commit(txn)
+
+        checkpoint, image = checkpoint_while_parked(
+            db, lambda r: isinstance(r, PageImageClr), writer
+        )
+        assert checkpoint.dpt[image.page_id] == image.lsn
+        db.crash()
+        db2 = db.restart({name: BTreeExtension() for name in db.trees})
+        assert search_all(db2, tree.name) == pairs
+        assert check_tree(db2.tree(tree.name)).ok
+
+    def test_root_born_by_create_tree_is_in_the_dpt(self):
+        db, _ = build()
+        db.pool.flush_all()
+        checkpoint, created = checkpoint_while_parked(
+            db,
+            lambda r: isinstance(r, TreeCreateRecord),
+            lambda: db.create_tree("late", BTreeExtension()),
+        )
+        assert checkpoint.dpt == {created.root_pid: created.lsn}
+        db.crash()
+        db2 = db.restart({"cp": BTreeExtension(), "late": BTreeExtension()})
+        assert search_all(db2, "late") == []
+
+    def test_rec_lsn_of_a_run_is_its_first_record(self):
+        """One ``mark_dirty`` covers a whole leaf run; the recLSN it
+        leaves must be the run's first LSN, not its last."""
+        db, tree = build()
+        db.pool.flush_all()
+        txn = db.begin()
+        tree.multi_put(txn, [(1, "a"), (2, "b"), (3, "c")])
+        db.commit(txn)
+        first = next(
+            r.lsn for r in db.log.records_from(1) if r.xid == txn.xid
+        )
+        assert db.log.get(db.checkpoint()).dpt == {tree.root_pid: first}
+        db.crash()
+        db2 = db.restart({"cp": BTreeExtension()})
+        assert search_all(db2) == [(1, "a"), (2, "b"), (3, "c")]
