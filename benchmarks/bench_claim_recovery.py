@@ -20,7 +20,7 @@ import time
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension
-from repro.harness.crash import CrashRecoveryHarness, trial_rows
+from repro.harness.chaos import ChaosHarness, trial_rows
 from repro.wal.recovery import RestartRecovery
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -29,7 +29,7 @@ SMO_TRIALS = 6
 
 
 def test_c5_crash_battery(benchmark, emit):
-    harness = CrashRecoveryHarness()
+    harness = ChaosHarness()
     rows = []
     results = []
 
@@ -38,7 +38,7 @@ def test_c5_crash_battery(benchmark, emit):
         results.clear()
         ok = 0
         for seed in range(TRIALS):
-            result = harness.run_trial(seed, txns=15)
+            result = harness.run_trial(seed, "crash", txns=15)
             results.append(result)
             ok += result.ok
         rows.append(
@@ -51,7 +51,7 @@ def test_c5_crash_battery(benchmark, emit):
         ok = interrupted = 0
         for seed in range(SMO_TRIALS):
             result = harness.run_trial(
-                500 + seed, txns=10, crash_mid_smo=True
+                500 + seed, "crash", txns=10, crash_mid_smo=True
             )
             results.append(result)
             ok += result.ok

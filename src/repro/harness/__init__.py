@@ -1,11 +1,10 @@
-"""Benchmark and verification harness: drivers, crash injection, probes."""
+"""Benchmark and verification harness: drivers, crash injection, probes.
 
-from repro.harness.chaos import ChaosHarness, ChaosTrialResult, chaos_rows
-from repro.harness.crash import (
-    CrashRecoveryHarness,
-    CrashTrialResult,
-    trial_rows,
-)
+The crash/recovery trials live in :mod:`repro.harness.chaos` (run it
+as ``python -m repro.harness.chaos``); they are not re-exported here,
+so that running the module does not import it twice.
+"""
+
 from repro.harness.driver import (
     RETRYABLE_ERRORS,
     BaselineDriver,
@@ -19,17 +18,11 @@ from repro.harness.report import print_table, render_table
 __all__ = [
     "AnomalyReport",
     "BaselineDriver",
-    "ChaosHarness",
-    "ChaosTrialResult",
-    "CrashRecoveryHarness",
-    "CrashTrialResult",
     "DriverMetrics",
     "RETRYABLE_ERRORS",
     "TransactionalDriver",
-    "chaos_rows",
     "print_table",
     "render_table",
     "run_phantom_campaign",
     "run_with_retry",
-    "trial_rows",
 ]

@@ -1,30 +1,38 @@
-"""Chaos harness: seeded storage faults + crash/recovery trials.
+"""Crash/recovery trials: one skeleton, five kinds of trial.
 
-Extends the crash-injection harness (experiment C5) with a
-:class:`~repro.faults.FaultPlan`: each trial runs the randomized
-transactional workload *while the simulated disk misbehaves* —
-transient read errors, permanent write failures, torn page writes —
-then crashes (optionally losing or corrupting the WAL tail), restarts,
-and checks the recovery oracle:
+The end-to-end check of the paper's recovery claim (section 9: restart
+leaves exactly the committed work, wherever the crash landed).  Every
+trial runs the same loop, written once in :meth:`ChaosHarness.run_trial`:
+**build** the target; **drive** a seeded workload against it, appending
+every acknowledged transaction to a *ledger* (partition, the LSN its
+acknowledgement promised durable, its effects) and **crash** it;
+**recover** by restart or reopen, reading back each partition's
+recovered log end, contents and structural check; then judge the
+outcome with the one **oracle**.  The kinds — ``crash``, ``chaos``,
+``batch``, ``partition``, ``server`` — differ only in the first three
+steps: one ``_Trial`` subclass each (DESIGN.md §9 has the table).
 
-* every transaction whose commit record survived in the valid log
-  prefix keeps all of its effects;
-* every other transaction (uncommitted, or committed into the lost
-  tail) leaves no trace;
-* the recovered tree passes the full structural invariant check.
+The oracle treats a single database as the one-partition case of a
+cluster:
 
-The oracle accounts for WAL tail loss by tracking each transaction's
-*commit LSN*: after recovery truncates the log at
-``RecoveryReport.valid_end_lsn``, exactly the commits at or below that
-LSN survive.  Tail faults never reach below the highest LSN any
-persisted page or checkpoint depends on (see ``Database.crash``), so
-the surviving-commit set is always a prefix of commit order and the
-expected contents are computable by replaying surviving effects in
-commit-LSN order.
+* a ledger entry acknowledged at or below its partition's recovered
+  end LSN keeps all of its effects, applied in acknowledgement order;
+* an entry above it is a *lost commit*.  That is allowed — and the
+  entry must then leave no trace — only when a WAL-tail fault fired on
+  that target; otherwise it is an error;
+* effects in flight at a kill (the "maybe" set) may be present or
+  absent; nothing else may be present;
+* every partition passes the structural check.
+
+Tail faults never reach below the highest LSN any persisted page or
+checkpoint depends on (see ``Database.crash``), so the lost commits
+are always a suffix of commit order.
 
 Trials are bit-for-bit reproducible: the fault plan, the workload and
 the backoff policy (``io_retry_backoff=0`` — no wall-clock sleeps) are
-all derived from the seed, and the workload is single-threaded.
+all derived from the seed, and the single-database workloads are
+single-threaded.  A failing single-database trial dumps its
+flight-recorder black box.
 
 Run standalone for the CI chaos-smoke gate::
 
@@ -33,24 +41,71 @@ Run standalone for the CI chaos-smoke gate::
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import signal
+import tempfile
+import time
 from dataclasses import dataclass, field
 
 from repro.database import Database
-from repro.errors import StorageFaultError, TransactionAbort
-from repro.ext.btree import Interval
+from repro.errors import (
+    CrashError,
+    PartitionFailedError,
+    ReproError,
+    StorageFaultError,
+    TransactionAbort,
+    best_effort,
+)
+from repro.ext.btree import BTreeExtension, Interval
 from repro.faults import FaultKind, FaultPlan
 from repro.gist.checker import check_tree
-from repro.harness.crash import CrashRecoveryHarness, CrashTrialResult
 from repro.harness.report import render_table
+
+#: every trial's keys come from ``range(KEY_SPACE)`` in a B-tree named
+#: ``TREE``; the oracle reads back ``Interval(0, KEY_SPACE)``
+KEY_SPACE = 10_000
+TREE = "chaos"
+#: share of single-database transactions that commit (the rest are
+#: left in flight for restart to roll back)
+COMMIT_PROBABILITY = 0.7
+#: a crash/chaos transaction's insert-or-delete steps
+OPS_PER_TXN = 6
+#: a batch trial's transactions and pairs per batch (the bulk load in
+#: transaction 0 loads four batches' worth)
+BATCH_TXNS = 12
+BATCH_SIZE = 12
+#: hook points a batch trial may crash at: inside the bulk-load
+#: structure NTA, right after it, between leaf fills, and between
+#: multi_put leaf runs
+BATCH_CRASH_POINTS = (
+    "bulk:attached",
+    "bulk:structure-built",
+    "bulk:leaf-filled",
+    "multi_put:run",
+)
+#: the points that fire more than once per operation (once per leaf);
+#: only these crash after a seeded number of earlier firings
+REPEATING_POINTS = ("bulk:leaf-filled", "multi_put:run")
 
 
 @dataclass
-class ChaosTrialResult(CrashTrialResult):
-    """Outcome of one chaos trial (crash trial + fault accounting)."""
+class TrialResult:
+    """Outcome of one trial: the oracle's verdict plus fault accounting."""
 
-    #: faults the plan actually fired (from ``FaultPlan.injected``)
-    faults_injected: int = 0
+    seed: int
+    kind: str = "chaos"
+    #: where the crash landed: ``end`` of the workload, inside a
+    #: ``split``, a batch hook point, or ``kill@batch N``
+    crash: str = "end"
+    committed_txns: int = 0
+    uncommitted_txns: int = 0
+    recovered_ok: bool = False
+    contents_match: bool = False
+    structure_ok: bool = False
+    errors: list[str] = field(default_factory=list)
+    #: faults the plan actually fired (``FaultPlan.injected``)
     fault_log: list[str] = field(default_factory=list)
     #: transient-read retries the buffer pool performed
     io_retries: int = 0
@@ -58,15 +113,14 @@ class ChaosTrialResult(CrashTrialResult):
     torn_pages_detected: int = 0
     #: heals across both phases: runtime rebuilds + recovery rebuilds
     torn_pages_healed: int = 0
-    write_faults: int = 0
     #: log records recovery truncated at the first bad checksum
     tail_records_dropped: int = 0
-    #: committed transactions whose commit record fell in the lost tail
+    #: acknowledged transactions whose commit fell above the recovered
+    #: log end (an error unless a WAL-tail fault fired)
     lost_commits: int = 0
     #: workload steps that surfaced a typed storage fault (rolled back)
     typed_failures: int = 0
-    #: hard lockdep violations (``protocol_checks=True`` runs only);
-    #: tracked separately because ``ok`` ignores the ``errors`` list
+    #: hard lockdep violations (``protocol_checks=True`` runs only)
     protocol_violations: int = 0
     #: JSONL flight-recorder dump written because this trial failed
     #: (``None`` for passing trials — the black box is only shipped
@@ -74,12 +128,38 @@ class ChaosTrialResult(CrashTrialResult):
     blackbox_path: str | None = None
     #: partition trials: which worker was SIGKILLed (-1 otherwise)
     killed_partition: int = -1
-    #: partition trials: supervisor respawns observed
+    #: cluster trials: partition recoveries observed
     partition_restarts: int = 0
 
+    @property
+    def crashed_mid_smo(self) -> bool:
+        """The crash interrupted a structure modification's atomic action."""
+        return self.crash in ("split", "bulk:attached")
 
-def chaos_rows(results: list[ChaosTrialResult]) -> list[dict]:
-    """Table rows for chaos results (errors surfaced, like trial_rows)."""
+    @property
+    def faults_injected(self) -> int:
+        return len(self.fault_log)
+
+    @property
+    def ok(self) -> bool:
+        """The one verdict: recovery, contents and structure checked
+        out, and nothing else — a protocol violation, a scheduled crash
+        that never fired, a bad ack — recorded an error."""
+        return (
+            self.recovered_ok
+            and self.contents_match
+            and self.structure_ok
+            and not self.errors
+        )
+
+
+def trial_rows(results: list[TrialResult]) -> list[dict]:
+    """Table rows, one per trial, *including its first error*.
+
+    The first error (truncated) and the error count are surfaced so a
+    failing seed in CI output says *why* it failed, not just that it
+    did.  Feed the rows to :func:`repro.harness.report.render_table`.
+    """
     rows = []
     for r in results:
         first_error = r.errors[0] if r.errors else ""
@@ -87,9 +167,12 @@ def chaos_rows(results: list[ChaosTrialResult]) -> list[dict]:
             first_error = first_error[:47] + "…"
         rows.append(
             {
+                "kind": r.kind,
                 "seed": r.seed,
+                "crash": r.crash,
                 "ok": "yes" if r.ok else "NO",
                 "committed": r.committed_txns,
+                "uncommitted": r.uncommitted_txns,
                 "faults": r.faults_injected,
                 "retries": r.io_retries,
                 "torn": r.torn_pages_detected,
@@ -105,30 +188,621 @@ def chaos_rows(results: list[ChaosTrialResult]) -> list[dict]:
     return rows
 
 
-class ChaosHarness(CrashRecoveryHarness):
-    """Seeded fault-injection + crash/recovery trials with an oracle."""
+@dataclass
+class _Partition:
+    """One recovered partition, as the oracle reads it."""
+
+    #: error-message prefix (empty for a single database)
+    label: str
+    #: recovered log end: acknowledged LSNs above it were lost
+    end_lsn: int
+    #: rid -> key of every entry a full-range search returned
+    found: dict
+    #: the structural check's findings
+    errors: list[str]
+    #: a WAL-tail fault fired here, so lost commits are expected
+    tail_fault: bool = False
+
+
+def _apply(state: dict, verb: str, key: object, rid: object) -> None:
+    """Apply one ledger op to a ``rid -> key`` map."""
+    if verb == "put":
+        state[rid] = key
+    else:
+        state.pop(rid, None)
+
+
+class _Trial:
+    """One kind's steps, called in order by :meth:`ChaosHarness.run_trial`.
+
+    A kind defines ``build()``; ``drive()``, which runs the workload,
+    ledgers every acknowledgement through :meth:`ack` and ends with the
+    crash; ``recover()``, which restarts or reopens the target and
+    returns its recovered partitions in order; and, if ``build``
+    acquired processes or directories, ``close()``.  ``SETTINGS`` names
+    the kind's workload settings and their defaults; ``run_trial``'s
+    ``scenario`` overrides them, and an unknown name is a ``TypeError``.
+    """
+
+    SETTINGS: dict[str, object] = {}
+    #: xor-ed into the seed for the workload rng, so the kinds draw
+    #: different workloads from the same seed
+    SALT = 0
+
+    def __init__(
+        self, harness: ChaosHarness, seed: int, result: TrialResult, **scenario
+    ) -> None:
+        unknown = sorted(set(scenario) - set(self.SETTINGS))
+        if unknown:
+            raise TypeError(f"{result.kind} trials take no {unknown}")
+        vars(self).update(self.SETTINGS, **scenario)
+        self.harness = harness
+        self.seed = seed
+        self.result = result
+        self.rng = random.Random(seed ^ self.SALT)
+        #: single-database kinds: the trial database, whose witness and
+        #: flight recorder the skeleton reads (``None`` for clusters)
+        self.db: Database | None = None
+        #: acknowledged transactions in acknowledgement order:
+        #: ``(partition, durable LSN, ops)``, each op
+        #: ``("put" | "delete", key, rid)``
+        self.acked: list[tuple[int, int, list[tuple]]] = []
+        #: rids in flight at a kill: each may be present or absent
+        self.maybe: set = set()
+        #: ``rid -> key`` of the acknowledged state so far — what later
+        #: deletes may target
+        self.state: dict = {}
+        self._rids = 0
+
+    def new_rid(self) -> str:
+        self._rids += 1
+        return f"s{self.seed}-r{self._rids}"
+
+    def random_ops(self, count: int, p_delete: float, exclude: set):
+        """Yield ``count`` ops: deletes (with probability ``p_delete``) of
+        acknowledged rids not in ``exclude`` nor already in this batch,
+        puts of fresh rids otherwise."""
+        taken: set = set()
+        for _ in range(count):
+            deletable = sorted(set(self.state) - exclude - taken)
+            if deletable and self.rng.random() < p_delete:
+                rid = self.rng.choice(deletable)
+                op = ("delete", self.state[rid], rid)
+            else:
+                op = ("put", self.rng.randrange(KEY_SPACE), self.new_rid())
+            taken.add(op[2])
+            yield op
+
+    def ack(self, partition: int, lsn: int, ops: list[tuple]) -> None:
+        """Ledger one acknowledged transaction."""
+        self.acked.append((partition, lsn, ops))
+        self.result.committed_txns += 1
+        for op in ops:
+            _apply(self.state, *op)
+
+    def close(self) -> None:
+        pass
+
+
+class _DatabaseTrial(_Trial):
+    """crash / chaos: random insert/delete transactions on one Database.
+
+    Some transactions commit, some are left in flight (restart must roll
+    them back), and the pool is flushed at random points, so every mix
+    of on-disk and log-only state occurs.  With ``crash_mid_smo`` one
+    last transaction is interrupted *inside a node split*, before the
+    atomic action's closing record — the hardest case of section 9.
+    """
+
+    SETTINGS = {
+        "txns": 20,
+        "commit_probability": COMMIT_PROBABILITY,
+        "flush_probability": 0.3,
+        "crash_mid_smo": False,
+    }
+    #: small pool so the workload actually evicts and re-reads pages
+    #: (faults live on the simulated disk, not in resident frames)
+    POOL = 8
+
+    def __init__(self, harness, seed, result, **scenario) -> None:
+        super().__init__(harness, seed, result, **scenario)
+        self.plan = (
+            FaultPlan.random(seed, kinds=harness.kinds)
+            if result.kind == "chaos"
+            else None
+        )
+        #: rids whose locks are held by abandoned in-flight transactions;
+        #: later transactions must not touch them or they would block on
+        #: a lock that will only vanish at the crash
+        self.zombies: set = set()
+
+    def build(self) -> None:
+        self.db = Database(
+            page_capacity=self.harness.page_capacity,
+            pool_capacity=self.POOL,
+            lock_timeout=5.0,
+            fault_plan=self.plan,
+            io_retry_backoff=0.0,  # deterministic: no wall-clock sleeps
+            # False defers to REPRO_PROTOCOL_CHECKS; True forces it on
+            protocol_checks=self.harness.protocol_checks or None,
+        )
+        self.tree = self.db.create_tree(TREE, BTreeExtension())
+
+    def abandon(self, ops: list[tuple]) -> None:
+        """Leave a transaction in flight: it vanishes in the crash and
+        restart must undo it."""
+        self.result.uncommitted_txns += 1
+        self.zombies.update(rid for _, _, rid in ops)
+
+    def drive(self) -> None:
+        db, tree, rng, result = self.db, self.tree, self.rng, self.result
+        for _ in range(self.txns):
+            txn = db.begin()
+            will_commit = rng.random() < self.commit_probability
+            ops: list[tuple] = []
+            try:
+                for op in self.random_ops(OPS_PER_TXN, 0.3, self.zombies):
+                    verb, key, rid = op
+                    if verb == "put":
+                        tree.insert(txn, key, rid)
+                    else:
+                        tree.delete(txn, key, rid)
+                    ops.append(op)
+            except (TransactionAbort, StorageFaultError) as exc:
+                # A surfaced fault aborts the transaction like a
+                # deadlock would.  Rollback itself may hit the faulty
+                # disk again — then the transaction is abandoned in
+                # flight (its locks vanish at the crash) exactly like
+                # an uncommitted-at-crash transaction.
+                if isinstance(exc, StorageFaultError):
+                    result.typed_failures += 1
+                if not best_effort(db.rollback, txn):
+                    self.abandon(ops)
+                continue
+            if not will_commit:
+                self.abandon(ops)
+            else:
+                try:
+                    self.ack(0, db.commit(txn), ops)
+                except StorageFaultError:
+                    # commit's log force cannot fault (faults target the
+                    # page store), but stay safe: treat as in-flight
+                    result.typed_failures += 1
+                    self.abandon(ops)
+                    continue
+            if rng.random() < self.flush_probability:
+                try:
+                    db.pool.flush_all()
+                except StorageFaultError:
+                    # permanent write fault: the frame stays dirty in
+                    # the pool; the WAL still covers the change
+                    result.typed_failures += 1
+        if self.crash_mid_smo:
+            try:
+                if self._interrupt_inside_split():
+                    result.crash = "split"
+            except StorageFaultError:
+                result.typed_failures += 1
+        self.crash()
+
+    def _interrupt_inside_split(self) -> bool:
+        """Force a crash exception inside a split's atomic action.
+
+        The hook fires after the split record is written but before the
+        enclosing nested top action commits, leaving an *interrupted
+        structure modification* in the log — restart must undo it
+        page-oriented (section 9.2).
+        """
+
+        def bomb(**_ctx: object) -> None:
+            raise CrashError("injected crash inside split")
+
+        db, rng = self.db, self.rng
+        db.hooks.on("insert:after-split", bomb)
+        txn = db.begin()
+        try:
+            # hammer inserts until one of them splits a node
+            for _ in range(self.harness.page_capacity * 50):
+                self.tree.insert(
+                    txn, rng.randrange(KEY_SPACE), f"smo-{rng.random()}"
+                )
+        except CrashError:
+            return True
+        finally:
+            db.hooks.clear()
+        return False
+
+    def crash(self) -> None:
+        """Read the runtime fault counters, crash the database (WAL-tail
+        faults, if scheduled, fire here), then read the fault log —
+        restart injects nothing (``FaultPlan.note_restart``)."""
+        for name in ("io_retries", "torn_pages_detected", "torn_pages_healed"):
+            value = self.db.metrics.counter(f"storage.{name}").value
+            setattr(self.result, name, value)
+        self.db.crash()
+        if self.plan is not None:
+            self.result.fault_log = list(self.plan.injected)
+
+    def recover(self) -> list[_Partition]:
+        result = self.result
+        self.db = self.db.restart({TREE: BTreeExtension()})
+        report = self.db.recovery_report
+        result.tail_records_dropped = report.tail_records_dropped
+        # torn_pages_detected stays the pre-crash runtime snapshot;
+        # recovery-phase heals only add to the healed tally (recovery
+        # already counts its own detections in the new metrics).
+        result.torn_pages_healed += report.torn_pages_healed
+        tree = self.db.tree(TREE)
+        check = check_tree(tree)
+        txn = self.db.begin()
+        found = {
+            rid: key for key, rid in tree.search(txn, Interval(0, KEY_SPACE))
+        }
+        self.db.commit(txn)
+        tail_fault = any(f.startswith("wal_tail") for f in result.fault_log)
+        return [
+            _Partition(
+                "", report.valid_end_lsn, found, check.errors, tail_fault
+            )
+        ]
+
+
+class _BatchTrial(_DatabaseTrial):
+    """batch: the batch APIs, crashing from inside a batch operation.
+
+    Transaction 0 bulk-loads the empty tree; later ones issue
+    ``multi_put`` / ``multi_delete`` batches.  The crash fires at one of
+    :data:`BATCH_CRASH_POINTS` (seeded unless ``crash_point`` pins it):
+    a ``bulk:*`` point arms the loading transaction, ``multi_put:run`` a
+    seeded later transaction that is made to run ``multi_put``.  A
+    scheduled crash that never fires is a trial error.
+    """
+
+    SETTINGS = {"crash_point": None}
+    SALT = 0xBA7C4
+    POOL = 32
+
+    def drive(self) -> None:
+        db, rng, result = self.db, self.rng, self.result
+        point = self.crash_point or BATCH_CRASH_POINTS[
+            rng.randrange(len(BATCH_CRASH_POINTS))
+        ]
+        crash_txn = (
+            0 if point.startswith("bulk:") else rng.randrange(1, BATCH_TXNS)
+        )
+        # a multi_put of BATCH_SIZE random keys writes at least two
+        # leaf runs, so the crash may wait for one earlier firing
+        fires_before_crash = (
+            rng.randrange(2) if point in REPEATING_POINTS else 0
+        )
+        armed = False
+        firings = 0
+
+        def maybe_crash(**_context: object) -> None:
+            nonlocal firings
+            if not armed:
+                return
+            firings += 1
+            if firings > fires_before_crash:
+                # Flush the tail so the crash actually tests undo of
+                # durable mid-batch records, not just a lost tail.
+                db.log.flush()
+                raise CrashError(f"injected crash at {point}")
+
+        db.hooks.on(point, maybe_crash)
+        for t in range(BATCH_TXNS):
+            txn = db.begin()
+            will_commit = rng.random() < COMMIT_PROBABILITY
+            armed = t == crash_txn
+            try:
+                ops = self._batch(
+                    t, txn, put_only=armed and point == "multi_put:run"
+                )
+            except CrashError:
+                result.uncommitted_txns += 1
+                result.crash = point
+                break
+            finally:
+                armed = False
+            if will_commit:
+                self.ack(0, db.commit(txn), ops)
+            else:
+                self.abandon(ops)
+        else:
+            result.errors.append(
+                f"scheduled crash at {point} (transaction {crash_txn}) "
+                f"never fired"
+            )
+        self.crash()
+
+    def _batch(self, t: int, txn, *, put_only: bool) -> list[tuple]:
+        """Transaction ``t``'s batch operation; its ledger ops."""
+        rng, tree = self.rng, self.tree
+        if t == 0:
+            pairs = [
+                (rng.randrange(KEY_SPACE), self.new_rid())
+                for _ in range(4 * BATCH_SIZE)
+            ]
+            tree.bulk_load(txn, pairs)
+            return [("put", key, rid) for key, rid in pairs]
+        deletable = sorted(set(self.state) - self.zombies)
+        if not put_only and deletable and rng.random() < 0.4:
+            victims = [
+                (self.state[rid], rid)
+                for rid in rng.sample(
+                    deletable, min(BATCH_SIZE, len(deletable))
+                )
+            ]
+            tree.multi_delete(txn, victims)
+            return [("delete", key, rid) for key, rid in victims]
+        pairs = [
+            (rng.randrange(KEY_SPACE), self.new_rid())
+            for _ in range(BATCH_SIZE)
+        ]
+        tree.multi_put(txn, pairs)
+        return [("put", key, rid) for key, rid in pairs]
+
+
+class _ClusterTrial(_Trial):
+    """partition / server: op batches against a hash-partitioned cluster.
+
+    A batch is one transaction per partition leg; each leg's ack
+    carries its commit LSN and the LSN the worker's WAL shadow has made
+    durable, which is what the ledger records.  The kill comes before a
+    seeded batch in the middle half of the run.  A kind defines
+    ``kill()`` and ``send(ops)``, which returns the acknowledged legs as
+    ``{partition: (commit_lsn, durable_lsn)}``, or ``None`` once the
+    session is over.
+    """
+
+    SETTINGS = {"partitions": 3, "batches": 24, "batch_size": 8}
+
+    def __init__(self, harness, seed, result, **scenario) -> None:
+        from repro.cluster import HashRouter
+
+        super().__init__(harness, seed, result, **scenario)
+        #: the clusters route with ``router="hash"``: the same placement
+        self.route = HashRouter(self.partitions).partition_of
+        self.cluster = None
+
+    def build_cluster(self, data_dir: str | None = None):
+        from repro.cluster import PartitionedDatabase
+
+        self.cluster = PartitionedDatabase(
+            self.partitions,
+            router="hash",
+            data_dir=data_dir,
+            page_capacity=self.harness.page_capacity,
+            protocol_checks=self.harness.protocol_checks or None,
+        )
+        self.cluster.create_tree(TREE, BTreeExtension())
+        return self.cluster
+
+    def drive(self) -> None:
+        kill_at = self.rng.randrange(
+            self.batches // 4, (3 * self.batches) // 4
+        )
+        self.result.crash = f"kill@batch {kill_at}"
+        for b in range(self.batches):
+            if b == kill_at:
+                self.kill()
+            ops = list(
+                self.random_ops(self.batch_size, 0.25, self.maybe)
+            )
+            legs = self.send(ops)
+            if legs is None:
+                break
+            self.ack_legs(ops, legs)
+
+    def ack_legs(self, ops: list[tuple], legs: dict) -> None:
+        """Ledger a batch's acknowledged legs,
+        ``{partition: (commit_lsn, durable_lsn)}``; the ops of every
+        other leg are "maybe"."""
+        for p, (commit_lsn, durable_lsn) in sorted(legs.items()):
+            if commit_lsn > durable_lsn:
+                self.result.errors.append(
+                    f"partition {p}: ack commit_lsn {commit_lsn} above "
+                    f"durable_lsn {durable_lsn}"
+                )
+            leg = [op for op in ops if self.route(op[1]) == p]
+            self.ack(p, durable_lsn, leg)
+        self.maybe.update(
+            rid for _, key, rid in ops if self.route(key) not in legs
+        )
+
+    def verified(self, reports: dict) -> list[_Partition]:
+        """The cluster's per-partition verify reports, for the oracle."""
+        partitions = []
+        for p, report in sorted(reports.items()):
+            tree = report["trees"][TREE]
+            found = {rid: key for key, rid in tree["contents"]}
+            partitions.append(
+                _Partition(
+                    f"partition {p}: ", report["end_lsn"], found, tree["errors"]
+                )
+            )
+        return partitions
+
+    def close(self) -> None:
+        if self.cluster is not None:
+            self.cluster.shutdown()
+
+
+class _PartitionTrial(_ClusterTrial):
+    """partition: SIGKILL one worker of an in-process cluster mid-load.
+
+    No flush, no goodbye: the next operation routed to the victim (or
+    the final verify) triggers supervisor recovery from the partition's
+    WAL shadow.  Legs of the batch that hit the dead worker are "maybe".
+    """
+
+    SALT = 0x9A57171
+
+    def build(self) -> None:
+        self.build_cluster()
+
+    def drive(self) -> None:
+        self.victim = self.result.killed_partition = self.rng.randrange(
+            self.partitions
+        )
+        super().drive()
+
+    def kill(self) -> None:
+        self.cluster.kill_partition(self.victim)
+
+    def send(self, ops: list[tuple]) -> dict:
+        try:
+            acks = self.cluster.apply_batch(TREE, ops)
+        except PartitionFailedError as exc:
+            # worker death mid-batch: acked legs are durable,
+            # un-acked legs are "maybe"
+            acks = getattr(exc, "acked", {})
+        return {
+            p: (ack["commit_lsn"], ack["durable_lsn"])
+            for p, ack in acks.items()
+        }
+
+    def recover(self) -> list[_Partition]:
+        # If no post-kill op happened to route to the victim, this
+        # verify is what surfaces the death: the first attempt
+        # recovers the partition and fails, the retry runs clean.
+        queries = {TREE: Interval(0, KEY_SPACE)}
+        try:
+            reports = self.cluster.verify(queries)
+        except PartitionFailedError:
+            reports = self.cluster.verify(queries)
+        supervisor = self.cluster.supervisor
+        self.result.partition_restarts = supervisor.restarts
+        ready = supervisor.handles[self.victim].ready_info
+        if not supervisor.restarts or ready.get("recovered") is None:
+            raise RuntimeError(
+                f"partition {self.victim} was never recovered from its "
+                f"shadow"
+            )
+        return self.verified(reports)
+
+
+class _ServerTrial(_ClusterTrial):
+    """server: SIGKILL a whole serving process group mid-load.
+
+    A child process — its own process group, so one kill takes the
+    front end **and** its forked partition workers — runs a
+    cluster-backed :class:`~repro.server.DatabaseServer` over an
+    on-disk data dir.  The parent drives batches through a real network
+    client, then re-opens the cluster from the surviving WAL shadows:
+    the ack the oracle trusts crossed two process boundaries and a TCP
+    socket before the client ledgered it.
+    """
+
+    SALT = 0x5E12E12
+    pid: int | None = None
+    data_dir: str | None = None
+
+    def build(self) -> None:
+        self.data_dir = tempfile.mkdtemp(prefix=f"chaos-server-{self.seed}-")
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # pragma: no cover - child exits via os._exit
+            os.close(read_fd)
+            try:
+                self._serve(write_fd)
+            except BaseException:
+                os._exit(70)
+        os.close(write_fd)
+        try:
+            port = os.read(read_fd, 16)
+        finally:
+            os.close(read_fd)
+        if not port:
+            raise RuntimeError("server child died before listening")
+        self.port = int(port.decode())
+
+    def _serve(self, write_fd: int) -> None:  # pragma: no cover - child
+        from repro.server import ClusterBackend, DatabaseServer
+
+        os.setsid()  # one killpg reaps server + workers
+        cluster = self.build_cluster(self.data_dir)
+        server = DatabaseServer(ClusterBackend(cluster)).start()
+        os.write(write_fd, str(server.port).encode())
+        os.close(write_fd)
+        while True:
+            time.sleep(3600)
+
+    def kill(self) -> None:
+        """SIGKILL the server's process group (once) and reap the child."""
+        if self.pid is None:
+            return
+        best_effort(
+            os.killpg, self.pid, signal.SIGKILL, only=(ProcessLookupError,)
+        )
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def drive(self) -> None:
+        from repro.server.client import ReproClient
+
+        self.client = ReproClient("127.0.0.1", self.port, f"chaos-{self.seed}")
+        try:
+            super().drive()
+        finally:
+            self.client.close()
+            self.kill()
+
+    def send(self, ops: list[tuple]) -> dict | None:
+        try:
+            ack = self.client.batch(TREE, ops, timeout=10.0)
+        except (ReproError, OSError):
+            # the kill (or its wake) ate this batch and ended the
+            # session: every op in it is "maybe"
+            self.maybe.update(rid for _, _, rid in ops)
+            return None
+        return {
+            int(p): (ack["commit_lsn"][p], durable)
+            for p, durable in ack["durable_lsn"].items()
+        }
+
+    def recover(self) -> list[_Partition]:
+        from repro.cluster import PartitionedDatabase
+
+        self.cluster = PartitionedDatabase.open(
+            self.data_dir, {TREE: BTreeExtension()}
+        )
+        self.result.partition_restarts = self.partitions
+        return self.verified(
+            self.cluster.verify({TREE: Interval(0, KEY_SPACE)})
+        )
+
+    def close(self) -> None:
+        self.kill()
+        super().close()
+        if self.data_dir is not None:
+            shutil.rmtree(self.data_dir, ignore_errors=True)
+
+
+_TRIALS: dict[str, type[_Trial]] = {
+    "crash": _DatabaseTrial,
+    "chaos": _DatabaseTrial,
+    "batch": _BatchTrial,
+    "partition": _PartitionTrial,
+    "server": _ServerTrial,
+}
+#: the trial kinds, in the order the CLI runs them
+KINDS = tuple(_TRIALS)
+
+
+class ChaosHarness:
+    """Seeded crash/recovery trials of every kind, judged by one oracle."""
 
     def __init__(
         self,
         *,
         page_capacity: int = 8,
-        pool_capacity: int = 8,
-        key_space: int = 10_000,
-        io_retries: int = 4,
         kinds: frozenset[FaultKind] | set[FaultKind] | None = None,
-        extension=None,
         protocol_checks: bool = False,
         blackbox_dir: str | None = None,
     ) -> None:
-        super().__init__(
-            page_capacity=page_capacity,
-            key_space=key_space,
-            extension=extension,
-        )
-        #: small pool so the workload actually evicts and re-reads pages
-        #: (faults live on the simulated disk, not in resident frames)
-        self.pool_capacity = pool_capacity
-        self.io_retries = io_retries
+        self.page_capacity = page_capacity
+        #: the fault kinds a ``chaos`` trial's seeded plan draws from
         self.kinds = set(kinds) if kinds is not None else set(FaultKind)
         #: attach a lockdep witness to every trial database; any hard
         #: violation (latch-across-lock-wait, WAL rule) fails the trial
@@ -138,763 +812,91 @@ class ChaosHarness(CrashRecoveryHarness):
         self.blackbox_dir = blackbox_dir
 
     def run_trial(
-        self,
-        seed: int,
-        *,
-        txns: int = 20,
-        ops_per_txn: int = 6,
-        commit_probability: float = 0.7,
-        flush_probability: float = 0.3,
-        crash_mid_smo: bool = False,
-    ) -> ChaosTrialResult:
-        """One seeded trial: faulty workload, crash, recover, verify."""
-        rng = random.Random(seed)
-        plan = FaultPlan.random(seed, kinds=self.kinds)
-        result = ChaosTrialResult(seed=seed)
-        db = Database(
-            page_capacity=self.page_capacity,
-            pool_capacity=self.pool_capacity,
-            lock_timeout=5.0,
-            fault_plan=plan,
-            io_retries=self.io_retries,
-            io_retry_backoff=0.0,  # deterministic: no wall-clock sleeps
-            # False defers to REPRO_PROTOCOL_CHECKS; True forces it on
-            protocol_checks=self.protocol_checks or None,
-        )
-        tree = db.create_tree("chaos", self.extension)
-        #: committed effects in commit order: (commit_lsn, inserts, deletes)
-        commit_log: list[tuple[int, list, list]] = []
-        zombie_rids: set[object] = set()
-        counter = 0
+        self, seed: int, kind: str = "chaos", **scenario
+    ) -> TrialResult:
+        """One seeded trial: build → drive → crash → recover → oracle.
 
-        for _ in range(txns):
-            txn = db.begin()
-            will_commit = rng.random() < commit_probability
-            pending_inserts: list[tuple[object, object]] = []
-            pending_deletes: list[tuple[object, object]] = []
-            # committed state so far (delete targets must be committed)
-            committed_state: dict[object, object] = {}
-            for _, inserts, deletes in commit_log:
-                for key, rid in inserts:
-                    committed_state[rid] = key
-                for rid in deletes:
-                    committed_state.pop(rid, None)
+        ``kind`` is one of :data:`KINDS`; ``scenario`` overrides the
+        kind's ``SETTINGS`` — ``txns``, ``commit_probability``,
+        ``flush_probability``, ``crash_mid_smo`` (crash, chaos);
+        ``crash_point`` (batch); ``partitions``, ``batches``,
+        ``batch_size`` (partition, server).
+        """
+        if kind not in _TRIALS:
+            raise ValueError(f"unknown trial kind {kind!r}; one of {KINDS}")
+        result = TrialResult(seed=seed, kind=kind)
+        trial = _TRIALS[kind](self, seed, result, **scenario)
+        try:
+            trial.build()
+            trial.drive()
+            self._collect_protocol(trial.db, "runtime", result)
             try:
-                for _ in range(ops_per_txn):
-                    deletable = sorted(
-                        set(committed_state)
-                        - zombie_rids
-                        - {rid for rid in pending_deletes}
-                    )
-                    if deletable and rng.random() < 0.3:
-                        rid = rng.choice(deletable)
-                        tree.delete(txn, committed_state[rid], rid)
-                        pending_deletes.append(rid)
-                    else:
-                        counter += 1
-                        key = rng.randrange(self.key_space)
-                        rid = f"s{seed}-r{counter}"
-                        tree.insert(txn, key, rid)
-                        pending_inserts.append((key, rid))
-            except (TransactionAbort, StorageFaultError) as exc:
-                # A surfaced fault aborts the transaction like a
-                # deadlock would.  Rollback itself may hit the faulty
-                # disk again — then the transaction is abandoned in
-                # flight (its locks vanish at the crash) exactly like
-                # an uncommitted-at-crash transaction.
-                if isinstance(exc, StorageFaultError):
-                    result.typed_failures += 1
-                try:
-                    db.rollback(txn)
-                except Exception:
-                    result.uncommitted_txns += 1
-                    zombie_rids.update(r for _, r in pending_inserts)
-                    zombie_rids.update(pending_deletes)
-                continue
-            if will_commit:
-                try:
-                    commit_lsn = db.commit(txn)
-                except StorageFaultError:
-                    # commit's log force cannot fault (faults target the
-                    # page store), but stay safe: treat as in-flight
-                    result.typed_failures += 1
-                    result.uncommitted_txns += 1
-                    zombie_rids.update(r for _, r in pending_inserts)
-                    zombie_rids.update(pending_deletes)
-                    continue
-                result.committed_txns += 1
-                commit_log.append(
-                    (commit_lsn, pending_inserts, pending_deletes)
-                )
+                partitions = trial.recover()
+            except Exception as exc:
+                result.errors.append(f"recovery failed: {exc!r}")
             else:
-                result.uncommitted_txns += 1
-                zombie_rids.update(rid for _, rid in pending_inserts)
-                zombie_rids.update(pending_deletes)
-            if rng.random() < flush_probability:
-                try:
-                    db.pool.flush_all()
-                except StorageFaultError:
-                    # permanent write fault: the frame stays dirty in
-                    # the pool; the WAL still covers the change
-                    result.typed_failures += 1
-
-        if crash_mid_smo:
-            try:
-                result.crashed_mid_smo = self._interrupt_inside_split(
-                    db, tree, rng
-                )
-            except StorageFaultError:
-                result.typed_failures += 1
-
-        # runtime fault accounting, read before the pool is discarded
-        metrics = db.metrics
-        result.io_retries = metrics.counter("storage.io_retries").value
-        result.torn_pages_detected = metrics.counter(
-            "storage.torn_pages_detected"
-        ).value
-        result.torn_pages_healed = metrics.counter(
-            "storage.torn_pages_healed"
-        ).value
-        result.write_faults = metrics.counter("storage.write_faults").value
-
-        db.crash()  # WAL tail faults (if scheduled) fire here
-        self._collect_protocol(db, "runtime", result)
-        try:
-            db2 = db.restart({"chaos": self.extension})
-        except Exception as exc:  # pragma: no cover - trial diagnostics
-            result.errors.append(f"restart failed: {exc!r}")
-            result.fault_log = list(plan.injected)
-            result.faults_injected = len(plan.injected)
-            self._dump_blackbox(db, seed, result)
-            return result
-        result.recovered_ok = True
-        report = db2.recovery_report
-        result.tail_records_dropped = report.tail_records_dropped
-        # torn_pages_detected stays the pre-crash runtime snapshot;
-        # recovery-phase heals only add to the healed tally (recovery
-        # already counts its own detections in db2's metrics).
-        result.torn_pages_healed += report.torn_pages_healed
-        result.fault_log = list(plan.injected)
-        result.faults_injected = len(plan.injected)
-
-        # Oracle: exactly the commits at or below the surviving log end
-        # keep their effects, applied in commit order.
-        valid_end = report.valid_end_lsn
-        expected: dict[object, object] = {}
-        for commit_lsn, inserts, deletes in commit_log:
-            if commit_lsn > valid_end:
-                result.lost_commits += 1
-                continue
-            for key, rid in inserts:
-                expected[rid] = key
-            for rid in deletes:
-                expected.pop(rid, None)
-
-        tree2 = db2.tree("chaos")
-        check = check_tree(tree2)
-        result.structure_ok = check.ok
-        result.errors.extend(check.errors)
-
-        txn = db2.begin()
-        found = {}
-        for key, rid in tree2.search(txn, Interval(0, self.key_space)):
-            found[rid] = key
-        db2.commit(txn)
-        if found == expected:
-            result.contents_match = True
-        else:
-            missing = sorted(set(expected) - set(found))[:5]
-            extra = sorted(set(found) - set(expected))[:5]
-            result.errors.append(
-                f"content mismatch: missing={missing} extra={extra}"
-            )
-        self._collect_protocol(db2, "recovery", result)
-        if not result.ok or result.protocol_violations:
-            # A failing seed ships its black box: the flight recorder
-            # survived the restart (same instance), so the dump holds
-            # the pre-crash events that led up to the failure.
-            self._dump_blackbox(db2, seed, result)
-        return result
-
-    #: hook points a batch trial may crash at (mid-bulk_load, both
-    #: inside and after the structure NTA, and mid-multi_put run)
-    BATCH_CRASH_POINTS = (
-        "bulk:attached",
-        "bulk:structure-built",
-        "bulk:leaf-filled",
-        "multi_put:run",
-    )
-
-    def run_batch_trial(
-        self,
-        seed: int,
-        *,
-        txns: int = 12,
-        batch_size: int = 12,
-        commit_probability: float = 0.7,
-        crash_point: str | None = None,
-    ) -> ChaosTrialResult:
-        """One seeded trial over the *batch* APIs, crashing mid-batch.
-
-        The first transaction bulk-loads the empty tree; later ones
-        issue ``multi_put`` / ``multi_delete`` batches.  At a seeded
-        transaction the trial crashes the database from inside a batch
-        operation — at one of :data:`BATCH_CRASH_POINTS`, i.e. inside
-        the bulk-load structure NTA, right after it, between leaf
-        fills, or between multi_put leaf runs — then restarts and
-        checks the commit-LSN oracle: exactly the surviving committed
-        transactions keep their effects, and the tree passes the full
-        structural check.
-        """
-        rng = random.Random(seed ^ 0xBA7C4)
-        result = ChaosTrialResult(seed=seed)
-        db = Database(
-            page_capacity=self.page_capacity,
-            pool_capacity=max(self.pool_capacity, 32),
-            lock_timeout=5.0,
-            protocol_checks=self.protocol_checks or None,
-        )
-        tree = db.create_tree("chaos", self.extension)
-        if crash_point is None:
-            crash_point = self.BATCH_CRASH_POINTS[
-                rng.randrange(len(self.BATCH_CRASH_POINTS))
-            ]
-        crash_txn = rng.randrange(txns)
-        fires_before_crash = rng.randrange(3)
-
-        class _BatchCrash(Exception):
-            pass
-
-        armed = [False]
-        fired = [0]
-
-        def maybe_crash(**_context: object) -> None:
-            if not armed[0]:
-                return
-            fired[0] += 1
-            if fired[0] > fires_before_crash:
-                # Flush the tail so the crash actually tests undo of
-                # durable mid-batch records, not just a lost tail.
-                db.log.flush()
-                raise _BatchCrash()
-
-        db.hooks.on(crash_point, maybe_crash)
-
-        commit_log: list[tuple[int, list, list]] = []
-        zombie_rids: set[object] = set()
-        counter = 0
-        for t in range(txns):
-            txn = db.begin()
-            will_commit = rng.random() < commit_probability
-            pending_inserts: list[tuple[object, object]] = []
-            pending_deletes: list[object] = []
-            committed_state: dict[object, object] = {}
-            for _, inserts, deletes in commit_log:
-                for key, rid in inserts:
-                    committed_state[rid] = key
-                for rid in deletes:
-                    committed_state.pop(rid, None)
-            armed[0] = t == crash_txn
-            fired[0] = 0
-            try:
-                if t == 0:
-                    pairs = []
-                    for _ in range(batch_size * 4):
-                        counter += 1
-                        pairs.append(
-                            (
-                                rng.randrange(self.key_space),
-                                f"s{seed}-r{counter}",
-                            )
-                        )
-                    tree.bulk_load(txn, pairs)
-                    pending_inserts.extend(pairs)
-                else:
-                    deletable = sorted(
-                        set(committed_state) - zombie_rids
-                    )
-                    if deletable and rng.random() < 0.4:
-                        victims = [
-                            (committed_state[rid], rid)
-                            for rid in rng.sample(
-                                deletable,
-                                min(batch_size, len(deletable)),
-                            )
-                        ]
-                        tree.multi_delete(txn, victims)
-                        pending_deletes.extend(rid for _, rid in victims)
-                    else:
-                        pairs = []
-                        for _ in range(batch_size):
-                            counter += 1
-                            pairs.append(
-                                (
-                                    rng.randrange(self.key_space),
-                                    f"s{seed}-r{counter}",
-                                )
-                            )
-                        tree.multi_put(txn, pairs)
-                        pending_inserts.extend(pairs)
-            except _BatchCrash:
-                result.uncommitted_txns += 1
-                result.crashed_mid_smo = crash_point in (
-                    "bulk:attached",
-                )
-                break
-            finally:
-                armed[0] = False
-            if will_commit:
-                commit_lsn = db.commit(txn)
-                result.committed_txns += 1
-                commit_log.append(
-                    (commit_lsn, pending_inserts, pending_deletes)
-                )
-            else:
-                # Abandon in flight, like a client that vanished: the
-                # crash (below) wipes it, restart must undo its effects.
-                result.uncommitted_txns += 1
-                zombie_rids.update(rid for _, rid in pending_inserts)
-                zombie_rids.update(pending_deletes)
-
-        db.crash()
-        self._collect_protocol(db, "runtime", result)
-        try:
-            db2 = db.restart({"chaos": self.extension})
-        except Exception as exc:  # pragma: no cover - trial diagnostics
-            result.errors.append(f"restart failed: {exc!r}")
-            self._dump_blackbox(db, seed, result)
-            return result
-        result.recovered_ok = True
-        report = db2.recovery_report
-        result.tail_records_dropped = report.tail_records_dropped
-
-        valid_end = report.valid_end_lsn
-        expected: dict[object, object] = {}
-        for commit_lsn, inserts, deletes in commit_log:
-            if commit_lsn > valid_end:
-                result.lost_commits += 1
-                continue
-            for key, rid in inserts:
-                expected[rid] = key
-            for rid in deletes:
-                expected.pop(rid, None)
-
-        tree2 = db2.tree("chaos")
-        check = check_tree(tree2)
-        result.structure_ok = check.ok
-        result.errors.extend(check.errors)
-
-        txn = db2.begin()
-        found = {}
-        for key, rid in tree2.search(txn, Interval(0, self.key_space)):
-            found[rid] = key
-        db2.commit(txn)
-        if found == expected:
-            result.contents_match = True
-        else:
-            missing = sorted(set(expected) - set(found))[:5]
-            extra = sorted(set(found) - set(expected))[:5]
-            result.errors.append(
-                f"content mismatch at {crash_point}: "
-                f"missing={missing} extra={extra}"
-            )
-        self._collect_protocol(db2, "recovery", result)
-        if not result.ok or result.protocol_violations:
-            self._dump_blackbox(db2, seed, result)
-        return result
-
-    def run_partition_trial(
-        self,
-        seed: int,
-        *,
-        partitions: int = 3,
-        batches: int = 24,
-        batch_size: int = 8,
-    ) -> ChaosTrialResult:
-        """One seeded *cluster* trial: SIGKILL a worker mid-workload.
-
-        A :class:`~repro.cluster.PartitionedDatabase` serves a seeded
-        batched workload; at a seeded point one partition worker is
-        SIGKILLed — no flush, no goodbye — and the next operation that
-        routes to it triggers supervisor recovery from the partition's
-        WAL shadow.  The commit-LSN oracle then runs *per partition*:
-
-        * every **acknowledged** batch leg (its ack carried the commit
-          LSN and the shadow's durable LSN) keeps all of its effects on
-          its partition;
-        * the legs of the one batch in flight at the kill are "maybe" —
-          each may be present or absent, but never torn;
-        * the recovered partition's log end covers every durable LSN it
-          ever acknowledged, and every partition passes the structural
-          check.
-        """
-        from repro.cluster import PartitionedDatabase
-
-        rng = random.Random(seed ^ 0x9A57171)
-        result = ChaosTrialResult(seed=seed)
-        cluster = PartitionedDatabase(
-            partitions,
-            router="hash",
-            page_capacity=self.page_capacity,
-            protocol_checks=self.protocol_checks or None,
-        )
-        try:
-            cluster.create_tree("chaos", self.extension)
-            router = cluster.router
-            #: per-partition acked effects: partition -> {rid: key}
-            expected: list[dict] = [{} for _ in range(partitions)]
-            #: rids whose final state is unknowable (in flight at kill)
-            maybe: set[object] = set()
-            #: per-partition highest acknowledged durable LSN
-            acked_durable = [0] * partitions
-            kill_at = rng.randrange(batches // 4, (3 * batches) // 4)
-            victim = rng.randrange(partitions)
-            result.killed_partition = victim
-            counter = 0
-
-            for b in range(batches):
-                if b == kill_at:
-                    cluster.kill_partition(victim)
-                ops = []
-                acked_rids: list[object] = [
-                    rid
-                    for per in expected
-                    for rid in per
-                    if rid not in maybe
-                ]
-                for _ in range(batch_size):
-                    deletable = [
-                        rid
-                        for rid in acked_rids
-                        if rid not in {op[2] for op in ops}
-                    ]
-                    if deletable and rng.random() < 0.25:
-                        rid = rng.choice(deletable)
-                        key = next(
-                            per[rid] for per in expected if rid in per
-                        )
-                        ops.append(("delete", key, rid))
-                    else:
-                        counter += 1
-                        key = rng.randrange(self.key_space)
-                        ops.append(("put", key, f"s{seed}-p{counter}"))
-                try:
-                    acks = cluster.apply_batch("chaos", ops)
-                except Exception as exc:
-                    # worker death mid-batch: acked legs are durable,
-                    # un-acked legs are "maybe"
-                    acks = getattr(exc, "acked", {})
-                    for op in ops:
-                        p = router.partition_of(op[1])
-                        if p not in acks:
-                            maybe.add(op[2])
-                self._apply_partition_acks(
-                    ops, acks, router, expected, acked_durable, result
-                )
-
-            # Per-partition oracle: structure + contents + LSN cover.
-            # If no post-kill op happened to route to the victim, this
-            # scatter is what surfaces the death: the first attempt
-            # recovers the partition and fails, the retry runs clean.
-            verify_queries = {"chaos": Interval(0, self.key_space)}
-            try:
-                reports = cluster.verify(verify_queries)
-            except Exception:
-                reports = cluster.verify(verify_queries)
-            handle = cluster.supervisor.handles[victim]
-            result.partition_restarts = cluster.supervisor.restarts
-            result.recovered_ok = (
-                result.partition_restarts > 0
-                and handle.ready_info.get("recovered") is not None
-            )
-            result.structure_ok = True
-            result.contents_match = True
-            for p, report in sorted(reports.items()):
-                tree_report = report["trees"]["chaos"]
-                if not tree_report["ok"]:
-                    result.structure_ok = False
-                    result.errors.extend(
-                        f"partition {p}: {e}"
-                        for e in tree_report["errors"]
-                    )
-                if report["end_lsn"] < acked_durable[p]:
-                    result.contents_match = False
-                    result.errors.append(
-                        f"partition {p}: recovered end_lsn "
-                        f"{report['end_lsn']} < acked durable LSN "
-                        f"{acked_durable[p]}"
-                    )
-                found = {
-                    rid: key for key, rid in tree_report["contents"]
-                }
-                for rid, key in expected[p].items():
-                    if rid in maybe:
-                        continue
-                    if found.get(rid) != key:
-                        result.contents_match = False
-                        result.errors.append(
-                            f"partition {p}: acked {rid!r} -> {key!r} "
-                            f"missing (got {found.get(rid)!r})"
-                        )
-                for rid in found:
-                    if rid not in expected[p] and rid not in maybe:
-                        result.contents_match = False
-                        result.errors.append(
-                            f"partition {p}: unexpected rid {rid!r}"
-                        )
+                result.recovered_ok = True
+                self._judge(result, trial, partitions)
+                self._collect_protocol(trial.db, "recovery", result)
+            if not result.ok and trial.db is not None:
+                # A failing seed ships its black box: the flight
+                # recorder survived the restart (same instance), so the
+                # dump holds the pre-crash events that led up to it.
+                self._dump_blackbox(trial.db, seed, result)
         finally:
-            cluster.shutdown()
-        return result
-
-    def run_server_trial(
-        self,
-        seed: int,
-        *,
-        partitions: int = 2,
-        batches: int = 40,
-        batch_size: int = 4,
-    ) -> ChaosTrialResult:
-        """One seeded *serving* trial: SIGKILL the whole server mid-load.
-
-        A child process (its own process group, so the kill takes the
-        front end **and** its forked partition workers in one shot)
-        runs a cluster-backed :class:`~repro.server.DatabaseServer`
-        over an on-disk data dir.  The parent drives seeded batches
-        through a real network client, ledgering each acknowledged
-        batch's per-partition commit/durable LSNs; at a seeded point
-        it SIGKILLs the server's process group, then re-opens the
-        cluster from the surviving WAL shadows and runs the commit-LSN
-        oracle:
-
-        * every effect the *client* saw acknowledged is present;
-        * the one batch in flight at the kill is "maybe" (present or
-          absent, never torn);
-        * each partition's recovered log end covers every durable LSN
-          it ever acknowledged, and the structural check passes.
-
-        This closes the durability loop end to end: the ack the oracle
-        trusts crossed two process boundaries and a TCP socket before
-        the client ledgered it.
-        """
-        import os
-        import shutil
-        import signal
-        import tempfile
-        import time as _time
-
-        from repro.cluster import PartitionedDatabase
-        from repro.errors import ReproError
-        from repro.server.client import ReproClient
-
-        rng = random.Random(seed ^ 0x5E12E12)
-        result = ChaosTrialResult(seed=seed)
-        data_dir = tempfile.mkdtemp(prefix=f"chaos-server-{seed}-")
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child exits via os._exit
-            os.close(read_fd)
-            try:
-                os.setsid()  # one killpg reaps server + workers
-                from repro.server import ClusterBackend, DatabaseServer
-
-                cluster = PartitionedDatabase(
-                    partitions,
-                    router="hash",
-                    data_dir=data_dir,
-                    page_capacity=self.page_capacity,
-                    protocol_checks=self.protocol_checks or None,
-                )
-                cluster.create_tree("chaos", self.extension)
-                server = DatabaseServer(
-                    ClusterBackend(cluster)
-                ).start()
-                os.write(write_fd, str(server.port).encode())
-                os.close(write_fd)
-                while True:
-                    _time.sleep(3600)
-            except BaseException:
-                os._exit(70)
-        os.close(write_fd)
-        try:
-            port_bytes = os.read(read_fd, 16)
-        finally:
-            os.close(read_fd)
-        if not port_bytes:
-            os.waitpid(pid, 0)
-            result.errors.append("server child died before listening")
-            shutil.rmtree(data_dir, ignore_errors=True)
-            return result
-        port = int(port_bytes.decode())
-
-        #: client-side acked effects, partition-agnostic (the parent
-        #: cannot route keys until it reopens the cluster)
-        acked_state: dict[object, object] = {}
-        acked_durable = [0] * partitions
-        maybe: set[object] = set()
-        kill_at = rng.randrange(batches // 4, (3 * batches) // 4)
-        counter = 0
-        killed = False
-        client = ReproClient("127.0.0.1", port, f"chaos-{seed}")
-        batch_log: list[list[tuple]] = []
-        try:
-            for b in range(batches):
-                if b == kill_at:
-                    os.killpg(pid, signal.SIGKILL)
-                    killed = True
-                ops: list[tuple] = []
-                for _ in range(batch_size):
-                    taken = {op[2] for op in ops}
-                    deletable = sorted(
-                        r for r in acked_state if r not in taken
-                    )
-                    if deletable and rng.random() < 0.25:
-                        rid = rng.choice(deletable)
-                        ops.append(("delete", acked_state[rid], rid))
-                    else:
-                        counter += 1
-                        ops.append(
-                            (
-                                "put",
-                                rng.randrange(self.key_space),
-                                f"s{seed}-v{counter}",
-                            )
-                        )
-                try:
-                    ack = client.batch("chaos", ops, timeout=10.0)
-                except (ReproError, OSError):
-                    # the kill (or its wake) ate this batch: every
-                    # op in it is "maybe", and the session is done
-                    maybe.update(op[2] for op in ops)
-                    break
-                batch_log.append(ops)
-                result.committed_txns += 1
-                for op in ops:
-                    if op[0] == "put":
-                        acked_state[op[2]] = op[1]
-                    else:
-                        acked_state.pop(op[2], None)
-                for p_str, durable in ack["durable_lsn"].items():
-                    p = int(p_str)
-                    acked_durable[p] = max(acked_durable[p], durable)
-                    if ack["commit_lsn"][p_str] > durable:
-                        result.errors.append(
-                            f"partition {p}: ack commit_lsn above "
-                            f"durable_lsn"
-                        )
-        finally:
-            client.close()
-            if not killed:
-                os.killpg(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-        # Re-open from the shadows and run the per-partition oracle.
-        try:
-            cluster = PartitionedDatabase.open(
-                data_dir, {"chaos": self.extension}
-            )
-        except Exception as exc:
-            result.errors.append(f"cluster reopen failed: {exc!r}")
-            shutil.rmtree(data_dir, ignore_errors=True)
-            return result
-        try:
-            result.recovered_ok = True
-            result.partition_restarts = partitions
-            router = cluster.router
-            #: per-partition acked effects, folded now that the
-            #: reopened cluster's router can place each key
-            expected: list[dict] = [{} for _ in range(partitions)]
-            for ops in batch_log:
-                for op in ops:
-                    p = router.partition_of(op[1])
-                    if op[0] == "put":
-                        expected[p][op[2]] = op[1]
-                    else:
-                        expected[p].pop(op[2], None)
-            reports = cluster.verify(
-                {"chaos": Interval(0, self.key_space)}
-            )
-            result.structure_ok = True
-            result.contents_match = True
-            for p, report in sorted(reports.items()):
-                tree_report = report["trees"]["chaos"]
-                if not tree_report["ok"]:
-                    result.structure_ok = False
-                    result.errors.extend(
-                        f"partition {p}: {e}"
-                        for e in tree_report["errors"]
-                    )
-                if report["end_lsn"] < acked_durable[p]:
-                    result.contents_match = False
-                    result.errors.append(
-                        f"partition {p}: recovered end_lsn "
-                        f"{report['end_lsn']} < acked durable LSN "
-                        f"{acked_durable[p]}"
-                    )
-                found = {
-                    rid: key for key, rid in tree_report["contents"]
-                }
-                for rid, key in expected[p].items():
-                    if rid in maybe:
-                        continue
-                    if found.get(rid) != key:
-                        result.contents_match = False
-                        result.errors.append(
-                            f"partition {p}: acked {rid!r} -> "
-                            f"{key!r} missing "
-                            f"(got {found.get(rid)!r})"
-                        )
-                for rid in found:
-                    if rid not in expected[p] and rid not in maybe:
-                        result.contents_match = False
-                        result.errors.append(
-                            f"partition {p}: unexpected rid {rid!r}"
-                        )
-        finally:
-            cluster.shutdown()
-            shutil.rmtree(data_dir, ignore_errors=True)
+            trial.close()
         return result
 
     @staticmethod
-    def _apply_partition_acks(
-        ops: list,
-        acks: dict,
-        router,
-        expected: list[dict],
-        acked_durable: list[int],
-        result: ChaosTrialResult,
+    def _judge(
+        result: TrialResult, trial: _Trial, partitions: list[_Partition]
     ) -> None:
-        """Fold acknowledged batch legs into the per-partition oracle."""
-        for op in ops:
-            p = router.partition_of(op[1])
-            if p not in acks:
+        """The oracle of the module docstring, for one partition or
+        many: the commit-LSN cut and expected-contents fold, then the
+        structure check and found-vs-expected per partition."""
+        contents_match = True
+        expected: list[dict] = [{} for _ in partitions]
+        for p, lsn, ops in trial.acked:
+            part = partitions[p]
+            if lsn <= part.end_lsn:
+                for op in ops:
+                    _apply(expected[p], *op)
                 continue
-            if op[0] == "put":
-                expected[p][op[2]] = op[1]
-            else:
-                expected[p].pop(op[2], None)
-        for p, ack in acks.items():
-            result.committed_txns += 1
-            acked_durable[p] = max(acked_durable[p], ack["durable_lsn"])
-            if ack["commit_lsn"] > ack["durable_lsn"]:
+            result.lost_commits += 1
+            if not part.tail_fault:
+                contents_match = False
                 result.errors.append(
-                    f"partition {p}: ack commit_lsn {ack['commit_lsn']} "
-                    f"above durable_lsn {ack['durable_lsn']}"
+                    f"{part.label}lost commit without a WAL-tail fault: "
+                    f"acked LSN {lsn} > recovered end {part.end_lsn}"
                 )
+        result.structure_ok = True
+        for part, want in zip(partitions, expected):
+            if part.errors:
+                result.structure_ok = False
+                result.errors.extend(part.label + e for e in part.errors)
+            want = {r: k for r, k in want.items() if r not in trial.maybe}
+            got = {r: k for r, k in part.found.items() if r not in trial.maybe}
+            if got != want:
+                contents_match = False
+                missing = sorted(r for r in want if got.get(r) != want[r])
+                extra = sorted(set(got) - set(want))
+                result.errors.append(
+                    f"{part.label}content mismatch: missing={missing[:5]} "
+                    f"extra={extra[:5]}"
+                )
+        result.contents_match = contents_match
 
     def _dump_blackbox(
-        self, db: Database, seed: int, result: ChaosTrialResult
+        self, db: Database, seed: int, result: TrialResult
     ) -> None:
         """Dump the flight recorder and embed the path + tail in errors."""
         flightrec = db.flightrec
         if flightrec is None:
             return
-        import os
-        import tempfile
-
         directory = self.blackbox_dir or tempfile.gettempdir()
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(
-            directory, f"chaos-blackbox-seed-{seed}.jsonl"
+            directory, f"{result.kind}-blackbox-seed-{seed}.jsonl"
         )
         try:
             result.blackbox_path = flightrec.dump(path)
@@ -908,15 +910,10 @@ class ChaosHarness(CrashRecoveryHarness):
 
     @staticmethod
     def _collect_protocol(
-        db: Database, phase: str, result: ChaosTrialResult
+        db: Database | None, phase: str, result: TrialResult
     ) -> None:
-        """Fold the phase's hard lockdep violations into the result.
-
-        ``CrashTrialResult.ok`` only looks at the oracle fields, so the
-        violations are counted separately and :func:`main` fails the
-        run on them explicitly.
-        """
-        if db.witness is None:
+        """Fold the phase's hard lockdep violations into the result."""
+        if db is None or db.witness is None:
             return
         for violation in db.witness.drain_new():
             result.protocol_violations += 1
@@ -938,31 +935,23 @@ def main(argv: list[str] | None = None) -> int:
         default=5,
         help="every nth trial also crashes inside a node split",
     )
-    parser.add_argument(
-        "--batch-trials",
-        type=int,
-        default=0,
-        help="additional trials over the batch APIs (bulk_load / "
+    extra_kinds = {
+        "batch": "additional trials over the batch APIs (bulk_load / "
         "multi_put / multi_delete) that crash mid-batch-operation",
-    )
-    parser.add_argument(
-        "--partition-trials",
-        type=int,
-        default=0,
-        help="additional trials against a PartitionedDatabase that "
-        "SIGKILL one partition worker mid-workload, recover it from "
-        "its WAL shadow, and check the commit-LSN oracle per partition",
-    )
-    parser.add_argument(
-        "--server-trials",
-        type=int,
-        default=0,
-        help="additional trials that run a cluster-backed network "
+        "partition": "additional trials against a PartitionedDatabase "
+        "that SIGKILL one partition worker mid-workload, recover it "
+        "from its WAL shadow, and check the commit-LSN oracle per "
+        "partition",
+        "server": "additional trials that run a cluster-backed network "
         "server in a child process group, SIGKILL the whole group "
         "mid-load, re-open the cluster from its WAL shadows, and "
         "check the commit-LSN oracle against the client-side ledger "
         "of acknowledged batches",
-    )
+    }
+    for kind, help_text in extra_kinds.items():
+        parser.add_argument(
+            f"--{kind}-trials", type=int, default=0, help=help_text
+        )
     parser.add_argument(
         "--protocol-checks",
         action="store_true",
@@ -981,37 +970,41 @@ def main(argv: list[str] | None = None) -> int:
         protocol_checks=args.protocol_checks,
         blackbox_dir=args.blackbox_dir,
     )
-    results: list[ChaosTrialResult] = []
+    results: list[TrialResult] = []
     for i in range(args.trials):
-        seed = args.base_seed + i
         mid_smo = args.mid_smo_every > 0 and i % args.mid_smo_every == 0
-        results.append(harness.run_trial(seed, crash_mid_smo=mid_smo))
-    for i in range(args.batch_trials):
-        results.append(harness.run_batch_trial(args.base_seed + i))
-    for i in range(args.partition_trials):
-        results.append(harness.run_partition_trial(args.base_seed + i))
-    for i in range(args.server_trials):
-        results.append(harness.run_server_trial(args.base_seed + i))
+        results.append(
+            harness.run_trial(args.base_seed + i, crash_mid_smo=mid_smo)
+        )
+    for kind in extra_kinds:
+        count = getattr(args, f"{kind}_trials")
+        results += [
+            harness.run_trial(args.base_seed + i, kind) for i in range(count)
+        ]
 
-    print(render_table(chaos_rows(results), title="chaos trials"))
-    # protocol violations fail the run even though the recovery oracle
-    # (CrashTrialResult.ok) does not look at them
-    failed = [r for r in results if not r.ok or r.protocol_violations]
-    total_faults = sum(r.faults_injected for r in results)
-    total_protocol = sum(r.protocol_violations for r in results)
+    print(render_table(trial_rows(results), title="chaos trials"))
+    failed = [r for r in results if not r.ok]
     print(
         f"\n{len(results) - len(failed)}/{len(results)} trials ok, "
-        f"{total_faults} faults injected, "
+        f"{sum(r.faults_injected for r in results)} faults injected, "
         f"{sum(r.lost_commits for r in results)} commits lost to WAL "
         f"tail faults (correctly rolled back)"
     )
+    batch = [r for r in results if r.kind == "batch"]
+    if batch:
+        fired = sum(r.crash != "end" for r in batch)
+        print(
+            f"batch trials: {fired}/{len(batch)} crashed inside a batch "
+            f"at their scheduled point"
+        )
     if args.protocol_checks:
         print(
-            f"protocol checks: {total_protocol} hard violations across "
-            f"{len(results)} trials"
+            f"protocol checks: "
+            f"{sum(r.protocol_violations for r in results)} hard "
+            f"violations across {len(results)} trials"
         )
     for r in failed:
-        print(f"\nseed {r.seed} FAILED:")
+        print(f"\n{r.kind} seed {r.seed} FAILED:")
         if r.blackbox_path:
             print(f"  blackbox: {r.blackbox_path}")
         for line in r.fault_log:

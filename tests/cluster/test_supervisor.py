@@ -98,7 +98,7 @@ class TestKillRecover:
 class TestPartitionChaosTrial:
     def test_partition_trial_passes_oracle(self):
         harness = ChaosHarness()
-        result = harness.run_partition_trial(seed=7, batches=16)
+        result = harness.run_trial(7, "partition", batches=16)
         assert result.errors == []
         assert result.ok
         assert result.killed_partition >= 0
@@ -108,7 +108,7 @@ class TestPartitionChaosTrial:
     def test_partition_trials_across_seeds(self):
         harness = ChaosHarness()
         for seed in range(3):
-            result = harness.run_partition_trial(
-                seed, partitions=2, batches=12, batch_size=6
+            result = harness.run_trial(
+                seed, "partition", partitions=2, batches=12, batch_size=6
             )
             assert result.ok, result.errors

@@ -95,3 +95,21 @@ class TestReplayDeterminism:
                 return
             dumps.append(load_jsonl(result.blackbox_path))
         assert canonical_events(dumps[0]) == canonical_events(dumps[1])
+
+
+class TestLostCommitOracle:
+    def test_lost_commit_without_tail_fault_is_an_error(self, tmp_path):
+        """Commit LSNs misreported past the log end with no WAL-tail
+        fault to explain them: the oracle fails the trial instead of
+        counting the commits as correctly rolled back."""
+        harness = _BrokenOracleHarness(
+            kinds=QUIET, blackbox_dir=str(tmp_path)
+        )
+        result = harness.run_trial(3, txns=8)
+        assert result.lost_commits > 0
+        assert not result.contents_match
+        assert not result.ok
+        assert any(
+            "lost commit without a WAL-tail fault" in e
+            for e in result.errors
+        ), result.errors
