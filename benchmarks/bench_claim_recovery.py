@@ -21,7 +21,6 @@ import time
 from repro.database import Database
 from repro.ext.btree import BTreeExtension
 from repro.harness.chaos import ChaosHarness, trial_rows
-from repro.wal.recovery import RestartRecovery
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 TRIALS = 20
@@ -93,9 +92,8 @@ def recovery_time(txns: int, checkpoint: str) -> dict:
         db.shutdown()
     log_records = db.log.end_lsn
     db.crash()
-    db2 = Database(store=db.store, log=db.log, page_capacity=8)
     start = time.perf_counter()
-    report = RestartRecovery(db2, {"t": BTreeExtension()}).run()
+    report = db.restart({"t": BTreeExtension()}).recovery_report
     elapsed = time.perf_counter() - start
     return {
         "txns": txns,

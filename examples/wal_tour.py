@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro import BTreeExtension, Database, Interval
 from repro.tools.inspect import dump_stats
-from repro.wal.recovery import RestartRecovery
 
 
 def main() -> None:
@@ -45,8 +44,8 @@ def main() -> None:
     db.crash()
 
     print("\n=== restart recovery (ARIES three-pass, section 9) ===")
-    db2 = Database(store=db.store, log=db.log, page_capacity=4)
-    report = RestartRecovery(db2, {"demo": BTreeExtension()}).run()
+    db2 = db.restart({"demo": BTreeExtension()})
+    report = db2.recovery_report
     print(f"  analysis: scanned {report.analyzed_records} records, "
           f"found trees {report.trees}, losers {report.losers}")
     print(f"  redo:     from LSN {report.redo_start_lsn}, "

@@ -9,8 +9,8 @@ instead of docstring-checked:
   lock wait inside a latch-held region, no swallowed storage faults.
 * :mod:`repro.analysis.lockdep` — a runtime lock-order witness wired
   into :class:`~repro.database.Database` via the ``protocol_checks``
-  knob: records the acquisition graph across latches, buffer-shard
-  mutexes and lock-manager queues, and flags potential-deadlock cycles,
+  knob: records the acquisition graph across latches, the buffer-pool
+  mutex and lock-manager queues, and flags potential-deadlock cycles,
   latch-held-across-I/O, latch-held-across-lock-wait and WAL-rule
   violations at the moment they occur.
 """

@@ -13,14 +13,14 @@ lockdep proves a deadlock possible without ever hanging.
 Design constraints:
 
 * **Leaf lock.**  ``note_*`` methods are called while the caller holds
-  latch condition variables, buffer-shard mutexes or the lock-manager
+  latch condition variables, the buffer-pool mutex or the lock-manager
   mutex.  The witness therefore takes exactly one internal mutex and
   never calls back out, so it can never participate in a cycle itself.
 * **Zero overhead when off.**  Nothing in the hot path touches this
   module unless a witness was attached (``Database(protocol_checks=
   True)``); the gating pattern mirrors the fault cleanup of
   ``repro.gist.stats.OpEnvelope`` and is
-  counter-asserted in ``benchmarks/bench_hotpath.py``.
+  counter-asserted in ``tests/storage/test_buffer.py``.
 * **Hard vs. warn.**  ``latch-lock-wait`` and ``wal-rule`` are *hard*
   violations: the shipped tree must never produce one (signaling locks
   are only ever probed no-wait under a latch, and the WAL rule is
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 #: resource-key kinds, in rough global acquisition order
 KIND_LATCH = "latch"
-KIND_SHARD = "shard"
+KIND_POOL = "pool"
 KIND_LOCK = "lock"
 
 #: rules recorded as hard violations (``violations``); everything else
@@ -88,11 +88,11 @@ class ProtocolReport:
 
 
 class LockdepWitness:
-    """Acquisition-graph witness over latches, shard mutexes and locks.
+    """Acquisition-graph witness over latches, the pool mutex and locks.
 
     Resources are keyed ``(kind, name)``: SXLatches by page id /
-    explicit name, buffer-pool shards by shard index, lock-manager
-    queues by lock name (waits only — transactional locks have their
+    explicit name, the buffer-pool mutex as ``("pool", "mutex")``,
+    lock-manager queues by lock name (waits only — transactional locks have their
     own deadlock detector; they matter here only when a *latch* is
     held across the wait).
 
@@ -135,7 +135,7 @@ class LockdepWitness:
     # acquisition graph
 
     def note_acquired(self, kind: str, name: object) -> None:
-        """A latch/shard mutex was granted to the calling thread."""
+        """A latch or the pool mutex was granted to the calling thread."""
         tid = threading.get_ident()
         key = (kind, name)
         with self._mutex:
@@ -146,7 +146,7 @@ class LockdepWitness:
             stack.append(key)
 
     def note_released(self, kind: str, name: object) -> None:
-        """The calling thread released a latch/shard mutex."""
+        """The calling thread released a latch or the pool mutex."""
         tid = threading.get_ident()
         key = (kind, name)
         with self._mutex:

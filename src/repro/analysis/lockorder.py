@@ -4,7 +4,7 @@ The runtime lockdep witness (:mod:`repro.analysis.lockdep`) learns the
 acquisition graph from *executed* interleavings; this pass derives the
 same graph from source, so the global latch order of the paper (root →
 leaf, left → right along rightlinks, child → parent only in the
-back-up phase, buffer shard mutexes innermost, lock-manager waits
+back-up phase, the buffer-pool mutex innermost, lock-manager waits
 never under a latch unless ``wait=False``) is proved over **all**
 acquisition sites, not just the ones a test happened to drive.
 
@@ -16,9 +16,9 @@ cannot alias into a false cycle:
 * ``GiST:root`` / ``GiST:node`` / ``GiST:chain`` / ``GiST:parent`` /
   ``GiST:probe`` — ``pool.fix`` sites classified by argument text and
   enclosing-function name;
-* ``BufferPool:shard`` — the per-shard clock mutex (modelled as
+* ``BufferPool:mutex`` — the pool's one mutex (modelled as
   acquired-and-released *inside* every ``fix``/``pin``, which is why
-  the graph has latch→shard edges but never shard→latch);
+  the graph has latch→mutex edges but never mutex→latch);
 * ``LockManager:wait`` — transactional lock calls (the lexical linter
   separately enforces ``wait=False`` under latches);
 * ``<Class>:<attr>`` — named mutexes (``self._mutex``, partition
@@ -54,6 +54,9 @@ from repro.analysis.common import (
     keyword_arg,
     receiver_text,
 )
+
+#: role of the buffer pool's mutex, taken inside every page fix
+POOL_ROLE = "BufferPool:mutex"
 
 #: cycles the runtime witness has blessed: (roles, ordering key).
 #: a detected cycle passes iff its role set is a subset of a blessed set
@@ -175,8 +178,8 @@ class LockOrderGraph:
         runtime lockdep witness records — for the superset cross-check."""
 
         def kind(role: str) -> str:
-            if role.endswith(":shard"):
-                return "shard"
+            if role == POOL_ROLE:
+                return "pool"
             if role.startswith("LockManager:"):
                 return "lock"
             return "latch"
@@ -258,13 +261,13 @@ def _is_lockmanager_call(call: ast.Call) -> bool:
     )
 
 
-def _is_shard_mutex(expr: ast.expr) -> bool:
-    """``with shard.lock:`` — the buffer pool's hot paths take the shard
-    mutex directly instead of through ``_locked(shard)``."""
+def _is_pool_mutex(fn: FunctionInfo, expr: ast.expr) -> bool:
+    """``with self._mutex:`` in ``BufferPool`` — the pool's hot paths
+    take its mutex directly instead of through ``_locked()``."""
     return (
         isinstance(expr, ast.Attribute)
-        and expr.attr == "lock"
-        and "shard" in ast.unparse(expr.value).lower()
+        and expr.attr == "_mutex"
+        and _namespace(fn) == "BufferPool"
     )
 
 
@@ -326,9 +329,9 @@ class LockOrderAnalyzer:
         roles: set = set()
         for node in ast.walk(fn.node):
             if isinstance(node, ast.With) and any(
-                _is_shard_mutex(item.context_expr) for item in node.items
+                _is_pool_mutex(fn, item.context_expr) for item in node.items
             ):
-                roles.add("BufferPool:shard")
+                roles.add(POOL_ROLE)
             if not isinstance(node, ast.Call):
                 continue
             role = self._acquire_role(fn, node)
@@ -341,8 +344,8 @@ class LockOrderAnalyzer:
                     "parent",
                     "probe",
                 ):
-                    # every fix pins through the buffer shard mutex
-                    roles.add("BufferPool:shard")
+                    # every fix pins through the buffer-pool mutex
+                    roles.add(POOL_ROLE)
         return roles
 
     def _acquire_role(
@@ -356,8 +359,8 @@ class LockOrderAnalyzer:
         if attr in ("acquire", "_locked", "locked"):
             recv = receiver_text(call)
             low = recv.lower()
-            if attr == "_locked" or "shard" in low:
-                return "BufferPool:shard"
+            if attr == "_locked":
+                return POOL_ROLE
             if attr == "acquire" and any(
                 t in low for t in ("latch", "lock", "mutex", "cond")
             ):
@@ -390,7 +393,7 @@ class LockOrderAnalyzer:
         site = self._site(fn, node)
         for held_role, _var in held:
             self.order.add_edge(held_role, role, site)
-        # a fix reaches through the shard mutex while latches are held
+        # a fix reaches through the pool mutex while latches are held
         if role.split(":", 1)[-1] in (
             "root",
             "node",
@@ -399,9 +402,7 @@ class LockOrderAnalyzer:
             "probe",
         ):
             for held_role, _var in held:
-                self.order.add_edge(
-                    held_role, "BufferPool:shard", site
-                )
+                self.order.add_edge(held_role, POOL_ROLE, site)
         held.append((role, var))
 
     def _pop_var(self, held: list, var: str | None) -> None:
@@ -443,8 +444,8 @@ class LockOrderAnalyzer:
                         text = ast.unparse(expr).lower()
                     except Exception:
                         text = ""
-                    if _is_shard_mutex(expr):
-                        self._push(fn, expr, held, "BufferPool:shard", None)
+                    if _is_pool_mutex(fn, expr):
+                        self._push(fn, expr, held, POOL_ROLE, None)
                         entered += 1
                     elif any(
                         text.endswith(s)

@@ -7,8 +7,8 @@ pipelined fan-outs (send every leg, then collect every ack — legs
 execute concurrently in the worker processes), and merge-gathers range
 scans into one ordered iteration via :func:`heapq.merge`.
 
-Why processes: PR 1's latch coupling and PR 2's sharded buffer pool
-scale *within* the GIL; a CPU-bound workload still serializes on the
+Why processes: the link protocol's latches and the buffer pool scale
+only *within* the GIL; a CPU-bound workload still serializes on the
 interpreter lock.  Each partition worker is a whole
 :class:`~repro.database.Database` in its own process — own WAL, own
 buffer pool, own recovery — so partitions genuinely run in parallel,

@@ -4,8 +4,8 @@ Each worker owns a complete :class:`~repro.database.Database` — its own
 WAL, buffer pool, lock manager, recovery and (optionally) lockdep
 witness — and serves framed RPC requests over the socket it inherited
 at fork.  Running the databases in separate *processes* is what lifts
-the PR 1/PR 2 sharding idioms past the GIL: N partitions really do use
-N cores, because nothing above the OS scheduler is shared.
+a CPU-bound workload past the GIL: N partitions really do use N cores,
+because nothing above the OS scheduler is shared.
 
 Durability contract (the commit-LSN oracle's foundation): every commit
 is appended to the partition's :class:`~repro.cluster.shadow.WalShadow`

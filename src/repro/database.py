@@ -71,31 +71,33 @@ class Database:
         Buffer pool size in frames.
     lock_timeout:
         Backstop lock-wait timeout (deadlocks are detected eagerly; the
-        timeout only catches bugs).
-    store, log:
-        Supply existing instances to reopen a database after a crash
-        (normally via :meth:`restart`).
+        timeout only catches bugs).  The chaos harness sets 5 s and the
+        phantom campaign 20 s, so it stays a setting.
+    flush_delay:
+        Simulated latency of one log force, in seconds.
+    hooks:
+        The :class:`~repro.sync.hooks.Hooks` table tests use to force
+        interleavings at named points; a private one when omitted.
     metrics_enabled:
         ``False`` builds the whole assembly over a disabled metrics
         registry: every instrument is a shared no-op and no clock is
-        read on any hot path (``benchmarks/bench_obs_overhead.py``
-        measures the difference).
+        read on any hot path.  ``benchmarks/bench_obs_overhead.py``'s
+        call budget measures both settings, so it stays a setting.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injecting storage and
         WAL-tail faults on a seeded, deterministic schedule (DESIGN.md
         §9).  ``None`` disables all injection; the checksum machinery
         stays on either way.
-    io_retries, io_retry_backoff:
-        Transient-read retry policy forwarded to the buffer pool.
     protocol_checks:
         ``True`` attaches a :class:`repro.analysis.lockdep.LockdepWitness`
-        to the latches, buffer-shard mutexes, lock manager and page
+        to the latches, the buffer-pool mutex, lock manager and page
         store: lock-order cycles (potential ABBA deadlocks),
         latch-held-across-I/O, latch-held-across-lock-wait and WAL-rule
         violations are recorded as they happen (``protocol_report()``).
         ``None`` (the default) reads the ``REPRO_PROTOCOL_CHECKS``
         environment variable; ``False``/unset keeps every hot path free
-        of witness calls (counter-asserted in ``bench_hotpath``).
+        of witness calls (counter-asserted in
+        ``tests/storage/test_buffer.py``).
     op_tracing:
         ``True`` attaches a :class:`repro.obs.spans.SpanTracker`: every
         operation opens an :class:`~repro.obs.spans.OpSpan` and latches,
@@ -104,20 +106,17 @@ class Database:
         pretty-printed by ``python -m repro.tools.trace``).  Off by
         default; when off, every subsystem holds ``None`` and the hot
         paths are span-free (counter-asserted in ``bench_obs_overhead``).
-    trace_capacity:
-        Per-thread ring size of the structured tracer
-        (``db.metrics.tracer``); also retained across :meth:`restart`.
-    flight_recorder, flight_capacity:
+    flight_recorder:
         The always-on black box (:class:`repro.obs.flightrec.
         FlightRecorder`): a bounded per-thread ring of recent rare
         events (txn begin/commit/abort, SMOs, deadlock victims, lockdep
         hard violations, crash/restart), dumped as replayable JSONL by
         failed chaos trials.  On by default — it records only rare
-        events, within the ``bench_obs_overhead`` extra-calls budget.
-    flightrec:
-        Adopt an existing recorder instead of building one.
-        :meth:`restart` passes the pre-crash instance through so the
-        black box spans the crash boundary.
+        events; ``bench_obs_overhead``'s call budget measures both
+        settings, so it stays a setting.
+
+    The surviving disk, log and black box reach a new instance only
+    through :meth:`restart` and :meth:`open_from_log`.
     """
 
     def __init__(
@@ -129,39 +128,30 @@ class Database:
         lock_timeout: float | None = 30.0,
         flush_delay: float = 0.0,
         hooks: Hooks | None = None,
-        store: PageStore | None = None,
-        log: LogManager | None = None,
         metrics_enabled: bool = True,
         fault_plan: FaultPlan | None = None,
-        io_retries: int = 4,
-        io_retry_backoff: float = 0.001,
         protocol_checks: bool | None = None,
         op_tracing: bool = False,
-        trace_capacity: int = 1024,
         flight_recorder: bool = True,
-        flight_capacity: int = 512,
-        flightrec: FlightRecorder | None = None,
     ) -> None:
-        self.metrics = MetricsRegistry(
-            enabled=metrics_enabled, trace_capacity=trace_capacity
+        # what _reopen hands over from a crashed instance, if anything
+        store, log, flightrec = vars(self).pop(
+            "_survivors", (None, None, None)
         )
+        self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self.op_tracing = op_tracing
-        self.trace_capacity = trace_capacity
         #: per-op latency attribution; ``None`` when off — subsystems
         #: gate on the reference, paying one attribute-load + branch
         self.spans = SpanTracker(self.metrics) if op_tracing else None
         self.flight_recorder_enabled = flight_recorder
-        self.flight_capacity = flight_capacity
         if flightrec is not None:
             self.flightrec: FlightRecorder | None = flightrec
         elif flight_recorder:
-            self.flightrec = FlightRecorder(capacity=flight_capacity)
+            self.flightrec = FlightRecorder()
         else:
             self.flightrec = None
         self.pool_capacity = pool_capacity
         self.lock_timeout = lock_timeout
-        self.io_retries = io_retries
-        self.io_retry_backoff = io_retry_backoff
         self.store = store or PageStore(
             io_delay=io_delay,
             page_capacity=page_capacity,
@@ -190,8 +180,6 @@ class Database:
             capacity=pool_capacity,
             wal_flush=self.log.flush,
             metrics=self.metrics,
-            io_retries=io_retries,
-            io_retry_backoff=io_retry_backoff,
         )
         #: torn pages found at fix time are rebuilt by full WAL replay
         self.pool.page_rebuilder = self._rebuild_page
@@ -479,18 +467,13 @@ class Database:
         config.setdefault("metrics_enabled", self.metrics.enabled)
         config.setdefault("pool_capacity", self.pool_capacity)
         config.setdefault("lock_timeout", self.lock_timeout)
-        config.setdefault("io_retries", self.io_retries)
-        config.setdefault("io_retry_backoff", self.io_retry_backoff)
         config.setdefault("protocol_checks", self.protocol_checks)
         config.setdefault("op_tracing", self.op_tracing)
-        config.setdefault("trace_capacity", self.trace_capacity)
         config.setdefault("flight_recorder", self.flight_recorder_enabled)
-        config.setdefault("flight_capacity", self.flight_capacity)
         # The black box is the external observer, not volatile state:
         # the pre-crash instance carries over so a post-restart dump
         # still shows the events that led up to the crash.
-        config.setdefault("flightrec", self.flightrec)
-        new_db = Database(store=self.store, log=self.log, **config)
+        new_db = Database._reopen(self.store, self.log, self.flightrec, config)
         if new_db.flightrec is not None:
             new_db.flightrec.record("db.restart")
         new_db.recovery_report = RestartRecovery(new_db, extensions).run()
@@ -510,6 +493,22 @@ class Database:
                 checkpoint_begin_lsn=report.checkpoint_begin_lsn,
             )
         return new_db
+
+    @classmethod
+    def _reopen(
+        cls,
+        store: PageStore | None,
+        log: LogManager,
+        flightrec: FlightRecorder | None,
+        config: dict,
+    ) -> "Database":
+        """Build an instance over what a crash left behind — the disk
+        (``None``: a fresh one), the log and the black box — configured
+        by ``config``.  Recovery is the caller's next step."""
+        db = cls.__new__(cls)
+        db._survivors = (store, log, flightrec)
+        db.__init__(**config)
+        return db
 
     @classmethod
     def open_from_log(
@@ -542,7 +541,7 @@ class Database:
         # a store that did not survive: without one, analysis puts every
         # page in the table from its first mention and redo rebuilds it.
         log.master_lsn = NULL_LSN
-        db = cls(log=log, **config)
+        db = cls._reopen(None, log, None, config)
         if db.flightrec is not None:
             db.flightrec.record("db.open_from_log", end_lsn=log.end_lsn)
         db.recovery_report = RestartRecovery(db, extensions).run()

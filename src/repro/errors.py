@@ -78,8 +78,8 @@ class StorageFaultError(PageError):
 class TransientIOError(StorageFaultError):
     """A page read failed transiently (injected by a fault plan).
 
-    Retryable: the buffer pool retries reads with bounded exponential
-    backoff (``io_retries`` / ``io_retry_backoff`` knobs), and
+    Retryable: the buffer pool retries a read immediately, up to
+    ``BufferPool.IO_RETRIES`` times, and
     :func:`repro.harness.driver.run_with_retry` treats it like a
     deadlock abort at the transaction level.
     """

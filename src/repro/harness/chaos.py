@@ -28,11 +28,10 @@ Tail faults never reach below the highest LSN any persisted page or
 checkpoint depends on (see ``Database.crash``), so the lost commits
 are always a suffix of commit order.
 
-Trials are bit-for-bit reproducible: the fault plan, the workload and
-the backoff policy (``io_retry_backoff=0`` — no wall-clock sleeps) are
-all derived from the seed, and the single-database workloads are
-single-threaded.  A failing single-database trial dumps its
-flight-recorder black box.
+Trials are bit-for-bit reproducible: the fault plan and the workload
+are derived from the seed, read retries never sleep, and the
+single-database workloads are single-threaded.  A failing
+single-database trial dumps its flight-recorder black box.
 
 Run standalone for the CI chaos-smoke gate::
 
@@ -322,7 +321,6 @@ class _DatabaseTrial(_Trial):
             pool_capacity=self.POOL,
             lock_timeout=5.0,
             fault_plan=self.plan,
-            io_retry_backoff=0.0,  # deterministic: no wall-clock sleeps
             # False defers to REPRO_PROTOCOL_CHECKS; True forces it on
             protocol_checks=self.harness.protocol_checks or None,
         )
@@ -391,13 +389,17 @@ class _DatabaseTrial(_Trial):
         The hook fires after the split record is written but before the
         enclosing nested top action commits, leaving an *interrupted
         structure modification* in the log — restart must undo it
-        page-oriented (section 9.2).
+        page-oriented (section 9.2).  Storage faults are disarmed first
+        (WAL-tail faults stay armed), so no write fault surfaces before
+        the split does.
         """
 
         def bomb(**_ctx: object) -> None:
             raise CrashError("injected crash inside split")
 
         db, rng = self.db, self.rng
+        if self.plan is not None:
+            self.plan.note_restart()
         db.hooks.on("insert:after-split", bomb)
         txn = db.begin()
         try:

@@ -338,11 +338,8 @@ class MetricsRegistry:
     benchmarked by ``bench_obs_overhead.py``.
     """
 
-    def __init__(
-        self, enabled: bool = True, trace_capacity: int = 1024
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.trace_capacity = trace_capacity
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -350,7 +347,7 @@ class MetricsRegistry:
         # imported here to avoid a cycle at module import time
         from repro.obs.tracer import Tracer
 
-        self.tracer = Tracer(capacity=trace_capacity, enabled=enabled)
+        self.tracer = Tracer(enabled=enabled)
 
     # ------------------------------------------------------------------
     # instrument creation (get-or-create)

@@ -34,15 +34,14 @@ def test_shipped_tree_has_the_expected_protocol_edges() -> None:
     edges = set(graph.edges)
     # Figure 4 back-up: child held while the parent is latched
     assert ("GiST:node", "GiST:parent") in edges
-    # every fix reaches through the buffer shard mutex
-    assert ("GiST:node", "BufferPool:shard") in edges
-    # ... also where the pool takes it as a bare ``with shard.lock:``
-    # (``_pin``/``unpin``) instead of through ``_locked(shard)``
-    assert ("BufferPool:node", "BufferPool:shard") in edges
-    # and the shard mutex is innermost: no shard -> latch edge ever
+    # every fix reaches through the buffer-pool mutex
+    assert ("GiST:node", "BufferPool:mutex") in edges
+    # ... also where the pool takes it as a bare ``with self._mutex:``
+    # (``_pin``/``unpin``) instead of through ``_locked()``
+    assert ("BufferPool:node", "BufferPool:mutex") in edges
+    # and the pool mutex is innermost: no mutex -> latch edge ever
     assert not any(
-        src.endswith(":shard") and not dst.endswith(":shard")
-        for src, dst in edges
+        src == "BufferPool:mutex" and dst != src for src, dst in edges
     )
 
 

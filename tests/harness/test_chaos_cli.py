@@ -46,7 +46,7 @@ def test_table_names_each_rows_kind_and_crash(tmp_path):
     )
     header, _, chaos_row, batch_row = out.stdout.splitlines()[1:5]
     assert header.split()[:3] == ["kind", "seed", "crash"]
-    assert chaos_row.split()[:3] == ["chaos", "0", "end"]
+    assert chaos_row.split()[:3] == ["chaos", "0", "split"]
     kind, seed, crash = batch_row.split()[:3]
     assert (kind, seed) == ("batch", "0")
     assert crash in BATCH_CRASH_POINTS

@@ -147,14 +147,12 @@ class TestDatabaseWiring:
         tree.insert(txn, 1, "r1")
         db.commit(txn)
 
-    def test_capacity_knob(self):
-        db = Database(page_capacity=8, flight_capacity=3)
-        tree = db.create_tree("t", BTreeExtension())
-        for i in range(5):
-            txn = db.begin()
-            tree.insert(txn, i, f"r{i}")
-            db.commit(txn)
-        assert len(db.flightrec) == 3
+    def test_database_black_box_is_bounded(self):
+        db = Database(page_capacity=8)
+        assert db.flightrec.capacity == 512
+        for i in range(600):
+            db.flightrec.record("tick", i=i)
+        assert len(db.flightrec) == 512
 
     def test_black_box_survives_crash_and_restart(self):
         db = Database(page_capacity=8)

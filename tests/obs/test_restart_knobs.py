@@ -17,13 +17,12 @@ def _crash_restart(db, **config):
 
 class TestRestartPropagation:
     def test_op_tracing_and_capacity_carry_over(self):
-        db = Database(page_capacity=8, op_tracing=True, trace_capacity=77)
+        db = Database(page_capacity=8, op_tracing=True)
         db.create_tree("t", BTreeExtension())
         db2 = _crash_restart(db)
         assert db2.op_tracing is True
         assert db2.spans is not None
-        assert db2.trace_capacity == 77
-        assert db2.metrics.trace_capacity == 77
+        assert db2.store.page_capacity == 8
         # and the revived tracker is live: recovery's ops aside, a new
         # operation gets a span
         tree = db2.tree("t")
@@ -47,13 +46,12 @@ class TestRestartPropagation:
         assert db3.spans is None
 
     def test_flight_recorder_knobs_carry_over(self):
-        db = Database(page_capacity=8, flight_capacity=9)
+        db = Database(page_capacity=8)
         db.create_tree("t", BTreeExtension())
         db2 = _crash_restart(db)
         assert db2.flight_recorder_enabled is True
         # same instance: the black box is the external observer
         assert db2.flightrec is db.flightrec
-        assert db2.flightrec.capacity == 9
 
     def test_disabled_flight_recorder_stays_disabled(self):
         db = Database(page_capacity=8, flight_recorder=False)
@@ -73,15 +71,12 @@ class TestRestartPropagation:
 
 
 #: constructor keywords ``restart`` need not forward: objects the new
-#: instance adopts or rebuilds (``flightrec`` is forwarded, but as the
-#: same instance — see ``test_flight_recorder_knobs_carry_over``), and
-#: settings that live in the surviving store / log
+#: instance rebuilds, and settings that live in the surviving store /
+#: log (the store, log and black box themselves are handed over, not
+#: passed — see ``test_flight_recorder_knobs_carry_over``)
 _NOT_FORWARDED = {
-    "store",
-    "log",
     "hooks",
     "fault_plan",
-    "flightrec",
     "io_delay",
     "flush_delay",
     "page_capacity",
@@ -92,13 +87,9 @@ _NON_DEFAULT = {
     "pool_capacity": 40,
     "lock_timeout": 1.5,
     "metrics_enabled": False,
-    "io_retries": 9,
-    "io_retry_backoff": 0.0,
     "protocol_checks": True,
     "op_tracing": True,
-    "trace_capacity": 77,
     "flight_recorder": False,
-    "flight_capacity": 9,
 }
 
 
@@ -106,6 +97,7 @@ def test_every_knob_survives_restart(monkeypatch):
     """Walks the constructor signature, so a knob added without
     ``restart`` forwarding (or without a value here) fails."""
     knobs = set(inspect.signature(Database.__init__).parameters)
+    assert len(knobs - {"self"}) == 11
     assert knobs - {"self"} - _NOT_FORWARDED == set(_NON_DEFAULT)
     db = Database(page_capacity=8, **_NON_DEFAULT)
     db.create_tree("t", BTreeExtension())

@@ -95,9 +95,7 @@ class TestTornPageHealing:
         """A torn image persisted before the crash is rebuilt by redo's
         full-log replay instead of fatally rejecting recovery."""
         plan = FaultPlan([FaultSpec(FaultKind.TORN_WRITE, op_index=2)])
-        db = Database(
-            page_capacity=4, fault_plan=plan, io_retry_backoff=0.0
-        )
+        db = Database(page_capacity=4, fault_plan=plan)
         tree = db.create_tree("t", BTreeExtension())
         txn = db.begin()
         for i in range(30):  # enough inserts to split + evict + rewrite
@@ -122,7 +120,6 @@ class TestTornPageHealing:
             page_capacity=4,
             pool_capacity=10,
             fault_plan=plan,
-            io_retry_backoff=0.0,
         )
         tree = db.create_tree("t", BTreeExtension())
         txn = db.begin()

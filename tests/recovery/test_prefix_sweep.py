@@ -13,9 +13,7 @@ from __future__ import annotations
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
-from repro.storage.disk import PageStore
 from repro.txn.transaction import IsolationLevel
-from repro.wal.recovery import RestartRecovery
 
 
 def record_history():
@@ -86,13 +84,14 @@ class TestPrefixSweep:
         failures = []
         for k in range(end + 1):
             log = db.log.clone_prefix(k)
-            store = PageStore(page_capacity=4)
-            fresh = Database(store=store, log=log, page_capacity=4)
             try:
-                report = RestartRecovery(fresh, {"sw": BTreeExtension()}).run()
+                fresh = Database.open_from_log(
+                    log, {"sw": BTreeExtension()}, page_capacity=4
+                )
             except Exception as exc:
                 failures.append(f"k={k}: recovery raised {exc!r}")
                 continue
+            report = fresh.recovery_report
             if readers & set(report.losers):
                 failures.append(f"k={k}: a reader among {report.losers}")
             if "sw" not in fresh.trees:

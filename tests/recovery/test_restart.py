@@ -6,7 +6,6 @@ from repro.database import Database
 from repro.errors import RecoveryError
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.checker import check_tree
-from repro.wal.recovery import RestartRecovery
 from tests.recovery.test_logical_undo import leaf_of
 
 
@@ -157,9 +156,8 @@ class TestCheckpoints:
         tree.insert(txn, 99, "late")
         db.commit(txn)
         db.crash()
-        db2 = Database(store=db.store, log=db.log, page_capacity=4)
-        recovery = RestartRecovery(db2, {"t": BTreeExtension()})
-        report = recovery.run()
+        db2 = db.restart({"t": BTreeExtension()})
+        report = db2.recovery_report
         assert report.redo_start_lsn >= db.log.master_lsn - 1
         expected = {f"r{i}": i for i in range(20)}
         expected["late"] = 99
@@ -171,8 +169,8 @@ class TestCheckpoints:
         tree.insert(txn, 1, "r1")
         db.commit(txn)
         db.crash()
-        db2 = Database(store=db.store, log=db.log, page_capacity=4)
-        report = RestartRecovery(db2, {"t": BTreeExtension()}).run()
+        db2 = db.restart({"t": BTreeExtension()})
+        report = db2.recovery_report
         # no checkpoint: redo starts at the first page-touching record
         assert report.redo_start_lsn <= 2
         assert contents(db2, db2.tree("t")) == {"r1": 1}
@@ -290,9 +288,8 @@ class TestCatalogRecovery:
     def test_missing_extension_raises(self):
         db, tree = build()
         db.crash()
-        db2 = Database(store=db.store, log=db.log, page_capacity=4)
         with pytest.raises(RecoveryError):
-            RestartRecovery(db2, {}).run()
+            db.restart({})
 
     def test_xid_counter_advances_past_recovered(self):
         db, tree = build()

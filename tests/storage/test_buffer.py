@@ -1,10 +1,13 @@
-"""Unit tests for the buffer pool: pinning, eviction, WAL rule, crash."""
+"""Unit tests for the buffer pool: pinning, eviction, WAL rule, crash,
+and the resident-pin hot path's lock count."""
 
 import threading
 
 import pytest
 
+from repro.database import Database
 from repro.errors import BufferPoolError
+from repro.ext.btree import BTreeExtension
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import PageStore
 from repro.storage.page import LeafEntry, PageKind
@@ -93,6 +96,68 @@ class TestEviction:
         assert not pool.resident(f2.page.pid)
         f1.latch.release()
 
+    def test_capacity_is_pool_wide(self):
+        _, pool = make_pool(capacity=4)
+        for _ in range(8):
+            frame = pool.new_frame(PageKind.LEAF)
+            pool.unpin(frame.page.pid)
+        assert pool.metrics.snapshot()["buffer"]["resident"] == 4
+        assert pool.evictions == 4
+
+    def test_drop_releases_capacity(self):
+        _, pool = make_pool(capacity=2)
+        f0 = pool.new_frame(PageKind.LEAF)
+        pool.unpin(f0.page.pid)
+        pool.drop(f0.page.pid)
+        f1 = pool.new_frame(PageKind.LEAF)
+        f2 = pool.new_frame(PageKind.LEAF)  # fits: slot was released
+        assert pool.resident(f1.page.pid) and pool.resident(f2.page.pid)
+        assert pool.evictions == 0
+
+    def test_second_chance_prefers_cold_frames(self):
+        """A frame re-pinned during the sweep window gets a second
+        chance; an untouched one is evicted first."""
+        _, pool = make_pool(capacity=3)
+        f1 = pool.new_frame(PageKind.LEAF)
+        pool.unpin(f1.page.pid)
+        f2 = pool.new_frame(PageKind.LEAF)
+        pool.unpin(f2.page.pid)
+        f3 = pool.new_frame(PageKind.LEAF)
+        pool.unpin(f3.page.pid)
+        # First overflow: the sweep clears every ref bit and evicts the
+        # frame at the hand — f1.  Survivors f2 and f3 are now cold.
+        pool.new_frame(PageKind.LEAF)
+        assert not pool.resident(f1.page.pid)
+        # Touch f2 so only its bit is set again; the hand sits on it.
+        pool.pin(f2.page.pid)
+        pool.unpin(f2.page.pid)
+        # Second overflow: f2 spends its reference bit (second chance)
+        # and the cold f3 right behind it is evicted instead.
+        pool.new_frame(PageKind.LEAF)
+        assert pool.resident(f2.page.pid)
+        assert not pool.resident(f3.page.pid)
+        assert pool.evictions == 2
+
+    def test_ring_survives_many_drop_reload_cycles(self):
+        """Stale ring slots are reaped lazily and the ring is compacted;
+        heavy drop/reload churn must not grow it without bound."""
+        _, pool = make_pool(capacity=8)
+        frame = pool.new_frame(PageKind.LEAF)
+        pid = frame.page.pid
+        frame.mark_dirty(1)
+        pool.unpin(pid)
+        pool.flush_page(pid)
+        for _ in range(100):
+            pool.drop(pid)
+            pool.pin(pid)
+            pool.unpin(pid)
+        assert len(pool._ring) <= 2 * len(pool._frames) + 8
+        # and eviction still works afterwards
+        for _ in range(10):
+            f = pool.new_frame(PageKind.LEAF)
+            pool.unpin(f.page.pid)
+        assert pool.evictions > 0
+
 
 class TestWALRule:
     def test_flush_forces_log_first(self):
@@ -110,6 +175,7 @@ class TestWALRule:
         store = PageStore()
         pool = BufferPool(store, capacity=1, wal_flush=flushed.append)
         f1 = pool.new_frame(PageKind.LEAF)
+        f1.page.add_entry(LeafEntry(1, "r1"))
         f1.mark_dirty(9)
         pool.unpin(f1.page.pid)
         pool.new_frame(PageKind.LEAF)
@@ -162,6 +228,16 @@ class TestCrash:
         pool.crash()
         assert store.read(pid).page_lsn == 2
         assert len(store.read(pid).entries) == 1
+
+    def test_crash_resets_the_capacity_budget(self):
+        _, pool = make_pool(capacity=8)
+        pids = [pool.new_frame(PageKind.LEAF).page.pid for _ in range(6)]
+        pool.crash()
+        for pid in pids:
+            assert not pool.resident(pid)
+        # pinned frames vanished with their slots: a full refill fits
+        for _ in range(8):
+            pool.new_frame(PageKind.LEAF)
 
 
 class TestConcurrentPin:
@@ -228,3 +304,52 @@ class TestConcurrentPin:
             t.join()
         assert len({id(f) for f in results}) == 1  # one shared frame
         assert store.stats.snapshot()["reads"] == 1
+
+
+def resident_pin_acquisitions(pool, rounds=100):
+    """Pool-mutex acquisitions per pin + unpin of one resident page."""
+    frame = pool.new_frame(PageKind.LEAF)
+    before = pool.lock_acquisitions
+    for _ in range(rounds):
+        pool.pin(frame.page.pid)
+        pool.unpin(frame.page.pid)
+    return (pool.lock_acquisitions - before) / rounds
+
+
+class TestHotPathDormant:
+    """With faults and protocol checks off, a resident pin + unpin takes
+    the pool mutex exactly twice and touches nothing else they own."""
+
+    def test_fault_machinery_dormant_on_resident_pin(self):
+        store, pool = make_pool(capacity=8)
+        assert pool._track_fixes is False  # no plan: no pin ledger
+        assert resident_pin_acquisitions(pool) == 2
+        for counter in (
+            "storage.io_retries",
+            "storage.torn_pages_detected",
+            "storage.torn_pages_healed",
+            "storage.write_faults",
+        ):
+            assert pool.metrics.counter(counter).value == 0, counter
+        assert store.stats.checksum_failures == 0
+        assert store.stats.faults_injected == 0
+
+    def test_protocol_checks_dormant_on_resident_pin(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PROTOCOL_CHECKS", raising=False)
+        db = Database(page_capacity=8, pool_capacity=64)
+        # checks off => no witness is constructed or attached anywhere
+        assert db.protocol_checks is False
+        assert db.witness is None
+        assert db.store.witness is None
+        assert db.locks.witness is None
+        assert db.pool._witness is None
+        assert resident_pin_acquisitions(db.pool) == 2
+        tree = db.create_tree("hot", BTreeExtension())
+        txn = db.begin()
+        for i in range(32):
+            tree.insert(txn, i, f"r{i}")
+        db.commit(txn)
+        # frame latches were built without a witness binding too
+        root_latch = db.pool.pin(tree.root_pid).latch
+        db.pool.unpin(tree.root_pid)
+        assert root_latch.witness is None

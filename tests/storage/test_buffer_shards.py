@@ -1,6 +1,6 @@
-"""Sharded buffer pool: lock locality, counter exactness, global budget."""
-
-import threading
+"""Pool-wide budget, WAL-on-eviction and clock checks first written for
+the hash-sharded pool.  The pool now has one mutex and one clock; these
+behaviours did not depend on the sharding and still hold."""
 
 import pytest
 
@@ -11,171 +11,24 @@ from repro.storage.page import LeafEntry, PageKind
 from repro.sync.latch import LatchMode
 
 
-def make_pool(capacity=16, shards=4, io_delay=0.0, wal_flush=None):
-    store = PageStore(io_delay=io_delay)
-    pool = BufferPool(
-        store, capacity=capacity, wal_flush=wal_flush, shards=shards
-    )
-    return store, pool
-
-
-class TestShardLayout:
-    def test_shard_count_validated(self):
-        store = PageStore()
-        with pytest.raises(BufferPoolError):
-            BufferPool(store, shards=0)
-
-    def test_pages_distribute_across_shards(self):
-        _, pool = make_pool(shards=4)
-        frames = [pool.new_frame(PageKind.LEAF) for _ in range(8)]
-        homes = {pool.shard_of(f.page.pid) for f in frames}
-        assert homes == {0, 1, 2, 3}
-
-    def test_aggregate_equals_per_shard_sum(self):
-        _, pool = make_pool(shards=4)
-        frames = [pool.new_frame(PageKind.LEAF) for _ in range(8)]
-        for frame in frames:
-            pool.pin(frame.page.pid)
-        per_shard = pool.shard_metrics()
-        assert pool.hits == sum(s["hits"] for s in per_shard) == 8
-        assert pool.misses == sum(s["misses"] for s in per_shard)
-        assert pool.evictions == sum(s["evictions"] for s in per_shard)
-        assert sum(s["resident"] for s in per_shard) == 8
-
-    def test_shard_gauges_in_snapshot(self):
-        store = PageStore()
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        pool = BufferPool(store, capacity=8, metrics=registry, shards=2)
-        frame = pool.new_frame(PageKind.LEAF)
-        pool.pin(frame.page.pid)
-        snap = registry.snapshot()
-        shard = snap["buffer"]["shard"]
-        assert shard["count"] == 2
-        total_hits = sum(
-            shard[str(i)]["hits"] for i in range(2)
-        )
-        assert total_hits == snap["buffer"]["hits"] == 1
-
-
-class TestLockLocality:
-    def test_resident_pin_touches_only_its_own_shard(self):
-        """The tentpole property: a hit acquires exactly one mutex — the
-        page's own shard's.  Asserted by counter, not wall clock."""
-        _, pool = make_pool(shards=4)
-        frames = [pool.new_frame(PageKind.LEAF) for _ in range(4)]
-        target = frames[0].page.pid
-        home = pool.shard_of(target)
-        before = pool.shard_metrics()
-        rounds = 50
-        for _ in range(rounds):
-            pool.pin(target)
-            pool.unpin(target)
-        after = pool.shard_metrics()
-        for idx in range(4):
-            delta = (
-                after[idx]["lock_acquisitions"]
-                - before[idx]["lock_acquisitions"]
-            )
-            if idx == home:
-                # one acquisition per pin + one per unpin, plus the two
-                # shard_metrics() snapshots themselves
-                assert delta == 2 * rounds + 1
-            else:
-                # only the shard_metrics() snapshot touched this shard
-                assert delta == 1
-
-    def test_concurrent_pins_of_distinct_pages_stay_exact(self):
-        """Counters are mutated only under their shard lock: a pin race
-        across every shard must not lose a single increment, and the
-        aggregate must equal the per-shard sum."""
-        _, pool = make_pool(capacity=32, shards=4)
-        pids = []
-        for n in range(8):
-            frame = pool.new_frame(PageKind.LEAF)
-            frame.mark_dirty(n + 1)
-            pids.append(frame.page.pid)
-            pool.unpin(frame.page.pid)
-        for pid in pids[4:]:
-            pool.flush_page(pid)
-            pool.drop(pid)
-        base_hits, base_misses = pool.hits, pool.misses
-        per_thread = 200
-        barrier = threading.Barrier(8)
-
-        def pinner(seed):
-            barrier.wait()
-            for i in range(per_thread):
-                pid = pids[(seed + i) % len(pids)]
-                pool.pin(pid)
-                pool.unpin(pid)
-
-        threads = [
-            threading.Thread(target=pinner, args=(n,)) for n in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        hits = pool.hits - base_hits
-        misses = pool.misses - base_misses
-        assert hits + misses == 8 * per_thread
-        per_shard = pool.shard_metrics()
-        assert pool.hits == sum(s["hits"] for s in per_shard)
-        assert pool.misses == sum(s["misses"] for s in per_shard)
+def make_pool(capacity=16, wal_flush=None):
+    store = PageStore()
+    return store, BufferPool(store, capacity=capacity, wal_flush=wal_flush)
 
 
 class TestGlobalCapacity:
-    def test_capacity_is_pool_wide_not_per_shard(self):
-        """8 frames in a capacity-4 pool must evict regardless of how
-        the pids hash across shards."""
-        _, pool = make_pool(capacity=4, shards=4)
-        for _ in range(8):
-            frame = pool.new_frame(PageKind.LEAF)
-            pool.unpin(frame.page.pid)
-        per_shard = pool.shard_metrics()
-        assert sum(s["resident"] for s in per_shard) == 4
-        assert pool.evictions == 4
-
-    def test_eviction_crosses_shards_when_home_is_pinned(self):
-        """A shard whose frames are all pinned borrows a victim from a
-        neighbour instead of failing."""
-        _, pool = make_pool(capacity=2, shards=2)
-        f0 = pool.new_frame(PageKind.LEAF)  # stays pinned
-        f1 = pool.new_frame(PageKind.LEAF)
-        pool.unpin(f1.page.pid)
-        # The next allocation must evict f1, whichever shard it lands in.
-        f2 = pool.new_frame(PageKind.LEAF)
-        assert not pool.resident(f1.page.pid)
-        assert pool.resident(f0.page.pid)
-        assert pool.resident(f2.page.pid)
-
     def test_all_pinned_raises_across_shards(self):
-        _, pool = make_pool(capacity=2, shards=2)
+        _, pool = make_pool(capacity=2)
         pool.new_frame(PageKind.LEAF)
         pool.new_frame(PageKind.LEAF)
         with pytest.raises(BufferPoolError):
             pool.new_frame(PageKind.LEAF)
 
-    def test_drop_releases_capacity(self):
-        _, pool = make_pool(capacity=2, shards=2)
-        f0 = pool.new_frame(PageKind.LEAF)
-        pool.unpin(f0.page.pid)
-        pool.drop(f0.page.pid)
-        f1 = pool.new_frame(PageKind.LEAF)
-        f2 = pool.new_frame(PageKind.LEAF)  # fits: slot was released
-        assert pool.resident(f1.page.pid) and pool.resident(f2.page.pid)
-        assert pool.evictions == 0
-
 
 class TestShardedWALRule:
     def test_sharded_eviction_respects_wal(self):
         flushed = []
-        store = PageStore()
-        pool = BufferPool(
-            store, capacity=1, wal_flush=flushed.append, shards=4
-        )
+        store, pool = make_pool(capacity=1, wal_flush=flushed.append)
         f1 = pool.new_frame(PageKind.LEAF)
         f1.page.add_entry(LeafEntry(1, "r1"))
         f1.mark_dirty(9)
@@ -184,44 +37,10 @@ class TestShardedWALRule:
         assert flushed == [9]
         assert store.read(f1.page.pid).entries[0].rid == "r1"
 
-    def test_sharded_crash_clears_everything(self):
-        _, pool = make_pool(capacity=8, shards=4)
-        pids = [pool.new_frame(PageKind.LEAF).page.pid for _ in range(6)]
-        pool.crash()
-        for pid in pids:
-            assert not pool.resident(pid)
-        # capacity budget was reset too: a full refill works
-        for _ in range(8):
-            pool.new_frame(PageKind.LEAF)
-
 
 class TestClockEviction:
-    def test_second_chance_prefers_cold_frames(self):
-        """A frame re-pinned during the sweep window gets a second
-        chance; an untouched one is evicted first."""
-        _, pool = make_pool(capacity=3, shards=1)
-        f1 = pool.new_frame(PageKind.LEAF)
-        pool.unpin(f1.page.pid)
-        f2 = pool.new_frame(PageKind.LEAF)
-        pool.unpin(f2.page.pid)
-        f3 = pool.new_frame(PageKind.LEAF)
-        pool.unpin(f3.page.pid)
-        # First overflow: the sweep clears every ref bit and evicts the
-        # frame at the hand — f1.  Survivors f2 and f3 are now cold.
-        pool.new_frame(PageKind.LEAF)
-        assert not pool.resident(f1.page.pid)
-        # Touch f2 so only its bit is set again; the hand sits on it.
-        pool.pin(f2.page.pid)
-        pool.unpin(f2.page.pid)
-        # Second overflow: f2 spends its reference bit (second chance)
-        # and the cold f3 right behind it is evicted instead.
-        pool.new_frame(PageKind.LEAF)
-        assert pool.resident(f2.page.pid)
-        assert not pool.resident(f3.page.pid)
-        assert pool.evictions == 2
-
     def test_latched_frames_skipped_by_clock(self):
-        _, pool = make_pool(capacity=2, shards=1)
+        _, pool = make_pool(capacity=2)
         f1 = pool.new_frame(PageKind.LEAF)
         f1.latch.acquire(LatchMode.S)
         pool.unpin(f1.page.pid)
@@ -231,24 +50,3 @@ class TestClockEviction:
         assert pool.resident(f1.page.pid)
         assert not pool.resident(f2.page.pid)
         f1.latch.release()
-
-    def test_ring_survives_many_drop_reload_cycles(self):
-        """Stale ring slots are reaped lazily and the ring is compacted;
-        heavy drop/reload churn must not grow it without bound."""
-        store, pool = make_pool(capacity=8, shards=1)
-        frame = pool.new_frame(PageKind.LEAF)
-        pid = frame.page.pid
-        frame.mark_dirty(1)
-        pool.unpin(pid)
-        pool.flush_page(pid)
-        for _ in range(100):
-            pool.drop(pid)
-            pool.pin(pid)
-            pool.unpin(pid)
-        shard = pool._shards[pool.shard_of(pid)]
-        assert len(shard.ring) <= 2 * len(shard.frames) + 8
-        # and eviction still works afterwards
-        for _ in range(10):
-            f = pool.new_frame(PageKind.LEAF)
-            pool.unpin(f.page.pid)
-        assert pool.evictions > 0

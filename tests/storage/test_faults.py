@@ -76,7 +76,7 @@ class TestTransientReads:
         store = PageStore(fault_plan=plan)
         page = make_page(store)
         store.write(page)
-        pool = BufferPool(store, io_retries=4, io_retry_backoff=0.0)
+        pool = BufferPool(store)
         frame = pool.pin(page.pid)
         assert frame.page.pid == page.pid
         assert pool.metrics.counter("storage.io_retries").value == 3
@@ -88,9 +88,11 @@ class TestTransientReads:
         store = PageStore(fault_plan=plan)
         page = make_page(store)
         store.write(page)
-        pool = BufferPool(store, io_retries=2, io_retry_backoff=0.0)
+        pool = BufferPool(store)
         with pytest.raises(TransientIOError):
             pool.pin(page.pid)
+        retries = pool.metrics.counter("storage.io_retries").value
+        assert retries == BufferPool.IO_RETRIES
 
 
 class TestPermanentWrites:
@@ -165,7 +167,7 @@ class TestTornWrites:
         intended = page.snapshot()
         intended.add_entry(LeafEntry(99, "new"))
         store.write(intended)  # torn
-        pool = BufferPool(store, io_retry_backoff=0.0)
+        pool = BufferPool(store)
         pool.page_rebuilder = lambda pid: intended.snapshot()
         frame = pool.pin(page.pid)
         assert frame.page.find_leaf_entry(99, "new") is not None
@@ -179,7 +181,7 @@ class TestTornWrites:
         store.write(page)
         page.add_entry(LeafEntry(99, "new"))
         store.write(page)  # torn
-        pool = BufferPool(store, io_retry_backoff=0.0)  # no rebuilder
+        pool = BufferPool(store)  # no rebuilder
         with pytest.raises(TornPageError):
             pool.pin(page.pid)
 

@@ -73,8 +73,6 @@ class TestShutdown:
         assert db.log.master_lsn > 0
 
     def test_reopen_after_clean_shutdown_redoes_little(self):
-        from repro.wal.recovery import RestartRecovery
-
         db = Database(page_capacity=8)
         tree = db.create_tree("t", BTreeExtension())
         txn = db.begin()
@@ -83,8 +81,8 @@ class TestShutdown:
         db.commit(txn)
         db.shutdown()
         db.crash()
-        db2 = Database(store=db.store, log=db.log, page_capacity=8)
-        report = RestartRecovery(db2, {"t": BTreeExtension()}).run()
+        db2 = db.restart({"t": BTreeExtension()})
+        report = db2.recovery_report
         # everything was already on disk: redo applied (almost) nothing
         assert report.redone_records <= 2
         txn = db2.begin()

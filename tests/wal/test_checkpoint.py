@@ -230,16 +230,6 @@ def checkpoint_while_parked(db, wanted, work, then=lambda: None):
     return db.log.get(taken[0]), parked[0]
 
 
-def tree_rooted_in_last_shard(db):
-    """A tree whose root sits in the pool's last shard: the pages it
-    allocates next wrap round to shards a sweep visits *before* the
-    root's, so blocking on the root's latch comes too late for them."""
-    tree = db.create_tree("t0", BTreeExtension())
-    while db.pool.shard_of(tree.root_pid + 1) != 0:
-        tree = db.create_tree(f"t{len(db.trees)}", BTreeExtension())
-    return tree
-
-
 class TestCheckpointRaces:
     """The tables are read while the log grows; ``begin_lsn`` and the
     frame latches make that harmless.  Each test forces one order."""
@@ -299,9 +289,9 @@ class TestCheckpointRaces:
     def test_pages_born_by_a_root_split_are_in_the_dpt(self):
         """A page a record brings into being must be resident and
         latched *before* that record is appended, or a checkpoint that
-        has already swept its shard never hears of it."""
+        has already read the frame table never hears of it."""
         db = Database(page_capacity=4)
-        tree = tree_rooted_in_last_shard(db)
+        tree = db.create_tree("t0", BTreeExtension())
         txn = db.begin()
         for i in range(4):
             tree.insert(txn, i, f"r{i}")
@@ -325,7 +315,7 @@ class TestCheckpointRaces:
 
     def test_pages_born_by_a_bulk_load_are_in_the_dpt(self):
         db = Database(page_capacity=4)
-        tree = tree_rooted_in_last_shard(db)
+        tree = db.create_tree("t0", BTreeExtension())
         db.pool.flush_all()
         pairs = [(i, f"r{i}") for i in range(10)]
 
