@@ -81,8 +81,8 @@ class Database:
     metrics_enabled:
         ``False`` builds the whole assembly over a disabled metrics
         registry: every instrument is a shared no-op and no clock is
-        read on any hot path.  ``benchmarks/bench_obs_overhead.py``'s
-        call budget measures both settings, so it stays a setting.
+        read on any hot path.  ``tests/obs/test_overhead.py``'s call
+        budget measures both settings, so it stays a setting.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injecting storage and
         WAL-tail faults on a seeded, deterministic schedule (DESIGN.md
@@ -105,15 +105,16 @@ class Database:
         stalls to it (``op.<kind>.*`` in ``db.metrics.snapshot()``,
         pretty-printed by ``python -m repro.tools.trace``).  Off by
         default; when off, every subsystem holds ``None`` and the hot
-        paths are span-free (counter-asserted in ``bench_obs_overhead``).
+        paths are span-free (counter-asserted in
+        ``tests/obs/test_overhead.py``).
     flight_recorder:
         The always-on black box (:class:`repro.obs.flightrec.
         FlightRecorder`): a bounded per-thread ring of recent rare
         events (txn begin/commit/abort, SMOs, deadlock victims, lockdep
         hard violations, crash/restart), dumped as replayable JSONL by
         failed chaos trials.  On by default — it records only rare
-        events; ``bench_obs_overhead``'s call budget measures both
-        settings, so it stays a setting.
+        events; ``tests/obs/test_overhead.py``'s call budget measures
+        both settings, so it stays a setting.
 
     The surviving disk, log and black box reach a new instance only
     through :meth:`restart` and :meth:`open_from_log`.
@@ -477,21 +478,6 @@ class Database:
         if new_db.flightrec is not None:
             new_db.flightrec.record("db.restart")
         new_db.recovery_report = RestartRecovery(new_db, extensions).run()
-        if new_db.flightrec is not None:
-            report = new_db.recovery_report
-            new_db.flightrec.record(
-                "db.recovered",
-                analyzed=report.analyzed_records,
-                redone=report.redone_records,
-                undone=report.undone_records,
-                losers=sorted(report.losers),
-                tail_dropped=report.tail_records_dropped,
-                torn_healed=report.torn_pages_healed,
-                pages_read=report.pages_read,
-                pages_written=report.pages_written,
-                redo_skipped=report.redo_skipped,
-                checkpoint_begin_lsn=report.checkpoint_begin_lsn,
-            )
         return new_db
 
     @classmethod

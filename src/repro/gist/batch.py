@@ -54,7 +54,7 @@ def batch_insert(
     whatever happened.
     """
     plocks: list[PredicateLock] = []
-    with OpEnvelope(tree, kind, tree._h_insert_ns, keys=len(pairs)):
+    with OpEnvelope(tree, kind, tree._h_insert_ns):
         try:
             for key, rid in pairs:
                 tree.db.locks.acquire(
@@ -228,7 +228,7 @@ def multi_delete(
         for key, rid in pairs:
             tree.delete(txn, key, rid)
         return len(pairs)
-    with OpEnvelope(tree, "multi_delete", tree._h_delete_ns, keys=len(pairs)):
+    with OpEnvelope(tree, "multi_delete", tree._h_delete_ns):
         for key, rid in pairs:
             tree.db.locks.acquire(txn.xid, tree.rid_lock(rid), LockMode.X)
         targets = set(pairs)

@@ -166,9 +166,8 @@ def _build_structure(
         for pid, bp in built:
             tree.predicates.replicate_for_split(root.pid, pid, bp)
         tree.stats.bump("bulk_loads")
-        tree.metrics.tracer.event(
+        tree._note_event(
             "gist.bulk_load",
-            tree=tree.name,
             pages=len(built),
             levels=level,
             keys=len(pairs),

@@ -59,18 +59,16 @@ def vacuum(tree: GiST, txn: Transaction) -> VacuumReport:
     condition and simply skip protected nodes.
     """
     report = VacuumReport()
-    with tree.metrics.tracer.span("gist.vacuum", tree=tree.name):
-        levels = _collect_levels(tree)
-        for level_pids in levels:
-            for pid in level_pids:
-                if pid == tree.root_pid:
-                    continue
-                _vacuum_node(tree, txn, pid, report)
-        # Root collapse: if everything under the root was deleted,
-        # restore it to the empty-leaf state.
-        with tree.db.pool.fixed(tree.root_pid, LatchMode.X) as root:
-            if root.page.is_internal and not root.page.entries:
-                tree._collapse_empty_root(txn, root)
+    for level_pids in _collect_levels(tree):
+        for pid in level_pids:
+            if pid == tree.root_pid:
+                continue
+            _vacuum_node(tree, txn, pid, report)
+    # Root collapse: if everything under the root was deleted, restore
+    # it to the empty-leaf state.
+    with tree.db.pool.fixed(tree.root_pid, LatchMode.X) as root:
+        if root.page.is_internal and not root.page.entries:
+            tree._collapse_empty_root(txn, root)
     return report
 
 
@@ -178,9 +176,7 @@ def _note_drain_blocked(
     """A drain probe found live references: the deletion must wait."""
     report.deletions_blocked += 1
     tree.stats.bump("drain_waits")
-    tree.metrics.tracer.event(
-        "gist.drain.wait", tree=tree.name, pid=victim, probe=probe
-    )
+    tree._note_event("gist.drain.wait", pid=victim, probe=probe)
 
 
 def _find_left_sibling(tree: GiST, victim: PageId) -> PageId:

@@ -81,8 +81,8 @@ class OpEnvelope:
 
     Opens the operation's span (``Database(op_tracing=True)``), times
     it, and — when the operation returns — records the duration into its
-    ``gist.op.*`` histogram and as a tracer span.  A plain class, not a
-    generator: this sits on the path of every point operation.
+    ``gist.op.*`` histogram.  A plain class, not a generator: this sits
+    on the path of every point operation.
 
     It also releases leaked pins/latches when a storage fault unwinds:
     a :class:`~repro.errors.StorageFaultError` surfacing out of a page
@@ -92,24 +92,12 @@ class OpEnvelope:
     plan is installed.
     """
 
-    __slots__ = ("tree", "kind", "hist", "name", "attrs", "span", "t0")
+    __slots__ = ("tree", "kind", "hist", "span", "t0")
 
-    def __init__(
-        self,
-        tree: "GiST",
-        kind: str,
-        hist: Histogram,
-        name: str | None = None,
-        **attrs: object,
-    ) -> None:
+    def __init__(self, tree: "GiST", kind: str, hist: Histogram) -> None:
         self.tree = tree
-        #: the op span's kind; the tracer span is ``gist.<kind>`` unless
-        #: ``name`` says otherwise (``count`` is a ``scan`` that samples
-        #: as a ``gist.search``)
         self.kind = kind
         self.hist = hist
-        self.name = name or "gist." + kind
-        self.attrs = attrs
 
     def __enter__(self) -> None:
         tree = self.tree
@@ -126,8 +114,4 @@ class OpEnvelope:
         if self.span is not None:
             tree.db.spans.finish(self.span)
         if exc_type is None and self.t0 is not None:
-            dur = perf_counter_ns() - self.t0
-            self.hist.record(dur)
-            tree.metrics.tracer.record_span(
-                self.name, dur, tree=tree.name, **self.attrs
-            )
+            self.hist.record(perf_counter_ns() - self.t0)

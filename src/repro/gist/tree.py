@@ -172,9 +172,9 @@ class GiST:
         self.db.locks.release(txn.xid, name)
 
     def _note_event(self, name: str, **data: object) -> None:
-        """Emit one SMO or missed-split event to every recorder: the
-        tracer, the flight recorder and the active operation's span."""
-        self.metrics.tracer.event(name, tree=self.name, **data)
+        """Emit one named tree event (SMO, missed split, drain wait, bulk
+        load) to both recorders: the flight recorder and the active
+        operation's span."""
         if self.db.flightrec is not None:
             self.db.flightrec.record(name, tree=self.name, **data)
         if self.db.spans is not None:
@@ -203,7 +203,7 @@ class GiST:
         repeatable read the counted range is phantom-protected), only
         the materialized result list is avoided.
         """
-        with OpEnvelope(self, "scan", self._h_search_ns, "gist.search"):
+        with OpEnvelope(self, "scan", self._h_search_ns):
             cursor = SearchCursor(self, txn, query)
             try:
                 total = 0

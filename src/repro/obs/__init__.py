@@ -2,10 +2,9 @@
 
 Every subsystem (latches, locks, buffer pool, WAL, trees, recovery)
 reports into one :class:`MetricsRegistry` owned by the
-:class:`~repro.database.Database` (``db.metrics``); operation spans and
-protocol events land in its :class:`Tracer` (``db.metrics.tracer``).
-The dotted metric names are a stable public contract documented in
-README.md ("Observability") and DESIGN.md §7.
+:class:`~repro.database.Database` (``db.metrics``).  The dotted metric
+names are a stable public contract documented in README.md
+("Observability") and DESIGN.md §7.
 
 Observability v2 (DESIGN.md §11) adds three coupled subsystems:
 
@@ -44,7 +43,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.spans import OpSpan, SpanTracker
-from repro.obs.tracer import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -61,8 +59,6 @@ __all__ = [
     "OpSpan",
     "OracleReport",
     "SpanTracker",
-    "TraceEvent",
-    "Tracer",
     "canonical_events",
     "check_linearizability",
     "check_read_committed",

@@ -6,7 +6,7 @@ the contract here.  Subsystems record only rare, semantically heavy
 events (transaction begin/commit/abort, structure modifications,
 deadlock-victim selection, lockdep hard violations, crash/restart
 boundaries), so the recorder can stay on in every configuration within
-a fixed extra-calls budget (gated in ``benchmarks/bench_obs_overhead``).
+a fixed extra-calls budget (gated in ``tests/obs/test_overhead.py``).
 
 Storage is a ring ``deque`` per recording thread — an append takes no
 shared lock — plus one global ``itertools.count`` sequence number whose
@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 
 from repro.obs.export import canonical_events, dump_jsonl
-from repro.obs.rings import ThreadRings
 
 __all__ = ["FlightEvent", "FlightRecorder"]
 
@@ -72,6 +72,22 @@ class FlightEvent:
         return f"FlightEvent(#{self.seq} {self.name!r})"
 
 
+class _Ring:
+    """One thread's private event ring, write count and snapshot guard."""
+
+    __slots__ = ("events", "writes", "lock")
+
+    def __init__(self, capacity: int) -> None:
+        self.events: deque = deque(maxlen=capacity)
+        #: exact number of appends — ``len()`` cannot say, the ring
+        #: forgets what it overwrote
+        self.writes = 0
+        #: guards reader snapshots/clears against the owner's appends —
+        #: ``list(deque)`` during a concurrent append can raise
+        #: ``RuntimeError: deque mutated during iteration``
+        self.lock = threading.Lock()
+
+
 class FlightRecorder:
     """Bounded per-thread rings of recent structured events.
 
@@ -85,7 +101,9 @@ class FlightRecorder:
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
         self._seq = itertools.count(1)
-        self._rings = ThreadRings(capacity)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._rings: list[_Ring] = []
 
     # ------------------------------------------------------------------
     # recording
@@ -94,25 +112,47 @@ class FlightRecorder:
         """Record one event on the calling thread's ring.
 
         Safe to call from leaf positions (under a subsystem mutex, from
-        the lockdep witness): see :meth:`ThreadRings.append` for the
-        only locks taken.
+        the lockdep witness): the only locks taken are the ring's own
+        guard (contended only against a concurrent reader) and — once
+        per thread, at ring registration — the registry's.
         """
-        self._rings.append(
-            FlightEvent(
-                next(self._seq),
-                time.perf_counter_ns(),
-                threading.get_ident(),
-                name,
-                data or None,
-            )
+        try:
+            ring = self._local.ring
+        except AttributeError:
+            ring = _Ring(self.capacity)
+            with self._lock:
+                self._rings.append(ring)
+            self._local.ring = ring
+        event = FlightEvent(
+            next(self._seq),
+            time.perf_counter_ns(),
+            threading.get_ident(),
+            name,
+            data or None,
         )
+        with ring.lock:
+            ring.events.append(event)
+            ring.writes += 1
 
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
+    def _registered(self) -> list[_Ring]:
+        with self._lock:
+            return list(self._rings)
+
     def events(self) -> list[FlightEvent]:
-        """All retained events, merged across threads in sequence order."""
-        merged: list[FlightEvent] = self._rings.snapshot()
+        """All retained events, merged across threads in sequence order.
+
+        A fuzzy snapshot under concurrency, like any other reader —
+        rings keep filling while the copy runs — but a *consistent*
+        one: each ring is copied under its own guard, so a worker
+        appending mid-snapshot can never corrupt the copy.
+        """
+        merged: list[FlightEvent] = []
+        for ring in self._registered():
+            with ring.lock:
+                merged.extend(ring.events)
         merged.sort(key=lambda e: e.seq)
         return merged
 
@@ -124,14 +164,24 @@ class FlightRecorder:
     def writes(self) -> int:
         """Exact number of events ever recorded (bench budget gate —
         ``len()`` forgets what the rings overwrote)."""
-        return self._rings.writes()
+        total = 0
+        for ring in self._registered():
+            with ring.lock:
+                total += ring.writes
+        return total
 
     def clear(self) -> None:
         """Drop every retained event (rings stay registered)."""
-        self._rings.clear()
+        for ring in self._registered():
+            with ring.lock:
+                ring.events.clear()
 
     def __len__(self) -> int:
-        return len(self._rings)
+        total = 0
+        for ring in self._registered():
+            with ring.lock:
+                total += len(ring.events)
+        return total
 
     # ------------------------------------------------------------------
     # black box

@@ -18,8 +18,8 @@ Design constraints (see ISSUE 1 / DESIGN.md "Observability"):
   that form a public contract; the snapshot nests along the dots.
 * **Disablable** — a registry built with ``enabled=False`` hands out
   shared null instruments whose updates are no-ops, so the whole layer
-  can be benchmarked against its own absence
-  (``benchmarks/bench_obs_overhead.py``).
+  can be measured against its own absence
+  (``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations
@@ -334,8 +334,9 @@ class MetricsRegistry:
     Instruments are created on first request (``counter(name)`` is
     get-or-create), so independent subsystems can share one family by
     using the same dotted name.  A disabled registry (``enabled=False``)
-    hands out shared null instruments and snapshots empty — the shape
-    benchmarked by ``bench_obs_overhead.py``.
+    hands out shared null instruments and snapshots empty — the
+    baseline of the registry's call budget in
+    ``tests/obs/test_overhead.py``.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -344,10 +345,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        # imported here to avoid a cycle at module import time
-        from repro.obs.tracer import Tracer
-
-        self.tracer = Tracer(enabled=enabled)
 
     # ------------------------------------------------------------------
     # instrument creation (get-or-create)

@@ -24,7 +24,7 @@ Cost model: the tracker exists only when the database was built with
 ``op_tracing=True``.  Subsystems hold ``None`` otherwise and their hot
 paths pay a single attribute-load-plus-branch — the same gating pattern
 as the lockdep witness — so the off state adds *zero* function calls
-and zero ring writes (counter-asserted in ``bench_obs_overhead``).
+and zero ring writes (counter-asserted in ``tests/obs/test_overhead.py``).
 
 Completed spans land in two places: per-kind aggregate instruments on
 the metrics registry (``op.<kind>.*``, visible in

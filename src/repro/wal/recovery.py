@@ -133,62 +133,48 @@ class RestartRecovery:
     def run(self) -> RecoveryReport:
         """Execute the three passes and return what they accomplished.
 
-        Each pass is timed into a ``recovery.*_ns`` histogram and traced
-        as a span, so crash-recovery benchmarks can break restart cost
-        down by phase.
+        Each pass is timed into a ``recovery.*_ns`` histogram, so
+        crash-recovery benchmarks can break restart cost down by phase,
+        and the counts land in the black box as one ``db.recovered``
+        event.
         """
         metrics = self.db.metrics
-        tracer = metrics.tracer
+        report = self.report
         metrics.counter("recovery.runs").inc()
-        with tracer.span("recovery.run"):
-            t0 = perf_counter_ns()
-            # Self-healing pre-pass: a corrupt log tail (torn final log
-            # write) is truncated at the first bad-checksum record, and
-            # the valid prefix below is replayed — the ARIES treatment.
-            valid_end, dropped = self.db.log.verify_and_truncate()
-            self.report.valid_end_lsn = valid_end
-            self.report.tail_records_dropped = dropped
-            if dropped:
-                metrics.counter("wal.tail_truncated_records").inc(dropped)
-                tracer.record_span(
-                    "recovery.tail_truncation",
-                    0,
-                    valid_end=valid_end,
-                    dropped=dropped,
-                )
-            att, dpt, start = self._analysis()
-            self._rebuild_catalog()
-            t1 = perf_counter_ns()
-            metrics.histogram("recovery.analysis_ns").record(t1 - t0)
-            tracer.record_span(
-                "recovery.analysis",
-                t1 - t0,
-                records=self.report.analyzed_records,
-                losers=len(att),
+        t0 = perf_counter_ns()
+        # Self-healing pre-pass: a corrupt log tail (torn final log
+        # write) is truncated at the first bad-checksum record, and the
+        # valid prefix below is replayed — the ARIES treatment.
+        valid_end, dropped = self.db.log.verify_and_truncate()
+        report.valid_end_lsn = valid_end
+        report.tail_records_dropped = dropped
+        if dropped:
+            metrics.counter("wal.tail_truncated_records").inc(dropped)
+        att, dpt, start = self._analysis()
+        self._rebuild_catalog()
+        t1 = perf_counter_ns()
+        metrics.histogram("recovery.analysis_ns").record(t1 - t0)
+        self._redo(dpt, start)
+        t2 = perf_counter_ns()
+        metrics.histogram("recovery.redo_ns").record(t2 - t1)
+        self._undo(att)
+        self._finalize(att)
+        metrics.histogram("recovery.undo_ns").record(perf_counter_ns() - t2)
+        if self.db.flightrec is not None:
+            self.db.flightrec.record(
+                "db.recovered",
+                analyzed=report.analyzed_records,
+                redone=report.redone_records,
+                undone=report.undone_records,
+                losers=sorted(report.losers),
+                tail_dropped=report.tail_records_dropped,
+                torn_healed=report.torn_pages_healed,
+                pages_read=report.pages_read,
+                pages_written=report.pages_written,
+                redo_skipped=report.redo_skipped,
+                checkpoint_begin_lsn=report.checkpoint_begin_lsn,
             )
-            self._redo(dpt, start)
-            t2 = perf_counter_ns()
-            metrics.histogram("recovery.redo_ns").record(t2 - t1)
-            tracer.record_span(
-                "recovery.redo",
-                t2 - t1,
-                redone=self.report.redone_records,
-                pages_rebuilt=self.report.pages_rebuilt,
-                pages_read=self.report.pages_read,
-                pages_written=self.report.pages_written,
-                redo_skipped=self.report.redo_skipped,
-                checkpoint_begin_lsn=self.report.checkpoint_begin_lsn,
-            )
-            self._undo(att)
-            self._finalize(att)
-            t3 = perf_counter_ns()
-            metrics.histogram("recovery.undo_ns").record(t3 - t2)
-            tracer.record_span(
-                "recovery.undo",
-                t3 - t2,
-                undone=self.report.undone_records,
-            )
-        return self.report
+        return report
 
     # ------------------------------------------------------------------
     # analysis

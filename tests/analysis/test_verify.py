@@ -30,6 +30,10 @@ def test_shipped_tree_verifies_clean(tmp_path: Path) -> None:
     assert findings == [], "\n".join(str(f) for f in findings)
     assert code == 0
     assert stats["suppressions"] <= stats["suppression_budget"]
+    # the passes saw the whole tree: a refactor that silently empties
+    # one fails here
+    assert stats["functions"] > 1000
+    assert stats["summaries"] == stats["functions"]
     # artifacts written and internally consistent
     payload = json.loads((tmp_path / "findings.json").read_text())
     assert payload["findings"] == []

@@ -18,13 +18,12 @@ class TestCount:
 
     def test_count_is_sampled_like_a_search(self, db, loaded_btree):
         """count() runs inside the same envelope as search(): the
-        ``gist.searches`` counter, the ``gist.op.search_ns`` histogram
-        and the ``gist.search`` tracer spans all move together."""
+        ``gist.searches`` counter and the ``gist.op.search_ns``
+        histogram move together."""
 
-        def observed() -> tuple[int, int, int]:
+        def observed() -> tuple[int, int]:
             gist = db.metrics.snapshot()["gist"]
-            spans = db.metrics.tracer.events(name="gist.search")
-            return gist["searches"], gist["op"]["search_ns"]["count"], len(spans)
+            return gist["searches"], gist["op"]["search_ns"]["count"]
 
         before = observed()
         txn = db.begin()
@@ -34,7 +33,7 @@ class TestCount:
             loaded_btree.count(txn, Interval(lo, lo + 5))
         db.commit(txn)
         after = observed()
-        assert [b - a for a, b in zip(before, after)] == [5, 5, 5]
+        assert [b - a for a, b in zip(before, after)] == [5, 5]
         assert before[0] == before[1]
 
     def test_count_zero(self, db, loaded_btree):

@@ -67,6 +67,39 @@ class TestRecording:
         assert seqs == sorted(seqs)
         assert len(set(seqs)) == 400
 
+    def test_one_thread_cannot_evict_anothers_events(self):
+        fr = FlightRecorder(capacity=4)
+        fr.record("keep")
+
+        def flood():
+            for i in range(100):
+                fr.record(f"flood{i}")
+
+        t = threading.Thread(target=flood)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        names = [e.name for e in fr.events()]
+        assert "keep" in names
+        assert len(names) == 5  # 1 + the flooder's last 4
+
+    def test_per_thread_events_stay_in_order_in_snapshots(self):
+        fr = FlightRecorder(capacity=2048)
+        done = threading.Event()
+
+        def writer():
+            for i in range(500):
+                fr.record("w", i=i)
+            done.set()
+
+        t = threading.Thread(target=writer)
+        t.start()
+        while not done.is_set():
+            seen = [e.data["i"] for e in fr.events() if e.name == "w"]
+            assert seen == sorted(seen)
+        t.join(timeout=10)
+        assert not t.is_alive()
+
     def test_snapshot_during_concurrent_append(self):
         fr = FlightRecorder(capacity=64)
         stop = threading.Event()
@@ -170,6 +203,24 @@ class TestDatabaseWiring:
         assert "db.crash" in names
         assert "db.restart" in names
         assert "db.recovered" in names
+
+    def test_open_from_log_records_what_recovery_did(self):
+        db = Database(page_capacity=4)
+        tree = db.create_tree("t", BTreeExtension())
+        txn = db.begin()
+        for i in range(20):
+            tree.insert(txn, i, f"r{i}")
+        db.commit(txn)
+        db2 = Database.open_from_log(
+            db.log, {"t": BTreeExtension()}, page_capacity=4
+        )
+        report = db2.recovery_report
+        assert report.redone_records > 0
+        names = [e.name for e in db2.flightrec.events()]
+        assert names == ["db.open_from_log", "db.recovered"]
+        recovered = db2.flightrec.events()[-1]
+        assert recovered.data["redone"] == report.redone_records
+        assert recovered.data["pages_written"] == report.pages_written
 
     def test_splits_recorded(self):
         db = Database(page_capacity=4)

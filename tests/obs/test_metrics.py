@@ -238,11 +238,6 @@ class TestDisabledRegistry:
         registry.gauge("g", lambda: 1)
         assert registry.snapshot() == {}
 
-    def test_tracer_disabled_too(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.tracer.event("e")
-        assert len(registry.tracer) == 0
-
 
 class TestLatchTimer:
     def test_sampling_and_batched_counting(self):
