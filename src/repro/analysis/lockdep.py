@@ -22,7 +22,7 @@ Design constraints:
   ``repro.gist.stats.OpEnvelope`` and is
   counter-asserted in ``tests/storage/test_buffer.py``.
 * **Hard vs. warn.**  ``latch-lock-wait`` and ``wal-rule`` are *hard*
-  violations: the shipped tree must never produce one (signaling locks
+  violations: the shipped tree must never produce one (record locks
   are only ever probed no-wait under a latch, and the WAL rule is
   load-bearing for recovery).  ``latch-io`` and ``lock-order-cycle``
   are recorded as *warnings*: the pool intentionally performs miss

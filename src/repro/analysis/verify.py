@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.common import Finding, SuppressionIndex, iter_py_files
@@ -90,13 +91,20 @@ def count_suppressions(files: list[Path]) -> int:
     return total
 
 
-def run(
-    paths: list[str],
-    artifact_dir: str | None = None,
-    max_seconds: float | None = None,
-    max_suppressions: int = DEFAULT_MAX_SUPPRESSIONS,
-) -> tuple[int, list[Finding], dict]:
-    """Run every pass; return (exit bitmask, findings, stats)."""
+@dataclass
+class Analysis:
+    """What the passes computed over one file set (``analyze``)."""
+
+    files: list[Path]
+    graph: object  # the call graph
+    order: object  # the lock-order graph
+    findings: list[Finding]  # lexical, type-state, packs, lock order
+    summaries: int
+    seconds: float
+
+
+def analyze(paths: list[str]) -> Analysis:
+    """Run every pass over ``paths`` on one shared call-graph build."""
     from repro.analysis import callgraph as cg
     from repro.analysis import lockorder, rulepacks
     from repro.analysis.lint import _lexical_findings
@@ -104,16 +112,33 @@ def run(
 
     start = time.monotonic()
     files = iter_py_files(paths)
-
     graph = cg.build(files)
-    findings: list[Finding] = []
-    findings.extend(_lexical_findings(files))
+    findings = _lexical_findings(files)
     ts_findings, engine = check_paths(files, graph=graph)
     findings.extend(ts_findings)
     findings.extend(rulepacks.check_files(files))
-
     order = lockorder.analyze(files, graph=graph, ts_engine=engine)
     findings.extend(lockorder.findings_for(order))
+    seconds = time.monotonic() - start
+    return Analysis(files, graph, order, findings, len(engine.summaries), seconds)
+
+
+def run(
+    paths: list[str],
+    artifact_dir: str | None = None,
+    max_seconds: float | None = None,
+    max_suppressions: int = DEFAULT_MAX_SUPPRESSIONS,
+    analysis: Analysis | None = None,
+) -> tuple[int, list[Finding], dict]:
+    """Run every pass (or take ``analysis`` of ``paths`` already run);
+    return (exit bitmask, findings, stats)."""
+    from repro.analysis import lockorder
+
+    if analysis is None:
+        analysis = analyze(paths)
+    start = time.monotonic()
+    files, graph, order = analysis.files, analysis.graph, analysis.order
+    findings = list(analysis.findings)
 
     n_suppressions = count_suppressions(files)
     if n_suppressions > max_suppressions:
@@ -130,7 +155,7 @@ def run(
             )
         )
 
-    elapsed = time.monotonic() - start
+    elapsed = analysis.seconds + time.monotonic() - start
     exit_code = 0
     for finding in findings:
         exit_code |= _family(finding.rule)[1]
@@ -140,7 +165,7 @@ def run(
     stats = {
         "files": len(files),
         "functions": len(graph.functions),
-        "summaries": len(engine.summaries),
+        "summaries": analysis.summaries,
         "call_edges": sum(len(v) for v in graph.edges.values()),
         "resolved_calls": graph.resolved,
         "unresolved_calls": graph.unresolved,

@@ -24,6 +24,7 @@ from repro.faults import FaultPlan
 from repro.gist.extension import GiSTExtension
 from repro.gist.tree import GiST
 from repro.lock.manager import LockManager
+from repro.lock.signaling import SignalingLocks
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracker
@@ -190,7 +191,11 @@ class Database:
         )
         self.locks.tracker = self.spans
         self.locks.flightrec = self.flightrec
-        self.txns = TransactionManager(self.log, self.locks, predicates=self)
+        #: signaling locks on tree nodes (§7.2); nobody waits on them
+        self.signaling = SignalingLocks(self.metrics)
+        self.txns = TransactionManager(
+            self.log, self.locks, self.signaling, predicates=self
+        )
         self.txns.undo_executor = self._undo_record
         if protocol_checks is None:
             env = os.environ.get("REPRO_PROTOCOL_CHECKS", "")
@@ -694,7 +699,11 @@ class Database:
                 "end_lsn": self.log.end_lsn,
                 "flushed_lsn": self.log.flushed_lsn,
             },
-            "locks": self.locks.stats.snapshot(),
+            "locks": {
+                **self.locks.stats.snapshot(),
+                "signaling_takes": self.signaling.takes,
+                "signaling_held": len(self.signaling),
+            },
             "txns": {
                 "active": len(self.txns.active_transactions()),
                 "committed": len(self.txns.committed_xids),

@@ -229,9 +229,7 @@ def _fill_leaves(
     for pid, chunk in leaves:
         frame = pool.fix(pid, LatchMode.X)
         try:
-            # A freshly built page cannot have a queued X waiter (drain
-            # deleters only probe no-wait), so taking its signaling
-            # lock never blocks under the latch.
+            # Signaling locks never wait: pinning under the latch is safe.
             tree._pin_leaf(txn, pid)
             conflicts += tree._write_run(
                 txn, frame, [], chunk, plocks[offset : offset + len(chunk)]

@@ -140,8 +140,7 @@ class SearchCursor:
         if self._closed:
             return
         self._closed = True
-        for entry in self.stack:
-            self.tree._release_signaling(self.txn, entry.pid)
+        self.tree._release_path_signaling(self.txn, self.stack)
         self.stack.clear()
         self.txn.unregister_cursor(self)
         # The predicate lock is deliberately NOT unregistered here: an
@@ -244,9 +243,11 @@ class SearchCursor:
         locks = tree.db.locks
         consistent, query, seen = tree.ext.consistent, self.query, self.seen
         for entry in frame.page.entries:
-            if (entry.key, entry.rid) in seen:
-                continue
+            # Both tests are pure filters; the predicate goes first so
+            # that only matching entries pay for hashing the pair.
             if not consistent(entry.key, query):
+                continue
+            if (entry.key, entry.rid) in seen:
                 continue
             if self.lock_rids:
                 granted = locks.acquire(

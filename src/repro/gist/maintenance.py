@@ -7,10 +7,11 @@ wide, and (c) retires empty nodes.
 
 Node deletion implements the **drain technique**: a node may only be
 unlinked when no operation holds a direct or indirect reference to it,
-which is visible as the absence of signaling locks — the deleter probes
-with a no-wait X lock on the node's lock name (section 7.2).  Unlinking
-splices the left sibling's rightlink past the victim and removes the
-parent downlink inside one atomic action, then frees the page for reuse.
+which is visible as the absence of signaling locks — the deleter asks
+the signaling table, without waiting, whether anyone else holds one
+(section 7.2).  Unlinking splices the left sibling's rightlink past the
+victim and removes the parent downlink inside one atomic action, then
+frees the page for reuse.
 
 All structure modifications here are nested top actions executed on
 behalf of whatever transaction happens to run the vacuum (they commit
@@ -20,10 +21,9 @@ independently of it, section 9.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.gist.tree import GiST
-from repro.lock.modes import LockMode
 from repro.storage.page import NO_PAGE, PageId, PageKind
 from repro.sync.latch import LatchMode
 from repro.txn.transaction import Transaction
@@ -59,11 +59,14 @@ def vacuum(tree: GiST, txn: Transaction) -> VacuumReport:
     condition and simply skip protected nodes.
     """
     report = VacuumReport()
-    for level_pids in _collect_levels(tree):
-        for pid in level_pids:
-            if pid == tree.root_pid:
-                continue
-            _vacuum_node(tree, txn, pid, report)
+    # bottom level first
+    levels: dict[int, list[PageId]] = {}
+    for pid, level, _rightlink in _pages(tree):
+        levels.setdefault(level, []).append(pid)
+    for level in sorted(levels):
+        for pid in levels[level]:
+            if pid != tree.root_pid:
+                _vacuum_node(tree, txn, pid, report)
     # Root collapse: if everything under the root was deleted, restore
     # it to the empty-leaf state.
     with tree.db.pool.fixed(tree.root_pid, LatchMode.X) as root:
@@ -72,14 +75,15 @@ def vacuum(tree: GiST, txn: Transaction) -> VacuumReport:
     return report
 
 
-def _collect_levels(tree: GiST) -> list[list[PageId]]:
-    """Page ids grouped by level, bottom level first.
+def _pages(tree: GiST) -> Iterator[tuple[PageId, int, PageId]]:
+    """``(pid, level, rightlink)`` of every reachable page, each read
+    under its own S latch, released before the page is yielded.
 
-    Taken as an unsynchronized snapshot; concurrent splits may add pages
-    we miss this pass, which is fine — vacuum is opportunistic.
+    An unsynchronized walk: concurrent splits may add pages it misses,
+    which is fine — vacuum is opportunistic, and a deleter revalidates
+    what it found under X latches.
     """
     pool = tree.db.pool
-    by_level: dict[int, list[PageId]] = {}
     frontier = [tree.root_pid]
     seen: set[PageId] = set()
     while frontier:
@@ -89,12 +93,11 @@ def _collect_levels(tree: GiST) -> list[list[PageId]]:
         seen.add(pid)
         with pool.fixed(pid, LatchMode.S) as frame:
             page = frame.page
-            by_level.setdefault(page.level, []).append(pid)
-            if page.rightlink != NO_PAGE:
-                frontier.append(page.rightlink)
+            level, rightlink = page.level, page.rightlink
+            frontier.append(rightlink)
             if page.is_internal:
                 frontier.extend(e.child for e in page.entries)
-    return [by_level[level] for level in sorted(by_level)]
+        yield pid, level, rightlink
 
 
 def _vacuum_node(
@@ -179,128 +182,96 @@ def _note_drain_blocked(
     tree._note_event("gist.drain.wait", pid=victim, probe=probe)
 
 
-def _find_left_sibling(tree: GiST, victim: PageId) -> PageId:
-    """The page whose rightlink points at ``victim``, or ``NO_PAGE``."""
-    pool = tree.db.pool
-    frontier = [tree.root_pid]
-    seen: set[PageId] = set()
-    while frontier:
-        pid = frontier.pop()
-        if pid in seen or pid == NO_PAGE:
-            continue
-        seen.add(pid)
-        with pool.fixed(pid, LatchMode.S) as frame:
-            page = frame.page
-            if page.rightlink == victim:
-                return pid
-            if page.rightlink != NO_PAGE:
-                frontier.append(page.rightlink)
-            if page.is_internal:
-                frontier.extend(e.child for e in page.entries)
-    return NO_PAGE
-
-
 def _try_delete_node(
     tree: GiST, txn: Transaction, victim: PageId, report: VacuumReport
 ) -> bool:
     """Delete an empty node if the drain condition allows (section 7.2).
 
-    The probe is a no-wait X lock on the node's lock name: any direct
-    pointer (a stacked reference) or indirect one (a replica copied at
-    split time) holds an S signaling lock and defeats the probe.
+    The probe asks whether anyone but the deleter holds a signaling
+    lock on the node: any direct pointer (a stacked reference) or
+    indirect one (a replica copied at split time) holds one and defeats
+    the probe.
     """
     tree.db.hooks.fire("node-delete:attempt", pid=victim)
-    locks = tree.db.locks
+    held_by_others = tree.db.signaling.held_by_others
     name = tree.node_lock(victim)
-    # First drain probe: any direct or replicated signaling lock defeats
-    # it.  The probe lock is released again immediately — holding it
-    # across the latch acquisitions below would deadlock against
-    # traversals that take signaling locks *under* a node latch.
-    if not locks.acquire(txn.xid, name, LockMode.X, wait=False):
+    # First drain probe, unlatched: cheap early exit only.
+    if held_by_others(txn.xid, name):
         _note_drain_blocked(tree, victim, report, probe="initial")
         return False
-    locks.release(txn.xid, name)
-    pool, log, store = tree.db.pool, tree.db.log, tree.db.store
-    left_pid = _find_left_sibling(tree, victim)
+    pool, store = tree.db.pool, tree.db.store
+    left_pid = next(
+        (pid for pid, _, right in _pages(tree) if right == victim), NO_PAGE
+    )
     # Latch order: left sibling, victim, parent — within-level
     # left-to-right, then bottom-up, consistent with splits.
     left = pool.fix(left_pid, LatchMode.X) if left_pid != NO_PAGE else None
     try:
         victim_frame = pool.fix(victim, LatchMode.X)
-    except BaseException:
-        if left is not None:
-            pool.unfix(left)
-        raise
-    page = victim_frame.page
-    if (
-        page.entries
-        or (left is not None and left.page.rightlink != victim)
-    ):
-        # Something changed since we looked; try again next pass.
-        pool.unfix(victim_frame)
-        if left is not None:
-            pool.unfix(left)
-        _note_drain_blocked(tree, victim, report, probe="revalidate")
-        return False
-    try:
-        parent = tree._fix_parent(txn, victim, [])
-    except BaseException:
-        pool.unfix(victim_frame)
-        if left is not None:
-            pool.unfix(left)
-        raise
-    # Second drain probe, now under *all three* latches.  New references
-    # are only ever taken while holding the latch of the node the
-    # pointer was read from — the parent (downlink) or the left sibling
-    # (rightlink) — and we hold both in X mode, so a successful no-wait
-    # probe here is stable for as long as the latches are held, and no
-    # traversal can be blocked waiting on this lock while holding a
-    # latch we want (the latch-vs-lock deadlock this ordering avoids).
-    if not locks.acquire(txn.xid, name, LockMode.X, wait=False):
-        pool.unfix(parent)
-        pool.unfix(victim_frame)
-        if left is not None:
-            pool.unfix(left)
-        _note_drain_blocked(tree, victim, report, probe="latched")
-        return False
-    try:
         try:
-            saved = log.begin_nta(txn.xid)
-            if left is not None:
-                link_rec = RightlinkUpdateRecord(
-                    xid=txn.xid,
-                    page_id=left.page.pid,
-                    new_rightlink=page.rightlink,
-                    old_rightlink=victim,
-                )
-                lsn = log.append(link_rec)
-                link_rec.redo_page(left.page)
-                left.mark_dirty(lsn)
-            victim_entry = parent.page.find_child_entry(victim)
-            del_rec = InternalEntryDeleteRecord(
-                xid=txn.xid,
-                page_id=parent.page.pid,
-                pred=victim_entry.pred,
-                child=victim,
-            )
-            lsn = log.append(del_rec)
-            del_rec.redo_page(parent.page)
-            parent.mark_dirty(lsn)
-            free_rec = FreePageRecord(xid=txn.xid, page_id=victim)
-            log.append(free_rec)
-            log.end_nta(txn.xid, saved)
+            page = victim_frame.page
+            if page.entries or (
+                left is not None and left.page.rightlink != victim
+            ):
+                # Something changed since we looked; try again next pass.
+                _note_drain_blocked(tree, victim, report, probe="revalidate")
+                return False
+            parent = tree._fix_parent(txn, victim, [])
+            try:
+                # Second drain probe, under all three latches: every new
+                # reference is taken under the parent's latch (a downlink)
+                # or the left sibling's (its split replicates holds onto
+                # the victim), so a clean probe stays true through the
+                # unlink, after which no path leads here — the deleter
+                # needs no hold of its own across it.
+                if held_by_others(txn.xid, name):
+                    _note_drain_blocked(tree, victim, report, probe="latched")
+                    return False
+                _unlink(tree, txn, left, victim_frame, parent)
+            finally:
+                pool.unfix(parent)
         finally:
-            pool.unfix(parent)
             pool.unfix(victim_frame)
-            if left is not None:
-                pool.unfix(left)
-        # Make the page reusable and purge its stale frame.
-        victim_frame.dirty = False
-        pool.drop(victim)
-        store.free(victim)
-        report.freed_pids.append(victim)
-        tree.stats.bump("node_deletes")
-        tree.db.hooks.fire("node-delete:done", pid=victim)
-        return True
     finally:
-        locks.release(txn.xid, name)
+        if left is not None:
+            pool.unfix(left)
+    # Make the page reusable and purge its stale frame.
+    victim_frame.dirty = False
+    pool.drop(victim)
+    store.free(victim)
+    report.freed_pids.append(victim)
+    tree.stats.bump("node_deletes")
+    tree.db.hooks.fire("node-delete:done", pid=victim)
+    return True
+
+
+def _unlink(
+    tree: GiST, txn: Transaction, left: "Frame | None", victim: "Frame", parent: "Frame"
+) -> None:
+    """One atomic action: splice the left sibling's rightlink past the
+    victim, drop the parent's downlink, log the page free (all three
+    pages X-latched by the caller)."""
+    log = tree.db.log
+    pid = victim.page.pid
+    saved = log.begin_nta(txn.xid)
+    if left is not None:
+        link_rec = RightlinkUpdateRecord(
+            xid=txn.xid,
+            page_id=left.page.pid,
+            new_rightlink=victim.page.rightlink,
+            old_rightlink=pid,
+        )
+        lsn = log.append(link_rec)
+        link_rec.redo_page(left.page)
+        left.mark_dirty(lsn)
+    del_rec = InternalEntryDeleteRecord(
+        xid=txn.xid,
+        page_id=parent.page.pid,
+        pred=parent.page.find_child_entry(pid).pred,
+        child=pid,
+    )
+    lsn = log.append(del_rec)
+    del_rec.redo_page(parent.page)
+    parent.mark_dirty(lsn)
+    log.append(FreePageRecord(xid=txn.xid, page_id=pid))
+    log.end_nta(txn.xid, saved)

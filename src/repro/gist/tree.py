@@ -157,19 +157,15 @@ class GiST:
         latched, which makes the acquisition race-free against node
         deletion (the deleter needs that node's X latch to unlink).
         """
-        name = self.node_lock(pid)
-        self.db.locks.acquire(txn.xid, name, LockMode.S)
-        txn.note_signaling(name)
+        self.db.signaling.take(txn.xid, self.node_lock(pid))
         return StackEntry(pid, memo)
 
     def _release_signaling(self, txn: Transaction, pid: PageId) -> None:
-        """Release one signaling-lock count after visiting ``pid``,
-        unless a savepoint or the end-of-transaction rule pins it."""
+        """Drop one signaling-lock hold after visiting ``pid``, unless a
+        savepoint or the end-of-transaction rule pins it."""
         name = self.node_lock(pid)
-        if not txn.may_release_signaling(name):
-            return
-        txn.drop_signaling(name)
-        self.db.locks.release(txn.xid, name)
+        if not txn.keeps_signaling(name):
+            self.db.signaling.drop(txn.xid, name)
 
     def _note_event(self, name: str, **data: object) -> None:
         """Emit one named tree event (SMO, missed split, drain wait, bulk
@@ -323,8 +319,7 @@ class GiST:
                 self._release_signaling(txn, entry.pid)
         finally:
             # Drain: release signaling locks of unvisited pointers.
-            for entry in stack:
-                self._release_signaling(txn, entry.pid)
+            self._release_path_signaling(txn, stack)
         return missing
 
     def _mark_visit_batch(
@@ -490,9 +485,7 @@ class GiST:
         (section 7.2 / section 9): the logical-undo path to this leaf
         must stay intact.  Called with the leaf X-latched."""
         name = self.node_lock(pid)
-        if self.db.locks.held_mode(txn.xid, name) is None:
-            self.db.locks.acquire(txn.xid, name, LockMode.S)
-            txn.note_signaling(name)
+        self.db.signaling.take(txn.xid, name)
         txn.pin_signaling_to_eot(name)
 
     def _write_run(
@@ -677,8 +670,8 @@ class GiST:
             current = nxt
         if current is not best:
             pool.unfix(current)
-        # The chain nodes' signaling locks: the walker holds replicas
-        # copied at split time; passing through a node consumes one.
+        # The chain nodes are safe from deletion: their splits copied
+        # the walker's hold on the node it came from (section 10.3).
         return best
 
     def _chain_penalty(self, page: Page, key: object) -> float:
@@ -790,7 +783,7 @@ class GiST:
             self.predicates.replicate_for_split(
                 page.pid, new_pid, new_page.bp
             )
-            self.db.locks.replicate_shared(
+            self.db.signaling.replicate(
                 self.node_lock(page.pid), self.node_lock(new_pid)
             )
             self.db.hooks.fire(
@@ -931,11 +924,6 @@ class GiST:
             self.db.hooks.fire(
                 "insert:after-split", pid=page.pid, new_pid=right_pid
             )
-            # Descents that will land on the new children take signaling
-            # locks when they push the fresh downlinks; the caller of this
-            # split still holds its lock on the (stable) root id.  For the
-            # caller's continued descent we hand over an explicitly taken
-            # lock on whichever side it keeps.
         except BaseException:
             # Same unwind contract as _split_node: the half-built
             # children must not leak latches or pins when the split
@@ -956,19 +944,10 @@ class GiST:
             key_hint=key_hint,
             locate_child=locate_child,
         )
-        try:
-            name = self.node_lock(chosen.page.pid)
-            # Signaling S-lock under the chosen child's latch: a
-            # freshly allocated page cannot have a queued X waiter
-            # (drain deleters only probe no-wait), so this never
-            # blocks and cannot violate the latch-vs-lock-wait rule.
-            self.db.locks.acquire(
-                txn.xid, name, LockMode.S
-            )  # lint: allow(lock-wait-under-latch): never waits
-            txn.note_signaling(name)
-        except BaseException:
-            pool.unfix(chosen)
-            raise
+        # Descents to the new children take their signaling locks on the
+        # fresh downlinks; the caller, whose hold is on the (stable) root
+        # id, gets one on the side it keeps.
+        self.db.signaling.take(txn.xid, self.node_lock(chosen.page.pid))
         return chosen
 
     def _pick_split_side(

@@ -3,14 +3,13 @@
 Implements the transactional locking substrate the paper assumes:
 
 * multi-mode locks on arbitrary hashable names (data-record RIDs,
-  node ids for *signaling locks*, owner-transaction ids for blocking
-  "on a predicate" — see section 10.3),
+  owner-transaction ids for blocking "on a predicate" — see section
+  10.3; node *signaling locks* live in :mod:`repro.lock.signaling`),
 * FIFO wait queues with immediate-grant conversions,
 * waits-for-graph deadlock detection with youngest-victim abort (the
   paper relies on this to resolve the unique-index insertion race of
   section 8),
-* no-wait acquisition (used by node deletion to probe signaling locks,
-  section 7.2).
+* no-wait acquisition (a scan's record locks, taken under a latch).
 
 Unlike latches, locks are held by *transactions*, are organized in a hash
 table, and are checked for deadlock — exactly the distinction footnote 8
@@ -29,7 +28,7 @@ from repro.lock.modes import LockMode, compatible, stronger_or_equal, supremum
 from repro.obs.metrics import MetricsRegistry
 
 #: Lock names are arbitrary hashables; by convention the library uses
-#: tuples like ``("rid", rid)``, ``("node", pid)``, ``("txn", xid)``.
+#: tuples like ``("rid", rid)`` and ``("txn", xid)``.
 LockName = object
 #: Lock owners are transaction ids (ints) by convention.
 Owner = object
@@ -42,7 +41,6 @@ class _Request:
     convert_from: LockMode | None = None
     granted: bool = False
     victim: bool = False
-    timed_out: bool = False
 
 
 @dataclass
@@ -76,22 +74,6 @@ class LockStats:
         registry.gauge("lock.deadlocks", lambda: self.deadlocks)
         registry.gauge("lock.timeouts", lambda: self.timeouts)
         self.wait_ns = registry.histogram("lock.wait_ns")
-
-    def note_acquire(self) -> None:
-        """Count one acquisition request (manager mutex held)."""
-        self.acquires += 1
-
-    def note_wait(self) -> None:
-        """Count one queued wait (manager mutex held)."""
-        self.waits += 1
-
-    def note_deadlock(self) -> None:
-        """Count one deadlock-victim abort (manager mutex held)."""
-        self.deadlocks += 1
-
-    def note_timeout(self) -> None:
-        """Count one abandoned wait (manager mutex held)."""
-        self.timeouts += 1
 
     def snapshot(self) -> dict[str, int]:
         """Thread-safe snapshot of the counters."""
@@ -162,7 +144,7 @@ class LockManager:
         if timeout is None:
             timeout = self.default_timeout
         with self._mutex:
-            self.stats.note_acquire()
+            self.stats.acquires += 1
             head = self._heads.get(name)
             if head is None:
                 head = _LockHead(name)
@@ -208,7 +190,7 @@ class LockManager:
             # An actual (not merely potential) wait is starting: the
             # paper forbids holding any latch across this point.
             self.witness.note_lock_wait(head.name)
-        self.stats.note_wait()
+        self.stats.waits += 1
         self._waiting[request.owner] = (request, head)
         wait_start = perf_counter_ns()
         try:
@@ -217,14 +199,14 @@ class LockManager:
             while not request.granted:
                 if request.victim:
                     self._remove_request(head, request)
-                    self.stats.note_deadlock()
+                    self.stats.deadlocks += 1
                     raise DeadlockError(
                         f"transaction {request.owner!r} chosen as deadlock "
                         f"victim waiting for {head.name!r}"
                     )
                 if remaining is not None and remaining <= 0:
                     self._remove_request(head, request)
-                    self.stats.note_timeout()
+                    self.stats.timeouts += 1
                     raise LockTimeoutError(
                         f"lock wait timeout on {head.name!r} by "
                         f"{request.owner!r}"
@@ -275,45 +257,6 @@ class LockManager:
                 self._promote(head)
             self._held.pop(owner, None)
 
-    def replicate_shared(self, src: LockName, dst: LockName) -> list[Owner]:
-        """Copy every S-mode holder of ``src`` onto ``dst``.
-
-        This is the lock-manager extension the paper calls for in
-        section 10.3: when a node splits, the signaling locks set on the
-        original node must be replicated on the new right sibling, so
-        that operations holding *indirect* references (a stacked pointer
-        plus an NSN that will lead them across the rightlink) keep the
-        sibling safe from deletion.  S locks never conflict with each
-        other, so the copies are granted immediately.
-        """
-        copied: list[Owner] = []
-        with self._mutex:
-            src_head = self._heads.get(src)
-            if src_head is None:
-                return copied
-            holders = [
-                (owner, src_head.counts[owner])
-                for owner, mode in src_head.granted.items()
-                if mode is LockMode.S
-            ]
-            if not holders:
-                return copied
-            dst_head = self._heads.get(dst)
-            if dst_head is None:
-                dst_head = _LockHead(dst)
-                self._heads[dst] = dst_head
-            for owner, count in holders:
-                # The full count is copied: each acquisition corresponds
-                # to one stacked pointer whose owner will traverse the
-                # rightlink into ``dst`` and release one count there.
-                if owner in dst_head.granted:
-                    dst_head.counts[owner] += count
-                else:
-                    self._grant(dst_head, owner, LockMode.S)
-                    dst_head.counts[owner] = count
-                copied.append(owner)
-        return copied
-
     def downgrade(self, owner: Owner, name: LockName, mode: LockMode) -> None:
         """Reduce the held mode (e.g. X -> S); may unblock waiters."""
         with self._mutex:
@@ -342,11 +285,6 @@ class LockManager:
         """All lock names currently held by ``owner``."""
         with self._mutex:
             return set(self._held.get(owner, ()))
-
-    def waiting_owners(self) -> list[Owner]:
-        """Owners currently blocked in a lock wait (diagnostics)."""
-        with self._mutex:
-            return list(self._waiting)
 
     # ------------------------------------------------------------------
     # internals (mutex held)

@@ -1,10 +1,10 @@
 """Lock modes, compatibility and conversion (supremum) tables.
 
-The paper's protocols only need S and X locks (data-record locks,
-signaling locks, owner-transaction locks), but a production lock manager
-carries the full multi-granularity set, and the harness uses intention
-modes for table-level locking in the isolation experiments, so we
-implement the classic five-mode matrix from Gray & Reuter.
+The paper's protocols only need S and X locks on records and owner
+transactions (signaling locks are counts, :mod:`repro.lock.signaling`),
+but a production lock manager carries the full multi-granularity set,
+and the harness uses intention modes for table-level locking in the
+isolation experiments, so we implement Gray & Reuter's five-mode matrix.
 """
 
 from __future__ import annotations

@@ -214,6 +214,11 @@ class DatabaseServer:
             return
         self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so srv-accept exits at once.
+            best_effort(
+                self._listener.shutdown, socket.SHUT_RDWR, only=(OSError,)
+            )
             best_effort(self._listener.close, only=(OSError,))
         deadline = time.monotonic() + _DRAIN_GRACE
         while time.monotonic() < deadline and any(

@@ -26,6 +26,7 @@ from typing import Callable
 from repro.errors import TransactionStateError
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
+from repro.lock.signaling import SignalingLocks
 from repro.txn.transaction import (
     IsolationLevel,
     Savepoint,
@@ -54,10 +55,12 @@ class TransactionManager:
         self,
         log: LogManager,
         locks: LockManager,
+        signaling: SignalingLocks,
         predicates: "object | None" = None,
     ) -> None:
         self.log = log
         self.locks = locks
+        self.signaling = signaling
         #: the predicate manager; optional so the storage layers can be
         #: tested without one (set by the database assembly)
         self.predicates = predicates
@@ -147,6 +150,7 @@ class TransactionManager:
         if self.predicates is not None:
             self.predicates.release_transaction(txn.xid)
         self.locks.release_all(txn.xid)
+        self.signaling.release(txn.xid)
         txn.state = state
         with self._mutex:
             self._active.pop(txn.xid, None)
@@ -167,16 +171,11 @@ class TransactionManager:
         # Signaling locks live when the savepoint is established must not
         # be released by later node visits (section 10.2): the rollback
         # may resurrect the stacked pointers they protect.
-        pinned = {
-            lock_name
-            for lock_name in self.locks.locks_of(txn.xid)
-            if isinstance(lock_name, tuple) and lock_name[:1] == ("node",)
-        }
         savepoint = Savepoint(
             name=name,
             lsn=self.log.last_lsn_of(txn.xid),
             cursor_stacks=stacks,
-            pinned_signaling=pinned,
+            pinned_signaling=self.signaling.names_of(txn.xid),
         )
         txn.add_savepoint(savepoint)
         return savepoint

@@ -3,12 +3,12 @@
 A :class:`Transaction` is the unit of atomicity and of two-phase locking.
 It tracks, besides its id and state:
 
-* the **signaling locks** it holds on tree nodes (section 7.2) — S-mode
-  node locks set when a traversal stacks a pointer to the node, normally
-  released when the node is visited, except (a) the insert target leaf's
-  lock, which lives to end of transaction, and (b) locks *pinned* by a
-  savepoint (section 10.2), which must survive until the savepoint can no
-  longer be rolled back to;
+* which of its **signaling locks** on tree nodes (section 7.2) a node
+  visit must not release: (a) the insert target leaf's, which lives to
+  end of transaction, and (b) those *pinned* by a savepoint (section
+  10.2), which must survive until the savepoint can no longer be rolled
+  back to — the holds themselves are counted in
+  :class:`~repro.lock.signaling.SignalingLocks`;
 * its open **cursors**, whose positions must be restorable on partial
   rollback (section 10.2);
 * its **savepoints**: the log position to roll back to plus snapshots of
@@ -76,10 +76,6 @@ class Transaction:
         self.isolation = isolation
         self.state = TxnState.ACTIVE
         self._mutex = threading.Lock()
-        #: signaling-lock names -> acquisition count (section 7.2)
-        self._signaling: dict[object, int] = {}
-        #: signaling locks pinned by live savepoints
-        self._pinned_signaling: set[object] = set()
         #: signaling locks that must survive to end of transaction
         #: (the insert target leaf rule, section 7.2 / section 9)
         self._eot_signaling: set[object] = set()
@@ -108,38 +104,21 @@ class Transaction:
         return self.isolation is IsolationLevel.REPEATABLE_READ
 
     # ------------------------------------------------------------------
-    # signaling-lock bookkeeping (locks themselves live in LockManager)
+    # signaling locks a node visit must keep (the holds themselves live
+    # in repro.lock.signaling.SignalingLocks)
     # ------------------------------------------------------------------
-    def note_signaling(self, name: object) -> None:
-        """Record one signaling-lock acquisition for bookkeeping."""
-        with self._mutex:
-            self._signaling[name] = self._signaling.get(name, 0) + 1
-
-    def may_release_signaling(self, name: object) -> bool:
-        """True if a node visit may release this signaling lock now."""
-        with self._mutex:
-            if name in self._pinned_signaling or name in self._eot_signaling:
-                return False
-            return self._signaling.get(name, 0) > 0
-
-    def drop_signaling(self, name: object) -> None:
-        """Record one signaling-lock release."""
-        with self._mutex:
-            count = self._signaling.get(name, 0) - 1
-            if count <= 0:
-                self._signaling.pop(name, None)
-            else:
-                self._signaling[name] = count
-
     def pin_signaling_to_eot(self, name: object) -> None:
         """Retain a signaling lock until end of transaction (§7.2)."""
-        with self._mutex:
-            self._eot_signaling.add(name)
+        self._eot_signaling.add(name)
 
-    def signaling_names(self) -> set[object]:
-        """Names of all signaling locks this transaction tracks."""
-        with self._mutex:
-            return set(self._signaling) | set(self._eot_signaling)
+    def keeps_signaling(self, name: object) -> bool:
+        """True if the insert-target rule or a live savepoint pins
+        ``name``, so a node visit must not drop its hold.  Lock-free: the
+        set and list it reads change only by single atomic steps."""
+        for savepoint in self.savepoints:
+            if name in savepoint.pinned_signaling:
+                return True
+        return name in self._eot_signaling
 
     # ------------------------------------------------------------------
     # cursors / savepoints
@@ -161,29 +140,22 @@ class Transaction:
             return list(self._cursors)
 
     def add_savepoint(self, savepoint: Savepoint) -> None:
-        """Register a savepoint and pin its signaling locks."""
+        """Register a savepoint; its signaling locks are pinned while it
+        lives."""
         with self._mutex:
             self.savepoints.append(savepoint)
-            self._pinned_signaling |= savepoint.pinned_signaling
 
     def pop_savepoints_after(self, savepoint: Savepoint) -> None:
         """Discard savepoints established after ``savepoint``."""
         with self._mutex:
             while self.savepoints and self.savepoints[-1] is not savepoint:
                 self.savepoints.pop()
-            self._recompute_pins_locked()
 
     def release_savepoint(self, savepoint: Savepoint) -> None:
-        """Drop a savepoint (its pins are recomputed away)."""
+        """Drop a savepoint, and with it its pins."""
         with self._mutex:
             if savepoint in self.savepoints:
                 self.savepoints.remove(savepoint)
-            self._recompute_pins_locked()
-
-    def _recompute_pins_locked(self) -> None:
-        self._pinned_signaling = set()
-        for savepoint in self.savepoints:
-            self._pinned_signaling |= savepoint.pinned_signaling
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

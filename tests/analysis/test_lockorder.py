@@ -19,18 +19,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def _shipped_graph() -> lockorder.LockOrderGraph:
-    return lockorder.analyze(iter_py_files([SRC]))
-
-
-def test_shipped_tree_has_no_unblessed_cycles() -> None:
-    graph = _shipped_graph()
+def test_shipped_tree_has_no_unblessed_cycles(shipped) -> None:
+    graph = shipped.order
     assert graph.unblessed_cycles() == []
     assert lockorder.findings_for(graph) == []
 
 
-def test_shipped_tree_has_the_expected_protocol_edges() -> None:
-    graph = _shipped_graph()
+def test_shipped_tree_has_the_expected_protocol_edges(shipped) -> None:
+    graph = shipped.order
     edges = set(graph.edges)
     # Figure 4 back-up: child held while the parent is latched
     assert ("GiST:node", "GiST:parent") in edges
@@ -45,8 +41,8 @@ def test_shipped_tree_has_the_expected_protocol_edges() -> None:
     )
 
 
-def test_blessed_cycles_are_subset_checked() -> None:
-    graph = _shipped_graph()
+def test_blessed_cycles_are_subset_checked(shipped) -> None:
+    graph = shipped.order
     # every detected cycle must be covered by a blessed entry...
     for cycle in graph.cycles():
         assert any(
@@ -88,20 +84,21 @@ def test_consistent_order_is_clean(tmp_path: Path) -> None:
     assert ("Widget:node", "Widget:b_mutex") in graph.edges
 
 
-def test_loop_carried_partition_locks_are_modeled() -> None:
+def test_loop_carried_partition_locks_are_modeled(shipped) -> None:
     # the scatter loop acquires many partition locks at once; the
     # self-edge must be present (and blessed: ascending index order)
-    graph = _shipped_graph()
+    graph = shipped.order
     edge = ("PartitionedDatabase:_locks", "PartitionedDatabase:_locks")
     assert edge in graph.edges
 
 
-def test_artifact_shape_and_determinism(tmp_path: Path) -> None:
-    graph = _shipped_graph()
+def test_artifact_shape_and_determinism(tmp_path: Path, shipped) -> None:
+    graph = shipped.order
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     lockorder.write_artifact(graph, out1)
-    lockorder.write_artifact(_shipped_graph(), out2)
+    # an independent second analysis: determinism is the subject here
+    lockorder.write_artifact(lockorder.analyze(iter_py_files([SRC])), out2)
     assert out1.read_text() == out2.read_text()  # CI-diffable
     data = json.loads(out1.read_text())
     assert set(data) == {
@@ -117,7 +114,7 @@ def test_artifact_shape_and_determinism(tmp_path: Path) -> None:
     ), "every edge carries sample sites"
 
 
-def test_static_graph_covers_runtime_witness(monkeypatch) -> None:
+def test_static_graph_covers_runtime_witness(monkeypatch, shipped) -> None:
     """The superset cross-check: every (kind -> kind) edge the runtime
     lockdep witness records while the ABBA fixture races must already
     be present in the static graph's kind projection — the static
@@ -147,7 +144,7 @@ def test_static_graph_covers_runtime_witness(monkeypatch) -> None:
         for dst in dsts
     }
     assert runtime_edges  # the race actually recorded something
-    static_kinds = _shipped_graph().kind_projection()
+    static_kinds = shipped.order.kind_projection()
     assert runtime_edges <= static_kinds, (
         runtime_edges - static_kinds
     )

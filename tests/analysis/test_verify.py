@@ -21,11 +21,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def test_shipped_tree_verifies_clean(tmp_path: Path) -> None:
+def test_shipped_tree_verifies_clean(tmp_path: Path, shipped) -> None:
     code, findings, stats = run(
         [str(SRC)],
         artifact_dir=str(tmp_path),
         max_seconds=30,
+        analysis=shipped,
     )
     assert findings == [], "\n".join(str(f) for f in findings)
     assert code == 0

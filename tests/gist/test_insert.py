@@ -10,6 +10,14 @@ from repro.storage.page import NO_PAGE
 from repro.sync.latch import LatchMode
 
 
+def _leaf_of(db, tree, key, rid):
+    for pid in tree.all_pids():
+        with db.pool.fixed(pid, LatchMode.S) as frame:
+            if frame.page.is_leaf and frame.page.find_leaf_entry(key, rid):
+                return pid
+    raise AssertionError(f"{(key, rid)} is in no leaf")
+
+
 class TestBasicInsert:
     def test_insert_then_found(self, db, btree):
         txn = db.begin()
@@ -38,15 +46,12 @@ class TestBasicInsert:
     def test_leaf_signaling_lock_held_to_eot(self, db, btree):
         txn = db.begin()
         btree.insert(txn, 5, "r5")
-        node_locks = [
-            name
-            for name in db.locks.locks_of(txn.xid)
-            if isinstance(name, tuple) and name[0] == "node"
-        ]
-        assert node_locks  # at least the target leaf's lock survives
+        node_locks = db.signaling.names_of(txn.xid)
+        # at least the target leaf's lock survives the operation
+        assert btree.node_lock(_leaf_of(db, btree, 5, "r5")) in node_locks
         db.commit(txn)
         assert all(
-            db.locks.holders(name) == {} for name in node_locks
+            db.signaling.holders(name) == {} for name in node_locks
         )
 
 

@@ -3,7 +3,6 @@
 from repro.ext.btree import Interval
 from repro.gist.checker import check_tree
 from repro.gist.maintenance import vacuum
-from repro.lock.modes import LockMode
 from repro.sync.latch import LatchMode
 
 
@@ -115,9 +114,7 @@ class TestNodeDeletion:
         # simulate an operation holding a stacked pointer to every node
         holder = db.begin()
         for pid in btree.all_pids():
-            db.locks.acquire(
-                holder.xid, btree.node_lock(pid), LockMode.S
-            )
+            db.signaling.take(holder.xid, btree.node_lock(pid))
         vac = db.begin()
         report = vacuum(btree, vac)
         db.commit(vac)

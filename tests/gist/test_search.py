@@ -1,6 +1,7 @@
 """Search (Figure 3): correctness, predicate attachment, RID locking."""
 
 from repro.ext.btree import Interval
+from repro.ext.rtree import Rect, RTreeExtension
 from repro.lock.modes import LockMode
 from repro.predicate.manager import PredicateKind
 from repro.txn.transaction import IsolationLevel
@@ -154,8 +155,41 @@ class TestSearchCursor:
         cursor = loaded_btree.open_cursor(txn, Interval(0, 99))
         cursor.fetch_next()  # leaves pointers stacked
         assert cursor.stack
+        stacked = {loaded_btree.node_lock(e.pid) for e in cursor.stack}
+        assert stacked <= db.signaling.names_of(txn.xid)
         cursor.close()
+        # close gave back every hold, before end of transaction
+        assert db.signaling.names_of(txn.xid) == set()
+        assert len(db.signaling) == 0
         db.commit(txn)
-        # all node locks gone after commit
-        for pid in loaded_btree.all_pids():
-            assert db.locks.holders(loaded_btree.node_lock(pid)) == {}
+
+
+class _CountingRect(Rect):
+    """A key that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        _CountingRect.hashes += 1
+        return super().__hash__()
+
+
+class TestLeafScanCost:
+    def test_only_matching_leaf_entries_are_hashed(self, big_db):
+        """The leaf scan tests ``consistent`` before it dedups by the
+        ``(key, rid)`` pair, so a search pays one membership test and one
+        insert per match, not a hash per entry of every visited leaf."""
+        tree = big_db.create_tree("pts", RTreeExtension())
+        n, k = 30, 3
+        txn = big_db.begin()
+        for x in range(n):  # one leaf (capacity 32) holds all of them
+            tree.insert(txn, _CountingRect(x, 0, x, 0), f"r{x}")
+        big_db.commit(txn)
+        assert tree.height() == 1
+        txn = big_db.begin()
+        _CountingRect.hashes = 0
+        found = tree.search(txn, Rect(0, 0, k - 1, 0))
+        hashes = _CountingRect.hashes
+        big_db.commit(txn)
+        assert len(found) == k
+        assert hashes == 2 * k < n

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import LockTimeoutError
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
+from repro.lock.signaling import SignalingLocks
 
 S, X = LockMode.S, LockMode.X
 
@@ -165,29 +166,29 @@ class TestRelease:
 
 
 class TestReplicateShared:
-    def test_copies_s_holders_with_counts(self):
-        lm = LockManager()
-        lm.acquire(1, "src", S)
-        lm.acquire(1, "src", S)  # count 2
-        lm.acquire(2, "src", S)
-        copied = lm.replicate_shared("src", "dst")
-        assert set(copied) == {1, 2}
-        assert set(lm.holders("dst")) == {1, 2}
-        # owner 1's count was copied: two releases needed
-        lm.release(1, "dst")
-        assert lm.held_mode(1, "dst") == S
-        lm.release(1, "dst")
-        assert lm.held_mode(1, "dst") is None
+    """Split-time replication of signaling locks (section 10.3), which
+    the signaling table does in place of the lock manager."""
 
-    def test_x_holders_not_copied(self):
-        lm = LockManager()
-        lm.acquire(1, "src", X)
-        assert lm.replicate_shared("src", "dst") == []
-        assert lm.holders("dst") == {}
+    def test_copies_s_holders_with_counts(self):
+        table = SignalingLocks()
+        table.take(1, "src")
+        table.take(1, "src")  # count 2
+        table.take(2, "src")
+        table.replicate("src", "dst")
+        assert table.holders("dst") == {1: 2, 2: 1}
+        assert "dst" in table.names_of(1) and "dst" in table.names_of(2)
+        # owner 1's count was copied: two drops needed
+        table.drop(1, "dst")
+        assert table.holders("dst") == {1: 1, 2: 1}
+        table.drop(1, "dst")
+        assert table.holders("dst") == {2: 1}
+        assert "dst" not in table.names_of(1)
 
     def test_missing_source_is_noop(self):
-        lm = LockManager()
-        assert lm.replicate_shared("ghost", "dst") == []
+        table = SignalingLocks()
+        table.replicate("ghost", "dst")
+        assert table.holders("dst") == {}
+        assert len(table) == 0
 
 
 class TestTimeout:

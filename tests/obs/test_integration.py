@@ -11,7 +11,6 @@ import json
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.maintenance import vacuum
-from repro.lock.modes import LockMode
 from repro.tools.inspect import dump_stats
 
 
@@ -89,6 +88,26 @@ class TestSnapshotWiring:
         assert snap["splits"] == stats["splits"]
         assert snap["restarts"]["nsn_mismatch"] == stats["nsn_restarts"]
 
+    def test_signaling_traffic_is_reported(self):
+        """Signaling locks bypass ``lock.acquires``: their takes have a
+        gauge of their own, and ``db.stats()`` counts the names held."""
+        db = Database(page_capacity=4)
+        tree = db.create_tree("sig", BTreeExtension())
+        run_workload(db, tree, n=30)
+        takes = db.metrics.snapshot()["lock"]["signaling_takes"]
+        assert takes > 0
+        assert db.stats()["locks"]["signaling_takes"] == takes
+        assert db.stats()["locks"]["signaling_held"] == 0  # all committed
+        txn = db.begin()
+        cursor = tree.open_cursor(txn, Interval(0, 29))
+        cursor.fetch_next()  # pointers stacked, holds live
+        assert db.stats()["locks"]["signaling_held"] == len(
+            db.signaling.names_of(txn.xid)
+        ) > 0
+        cursor.close()
+        db.commit(txn)
+        assert db.stats()["locks"]["signaling_held"] == 0
+
     def test_drain_waits_surface_in_snapshot(self):
         """The section 7.2 drain technique shows up as gist.drain.waits:
         vacuum finds empty nodes pinned by signaling locks."""
@@ -104,7 +123,7 @@ class TestSnapshotWiring:
         db.commit(txn)
         holder = db.begin()
         for pid in tree.all_pids():
-            db.locks.acquire(holder.xid, tree.node_lock(pid), LockMode.S)
+            db.signaling.take(holder.xid, tree.node_lock(pid))
         vac = db.begin()
         report = vacuum(tree, vac)
         db.commit(vac)
@@ -123,6 +142,7 @@ class TestExporters:
             "wal.appends",
             "buffer.hits",
             "lock.acquires",
+            "lock.signaling_takes",
             "latch.wait_ns",
             "gist.op.insert_ns",
         ):

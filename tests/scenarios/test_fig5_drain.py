@@ -133,6 +133,10 @@ class TestDrainTechnique:
                     target = pid
         assert target is not None
         name = tree.node_lock(target)
-        assert db.locks.held_mode(txn.xid, name) is not None
+        assert txn.xid in db.signaling.holders(name)
+        # what a deleter's drain probe asks: the leaf is referenced
+        vac = db.begin()
+        assert db.signaling.held_by_others(vac.xid, name)
+        db.commit(vac)
         db.commit(txn)
-        assert db.locks.holders(name) == {}
+        assert db.signaling.holders(name) == {}

@@ -40,10 +40,14 @@ class TestSavepointPinsSignalingLocks:
         # drain the cursor: without the savepoint these visits would
         # release the locks; the pins must keep them
         cursor.fetch_all()
+        deleter = db.begin()
         for name in pinned:
-            assert db.locks.held_mode(txn.xid, name) is not None, (
+            assert txn.xid in db.signaling.holders(name), (
                 f"pinned signaling lock {name} was released by a visit"
             )
+            # what the pin is for: a deleter's drain probe sees the node
+            assert db.signaling.held_by_others(deleter.xid, name)
+        db.commit(deleter)
         cursor.close()
         db.commit(txn)
 
@@ -66,16 +70,20 @@ class TestSavepointPinsSignalingLocks:
         db, tree = build()
         txn = db.begin()
         cursor = tree.open_cursor(txn, Interval(0, 23))
+        cursor.fetch_next()
+        stacked = {tree.node_lock(entry.pid) for entry in cursor.stack}
+        deleter = db.begin()
+        assert stacked  # pointers are stacked, and protect their nodes
+        assert all(db.signaling.held_by_others(deleter.xid, n) for n in stacked)
         cursor.fetch_all()
         cursor.close()
-        node_locks = [
-            name
-            for name in db.locks.locks_of(txn.xid)
-            if isinstance(name, tuple) and name[0] == "node"
-        ]
         # only the locks with an end-of-transaction reason may remain
         # (a pure reader has none)
-        assert node_locks == []
+        assert db.signaling.names_of(txn.xid) == set()
+        assert not any(
+            db.signaling.held_by_others(deleter.xid, n) for n in stacked
+        )
+        db.commit(deleter)
         db.commit(txn)
 
     def test_pinned_node_resists_vacuum_until_commit(self):

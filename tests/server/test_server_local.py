@@ -298,3 +298,19 @@ class TestShedBurstBlackBox:
             assert server.metrics.snapshot()["server"][
                 "blackbox_dumps"
             ] == 1
+
+
+class TestStop:
+    def test_stop_is_prompt_and_leaves_no_server_thread(self, backend):
+        before = set(threading.enumerate())
+        srv = DatabaseServer(backend, port=0).start()
+        start = time.monotonic()
+        srv.stop()
+        # a blocked accept() used to outlive the 2 s join timeout
+        assert time.monotonic() - start < 0.5
+        left = [
+            t.name
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("srv-")
+        ]
+        assert left == []

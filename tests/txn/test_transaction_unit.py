@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TransactionStateError
+from repro.lock.signaling import SignalingLocks
 from repro.txn.transaction import (
     IsolationLevel,
     Savepoint,
@@ -41,54 +42,74 @@ class TestStateMachine:
         ).repeatable_read
 
 
+def _visit(table, txn, name):
+    """What a node visit does with its hold (GiST._release_signaling)."""
+    if not txn.keeps_signaling(name):
+        table.drop(txn.xid, name)
+
+
 class TestSignalingBookkeeping:
+    """The transaction decides which holds a visit must keep; the
+    signaling table counts them."""
+
     def test_note_then_release(self):
-        txn = Transaction(1)
-        txn.note_signaling(("node", "t", 5))
-        assert txn.may_release_signaling(("node", "t", 5))
-        txn.drop_signaling(("node", "t", 5))
-        assert not txn.may_release_signaling(("node", "t", 5))
+        table, txn = SignalingLocks(), Transaction(1)
+        name = ("node", "t", 5)
+        table.take(txn.xid, name)
+        assert table.holders(name) == {1: 1}
+        _visit(table, txn, name)
+        assert table.holders(name) == {}
+        assert table.names_of(txn.xid) == set()
 
     def test_eot_pin_blocks_release(self):
-        txn = Transaction(1)
+        table, txn = SignalingLocks(), Transaction(1)
         name = ("node", "t", 5)
-        txn.note_signaling(name)
+        table.take(txn.xid, name)
         txn.pin_signaling_to_eot(name)
-        assert not txn.may_release_signaling(name)
+        _visit(table, txn, name)
+        assert table.holders(name) == {1: 1}
+        table.release(txn.xid)  # end of transaction
+        assert table.holders(name) == {}
 
     def test_savepoint_pin_blocks_release_until_popped(self):
-        txn = Transaction(1)
+        table, txn = SignalingLocks(), Transaction(1)
         name = ("node", "t", 5)
-        txn.note_signaling(name)
+        table.take(txn.xid, name)
+        table.take(txn.xid, name)
         sp = Savepoint(name="s", lsn=0, pinned_signaling={name})
         txn.add_savepoint(sp)
-        assert not txn.may_release_signaling(name)
+        _visit(table, txn, name)
+        assert table.holders(name) == {1: 2}
         txn.release_savepoint(sp)
-        assert txn.may_release_signaling(name)
+        _visit(table, txn, name)
+        assert table.holders(name) == {1: 1}
 
     def test_nested_savepoint_pins_recomputed(self):
-        txn = Transaction(1)
+        table, txn = SignalingLocks(), Transaction(1)
         n1, n2 = ("node", "t", 1), ("node", "t", 2)
-        txn.note_signaling(n1)
-        txn.note_signaling(n2)
+        table.take(txn.xid, n1)
+        table.take(txn.xid, n2)
         sp1 = Savepoint(name="1", lsn=0, pinned_signaling={n1})
         sp2 = Savepoint(name="2", lsn=0, pinned_signaling={n2})
         txn.add_savepoint(sp1)
         txn.add_savepoint(sp2)
-        assert not txn.may_release_signaling(n2)
+        assert txn.keeps_signaling(n2)
         txn.pop_savepoints_after(sp1)  # sp2 gone
-        assert txn.may_release_signaling(n2)
-        assert not txn.may_release_signaling(n1)
+        _visit(table, txn, n2)
+        _visit(table, txn, n1)
+        assert table.names_of(txn.xid) == {n1}
 
     def test_signaling_counts(self):
-        txn = Transaction(1)
+        table, txn = SignalingLocks(), Transaction(1)
         name = ("node", "t", 9)
-        txn.note_signaling(name)
-        txn.note_signaling(name)
-        txn.drop_signaling(name)
-        assert txn.may_release_signaling(name)
-        txn.drop_signaling(name)
-        assert not txn.may_release_signaling(name)
+        table.take(txn.xid, name)
+        table.take(txn.xid, name)
+        _visit(table, txn, name)
+        assert table.holders(name) == {1: 1}
+        _visit(table, txn, name)
+        assert table.holders(name) == {}
+        _visit(table, txn, name)  # a drop with no hold left is a no-op
+        assert table.holders(name) == {}
 
 
 class TestCursorRegistry:
