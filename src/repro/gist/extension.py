@@ -112,14 +112,6 @@ class GiSTExtension(ABC):
         """
         return None
 
-    def compress(self, pred: object) -> object:
-        """Optional on-page key compression (identity by default)."""
-        return pred
-
-    def decompress(self, pred: object) -> object:
-        """Inverse of :meth:`compress` (identity by default)."""
-        return pred
-
     # ------------------------------------------------------------------
     # derived helpers used by the tree
     # ------------------------------------------------------------------
@@ -128,11 +120,3 @@ class GiSTExtension(ABC):
         if bp is None:
             return True
         return self.same(self.union([bp, key]), bp)
-
-    def union2(self, a: object, b: object) -> object:
-        """Union of two predicates, tolerating ``None`` (= whole space)."""
-        if a is None:
-            return None
-        if b is None:
-            return None
-        return self.union([a, b])

@@ -1,9 +1,12 @@
-"""R-tree extension: rectangle algebra, quadratic split, end-to-end."""
+"""R-tree extension: rectangle algebra, R*-style split, tree shape,
+end-to-end."""
 
+import math
 import random
 
 import pytest
 
+from repro.database import Database
 from repro.ext.rtree import Rect, RTreeExtension
 from repro.gist.checker import check_tree
 
@@ -17,6 +20,20 @@ class TestRect:
     def test_degenerate_raises(self):
         with pytest.raises(ValueError):
             Rect(1, 0, 0, 1)
+
+    @pytest.mark.parametrize("corner", range(4))
+    def test_nan_corner_raises(self, corner):
+        # a NaN rectangle intersected every query but vanished from a
+        # union whenever it was not first, so a BP could miss a key
+        # that consistent() said matched
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[corner] = math.nan
+        with pytest.raises(ValueError):
+            Rect(*coords)
+
+    def test_infinite_corners_stay_legal(self):
+        everything = Rect(-math.inf, -math.inf, math.inf, math.inf)
+        assert everything.contains(Rect(0, 0, 1, 1))
 
     def test_intersects_and_disjoint(self):
         a = Rect(0, 0, 2, 2)
@@ -74,6 +91,64 @@ class TestExtensionContract:
     def test_pick_split_minimum_size(self):
         with pytest.raises(ValueError):
             self.ext.pick_split([Rect.point(0, 0)])
+
+
+class TestTreeShape:
+    """Sibling MBRs that barely overlap: a read descends about one path.
+
+    The same tree the ``embedded_rtree`` benchmark preloads — 4 000 unit
+    squares at integer corners of a 1000×1000 space, 100 inserts per
+    transaction, default pages — counted in page fixes, not time.  A
+    height-3 tree needs 3 fixes per point search; Guttman's quadratic
+    split needed 7.06 on this tree (5.4–9.5 over other build seeds).
+    """
+
+    SIDE, KEYS, WINDOW, PROBES = 1000, 4000, 20, 500
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        rng = random.Random(1)
+        db = Database()
+        tree = db.create_tree("rt", RTreeExtension())
+        keys: dict = {}
+        while len(keys) < self.KEYS:
+            x, y = rng.randrange(self.SIDE - 1), rng.randrange(self.SIDE - 1)
+            keys.setdefault(Rect(x, y, x + 1, y + 1), f"r{len(keys)}")
+        pairs = list(keys.items())
+        for i in range(0, len(pairs), 100):
+            txn = db.begin()
+            for key, rid in pairs[i : i + 100]:
+                tree.insert(txn, key, rid)
+            db.commit(txn)
+        return db, tree, list(keys)
+
+    @staticmethod
+    def fixes_per_search(db, tree, queries) -> float:
+        before = db.pool.hits + db.pool.misses
+        for query in queries:
+            txn = db.begin()
+            tree.search(txn, query)
+            db.commit(txn)
+        return (db.pool.hits + db.pool.misses - before) / len(queries)
+
+    def test_point_search_fixes(self, built):
+        db, tree, keys = built
+        rng = random.Random(2)
+        probes = [rng.choice(keys) for _ in range(self.PROBES)]
+        assert self.fixes_per_search(db, tree, probes) <= 3.5
+
+    def test_window_search_fixes(self, built):
+        db, tree, _ = built
+        rng = random.Random(3)
+        corner = self.SIDE - self.WINDOW
+        windows = [
+            Rect(x, y, x + self.WINDOW, y + self.WINDOW)
+            for x, y in (
+                (rng.randrange(corner), rng.randrange(corner))
+                for _ in range(self.PROBES)
+            )
+        ]
+        assert self.fixes_per_search(db, tree, windows) <= 4.5
 
 
 class TestRTreeEndToEnd:
