@@ -1,9 +1,11 @@
 """B-tree as a GiST extension.
 
 The canonical first example from [HNP95]: keys are values from a totally
-ordered domain, bounding predicates are closed intervals, and the node
-layout keeps entries sorted so the ``organize`` hook enables the usual
-binary-search behaviour.  This is also the specialization the paper's
+ordered domain and bounding predicates are closed intervals.  Node
+entries stay in insertion order (nothing sorts a node); the
+``organize`` hook sorts a *batch* by key, so that the batched
+operations and ``bulk_load`` meet neighbouring keys together
+(:mod:`repro.gist.batch`).  This is also the specialization the paper's
 Figures 1 and 2 are drawn with, and the one "emulating B-trees in
 DB2/Common Server" mentioned in the abstract.
 
@@ -128,7 +130,7 @@ def as_interval(pred: object) -> Interval:
 
 
 class BTreeExtension(GiSTExtension):
-    """Ordered-domain extension: interval BPs, sorted node layout.
+    """Ordered-domain extension: interval BPs, key-sorted batches.
 
     The template calls these methods once per entry of every node it
     visits, so each compares raw keys, :class:`Interval` and
@@ -242,7 +244,7 @@ class BTreeExtension(GiSTExtension):
         return MultiPoint.of(keys)
 
     def organize(self, preds: Sequence[object]) -> list[int]:
-        """Sorted intra-node layout (contract: :meth:`GiSTExtension.organize`)."""
+        """Key order for a batch (contract: :meth:`GiSTExtension.organize`)."""
         return _order_by_lo(preds)
 
 

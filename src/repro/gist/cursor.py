@@ -19,8 +19,10 @@ Protocol details implemented here:
   owners (latches released first), then rescans the node.
 * **Record locking** (section 4.3): qualifying leaf entries' RIDs are
   S-locked — held to end of transaction under repeatable read, instant
-  duration under read committed.  Lock waits never happen under a
-  latch: the cursor unlatches, blocks, then re-fixes and rescans,
+  duration under read committed — a leaf's worth in one no-wait call
+  that stops at the first record another transaction holds.  Lock
+  waits never happen under a latch: the cursor unlatches, blocks on
+  that record, then re-fixes and rescans,
   deduplicating processed entries by ``(key, RID)`` pair (footnote 9's
   data-RID rule, keyed by the full pair so that a tombstone and a
   re-insertion of the same record cannot mask each other).
@@ -238,36 +240,53 @@ class SearchCursor:
 
     def _scan_leaf_once(self, frame: Frame):
         """One pass over the latched leaf; returns a RID to block on,
-        or ``None`` when the pass completed."""
+        or ``None`` when the pass completed.
+
+        The pass filters the leaf first, then S-locks the hits' records
+        in one lock-table visit (section 4.3), stopping at the first
+        record another transaction holds: the granted prefix is
+        processed and the refused RID returned.
+        """
         tree, txn = self.tree, self.txn
-        locks = tree.db.locks
         consistent, query, seen = tree.ext.consistent, self.query, self.seen
+        hits = []
         for entry in frame.page.entries:
             # Both tests are pure filters; the predicate goes first so
             # that only matching entries pay for hashing the pair.
             if not consistent(entry.key, query):
                 continue
-            if (entry.key, entry.rid) in seen:
+            pair = (entry.key, entry.rid)
+            if pair in seen:
                 continue
-            if self.lock_rids:
-                granted = locks.acquire(
-                    txn.xid,
-                    tree.rid_lock(entry.rid),
-                    LockMode.S,
-                    wait=False,
-                )
-                if not granted:
-                    return entry.rid
-            # Holding the record lock: a deletion mark can only belong
-            # to a finished (committed) deleter or to this transaction;
-            # either way the entry is invisible (section 7).
-            seen.add((entry.key, entry.rid))
-            if not entry.deleted:
-                self._buffer.append((entry.key, entry.rid))
-            if self.lock_rids and not self.repeatable:
-                # read committed: instant-duration lock
-                locks.release(txn.xid, tree.rid_lock(entry.rid))
-        return None
+            seen.add(pair)  # also dedups the pass; refusals are undone
+            hits.append(entry)
+        if not hits:
+            return None
+        granted = len(hits)
+        if self.lock_rids:
+            locks, rid_lock = tree.db.locks, tree.rid_lock
+            names = [rid_lock(entry.rid) for entry in hits]
+            granted = locks.try_acquire_many(txn.xid, names, LockMode.S)
+            if not self.repeatable:
+                # read committed: instant-duration locks
+                for name in names[:granted]:
+                    locks.release(txn.xid, name)
+        # Holding the record lock: a deletion mark can only belong to a
+        # finished (committed) deleter or to this transaction; either
+        # way the entry is invisible (section 7).  A tombstone does not
+        # count as the pair's processed copy: a re-insert that landed
+        # on another leaf (an R-tree's overlapping BPs) is still found.
+        buffer = self._buffer
+        for entry in hits[:granted]:
+            if entry.deleted:
+                seen.discard((entry.key, entry.rid))
+            else:
+                buffer.append((entry.key, entry.rid))
+        if granted == len(hits):
+            return None
+        # The refused suffix was not processed: the rescan meets it again.
+        seen.difference_update((e.key, e.rid) for e in hits[granted:])
+        return hits[granted].rid
 
     def _block_on_rid(self, rid: object) -> None:
         """Wait for the record lock with no latches held, then return

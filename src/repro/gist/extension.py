@@ -17,8 +17,10 @@ The four classic methods are ``consistent``, ``union``, ``penalty`` and
   leaves on visited nodes (section 8) and that key deletion searches by
   (section 7).
 
-``organize`` is the optional intra-node layout hook mentioned at the end
-of section 2 (a B-tree keeps entries sorted to allow binary search).
+``organize`` is an optional ordering hook.  Section 2 ends by noting that
+a B-tree keeps node entries sorted for binary search; this library does
+not: node entries stay in insertion order, and ``organize`` orders a
+*batch* of keys instead (:mod:`repro.gist.batch`).
 """
 
 from __future__ import annotations
@@ -94,10 +96,12 @@ class GiSTExtension(ABC):
         return key
 
     def organize(self, preds: Sequence[object]) -> list[int] | None:
-        """Optional intra-node layout: return a permutation of indices
-        (e.g. sort order for a B-tree), or ``None`` to keep insertion
-        order.  Purely an efficiency hook; correctness never depends on
-        entry order within a node."""
+        """Optional batch order: a permutation of indices of ``preds``
+        (e.g. key order for a B-tree), or ``None`` to keep the caller's
+        order.  The batched operations and ``bulk_load`` sort a batch
+        with it so that neighbouring keys share a descent; node entries
+        are never sorted.  Purely an
+        efficiency hook: correctness never depends on batch order."""
         return None
 
     def multi_eq_query(self, keys: Sequence[object]) -> object | None:

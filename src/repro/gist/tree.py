@@ -85,9 +85,12 @@ from repro.wal.records import (
     GetPageRecord,
     InternalEntryAddRecord,
     InternalEntryUpdateRecord,
+    LogRecord,
     MarkLeafEntryRecord,
     PageImageClr,
+    RemarkLeafEntryClr,
     RemoveLeafEntryClr,
+    ReviveLeafEntryRecord,
     RootSplitRecord,
     SplitRecord,
     UnmarkLeafEntryClr,
@@ -519,11 +522,26 @@ class GiST:
                     )
                     break
         # Phase 5: the content change itself, ascribed to the txn and
-        # emitted through the batched log path.
+        # emitted through the batched log path.  A pair whose own
+        # tombstone is still on the leaf revives it in place, and its
+        # record says so (the undo re-marks rather than removes).
         xid, name, nsn = txn.xid, self.name, page.nsn
+        tombstones = {
+            (e.key, e.rid): e.delete_xid for e in page.entries if e.deleted
+        }
         records = [
             AddLeafEntryRecord(
                 xid=xid, tree=name, page_id=pid, nsn=nsn, key=key, rid=rid
+            )
+            if (key, rid) not in tombstones
+            else ReviveLeafEntryRecord(
+                xid=xid,
+                tree=name,
+                page_id=pid,
+                nsn=nsn,
+                key=key,
+                rid=rid,
+                delete_xid=tombstones[key, rid],
             )
             for key, rid in run
         ]
@@ -1193,8 +1211,17 @@ class GiST:
     ) -> None:
         """Logical undo of a leaf insertion: re-locate the leaf (the
         entry may have moved right through splits) and remove the entry,
-        writing the compensating record."""
-        self._undo_leaf_entry(record, txn_xid, RemoveLeafEntryClr)
+        writing the compensating record.  An insert that revived its
+        pair's tombstone is undone by re-marking the entry instead."""
+        if isinstance(record, ReviveLeafEntryRecord):
+            self._undo_leaf_entry(
+                record,
+                txn_xid,
+                RemarkLeafEntryClr,
+                delete_xid=record.delete_xid,
+            )
+        else:
+            self._undo_leaf_entry(record, txn_xid, RemoveLeafEntryClr)
         # Immediate garbage collection / BP shrink is permitted only
         # outside restart recovery (section 9.2); we leave both to
         # vacuum even at runtime, which is strictly more conservative.
@@ -1213,7 +1240,8 @@ class GiST:
         self,
         record: AddLeafEntryRecord | MarkLeafEntryRecord,
         txn_xid: int,
-        clr_type: type[RemoveLeafEntryClr] | type[UnmarkLeafEntryClr],
+        clr_type: type[LogRecord],
+        **clr_fields: object,
     ) -> None:
         """Locate the entry's current leaf, log the CLR, apply it."""
         try:
@@ -1231,6 +1259,7 @@ class GiST:
                 page_id=frame.page.pid,
                 key=record.key,
                 rid=record.rid,
+                **clr_fields,
             )
             clr.undo_next = record.prev_lsn
             lsn = self.db.log.append(clr)

@@ -9,7 +9,11 @@ Implements the transactional locking substrate the paper assumes:
 * waits-for-graph deadlock detection with youngest-victim abort (the
   paper relies on this to resolve the unique-index insertion race of
   section 8),
-* no-wait acquisition (a scan's record locks, taken under a latch).
+* no-wait acquisition (a scan's record locks, taken under a latch),
+  one name at a time or a leaf's worth of names in one mutex hold,
+* an uncontended fast path: a name nobody holds is granted by creating
+  its head, and a head's wait queue exists only once a request has had
+  to wait.
 
 Unlike latches, locks are held by *transactions*, are organized in a hash
 table, and are checked for deadlock — exactly the distinction footnote 8
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
 
 from repro.errors import DeadlockError, LockTimeoutError
@@ -43,12 +47,17 @@ class _Request:
     victim: bool = False
 
 
-@dataclass
 class _LockHead:
-    name: LockName
-    granted: dict[Owner, LockMode] = field(default_factory=dict)
-    counts: dict[Owner, int] = field(default_factory=dict)
-    queue: deque[_Request] = field(default_factory=deque)
+    """One lock-table entry, created already granted to its first owner."""
+
+    __slots__ = ("name", "granted", "counts", "queue")
+
+    def __init__(self, name: LockName, owner: Owner, mode: LockMode) -> None:
+        self.name = name
+        self.granted: dict[Owner, LockMode] = {owner: mode}
+        self.counts: dict[Owner, int] = {owner: 1}
+        #: FIFO waiters; ``None`` until a request first has to wait
+        self.queue: deque[_Request] | None = None
 
 
 class LockStats:
@@ -145,24 +154,18 @@ class LockManager:
             timeout = self.default_timeout
         with self._mutex:
             self.stats.acquires += 1
-            head = self._heads.get(name)
-            if head is None:
-                head = _LockHead(name)
-                self._heads[name] = head
-
+            if self._grant_now(owner, name, mode):
+                return True
+            if not wait:
+                return False
+            head = self._heads[name]
+            if head.queue is None:
+                head.queue = deque()
             held = head.granted.get(owner)
             if held is not None:
-                if stronger_or_equal(held, mode):
-                    head.counts[owner] += 1
-                    return True
-                target = supremum(held, mode)
-                if self._conversion_grantable(head, owner, target):
-                    head.granted[owner] = target
-                    head.counts[owner] += 1
-                    return True
-                if not wait:
-                    return False
-                request = _Request(owner, target, convert_from=held)
+                request = _Request(
+                    owner, supremum(held, mode), convert_from=held
+                )
                 # Conversions go ahead of ordinary waiters but behind
                 # earlier conversions (FIFO among conversions).
                 insert_at = 0
@@ -172,15 +175,27 @@ class LockManager:
                     insert_at = i + 1
                 head.queue.insert(insert_at, request)
             else:
-                if self._fresh_grantable(head, mode):
-                    self._grant(head, owner, mode)
-                    return True
-                if not wait:
-                    return False
                 request = _Request(owner, mode)
                 head.queue.append(request)
-
             return self._wait_for_grant(head, request, timeout)
+
+    def try_acquire_many(
+        self, owner: Owner, names: list[LockName], mode: LockMode
+    ) -> int:
+        """No-wait acquisition of ``names`` in order, in one mutex hold.
+
+        Stops at the first name that cannot be granted at once and
+        returns how many were granted (a prefix of ``names``).  Each
+        name attempted counts as one acquisition, exactly as the same
+        sequence of ``acquire(..., wait=False)`` calls would.
+        """
+        with self._mutex:
+            for granted, name in enumerate(names):
+                if not self._grant_now(owner, name, mode):
+                    self.stats.acquires += granted + 1
+                    return granted
+            self.stats.acquires += len(names)
+            return len(names)
 
     def _wait_for_grant(
         self, head: _LockHead, request: _Request, timeout: float | None
@@ -242,29 +257,28 @@ class LockManager:
             held = self._held.get(owner)
             if held is not None:
                 held.discard(name)
-            self._promote(head)
+            if head.queue:
+                self._promote(head)
+            elif not head.granted:
+                del self._heads[name]
 
     def release_all(self, owner: Owner) -> None:
-        """Release every lock held by ``owner`` (end of transaction)."""
-        with self._mutex:
-            names = list(self._held.get(owner, ()))
-            for name in names:
-                head = self._heads.get(name)
-                if head is None or owner not in head.granted:
-                    continue
-                del head.granted[owner]
-                del head.counts[owner]
-                self._promote(head)
-            self._held.pop(owner, None)
+        """Release every lock held by ``owner`` (end of transaction).
 
-    def downgrade(self, owner: Owner, name: LockName, mode: LockMode) -> None:
-        """Reduce the held mode (e.g. X -> S); may unblock waiters."""
+        A head nobody else holds or awaits is deleted outright; only a
+        head with a queue pays for :meth:`_promote`.
+        """
         with self._mutex:
-            head = self._heads.get(name)
-            if head is None or owner not in head.granted:
-                return
-            head.granted[owner] = mode
-            self._promote(head)
+            heads = self._heads
+            for name in self._held.pop(owner, ()):
+                head = heads.get(name)
+                if head is None or head.granted.pop(owner, None) is None:
+                    continue
+                del head.counts[owner]
+                if head.queue:
+                    self._promote(head)
+                elif not head.granted:
+                    del heads[name]
 
     # ------------------------------------------------------------------
     # introspection
@@ -289,10 +303,45 @@ class LockManager:
     # ------------------------------------------------------------------
     # internals (mutex held)
     # ------------------------------------------------------------------
+    def _grant_now(self, owner: Owner, name: LockName, mode: LockMode) -> bool:
+        """The grant rule: grant ``name`` to ``owner`` in ``mode`` if that
+        is possible without waiting (the caller counts the attempt).
+
+        A name nobody holds is granted by creating its head; a held mode
+        that covers ``mode`` is re-entered; a conversion is granted when
+        no other holder conflicts; a fresh request when no holder
+        conflicts and nobody is queued (FIFO fairness).
+        """
+        head = self._heads.get(name)
+        if head is None:
+            self._heads[name] = _LockHead(name, owner, mode)
+            self._note_held(owner, name)
+            return True
+        held = head.granted.get(owner)
+        if held is not None:
+            if not stronger_or_equal(held, mode):
+                target = supremum(held, mode)
+                if not self._conversion_grantable(head, owner, target):
+                    return False
+                head.granted[owner] = target
+            head.counts[owner] += 1
+            return True
+        if self._fresh_grantable(head, mode):
+            self._grant(head, owner, mode)
+            return True
+        return False
+
+    def _note_held(self, owner: Owner, name: LockName) -> None:
+        held = self._held.get(owner)
+        if held is None:
+            self._held[owner] = {name}
+        else:
+            held.add(name)
+
     def _grant(self, head: _LockHead, owner: Owner, mode: LockMode) -> None:
         head.granted[owner] = mode
         head.counts[owner] = head.counts.get(owner, 0) + 1
-        self._held.setdefault(owner, set()).add(head.name)
+        self._note_held(owner, head.name)
 
     def _fresh_grantable(self, head: _LockHead, mode: LockMode) -> bool:
         if head.queue:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter_ns
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import WALError
 from repro.obs.metrics import MetricsRegistry
@@ -122,7 +122,6 @@ class LogManager:
         self._last_lsn_of: dict[int, int] = {}
         #: durable pointer to the most recent complete checkpoint
         self.master_lsn = NULL_LSN
-        self._flush_stall: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
     # append / read

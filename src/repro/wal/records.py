@@ -613,6 +613,28 @@ class AddLeafEntryRecord(LogRecord):
 
 
 @dataclass
+class ReviveLeafEntryRecord(AddLeafEntryRecord):
+    """Add-Leaf-Entry of a pair whose own tombstone is still on the leaf.
+
+    A leaf holds a ``(key, rid)`` pair at most once, so the insert
+    clears the deletion mark rather than adding a second entry.
+    ``delete_xid`` is the tombstone's deleter: the logical undo re-marks
+    the entry with it (:class:`RemarkLeafEntryClr`) instead of removing
+    the entry, leaving the pair exactly as deleted as the insert found
+    it.
+    """
+
+    delete_xid: int | None = None
+
+    def redo_page(self, page: Page) -> None:
+        """Apply this record's redo action to one affected page."""
+        entry = page.find_leaf_entry(self.key, self.rid)
+        if entry is not None:
+            entry.deleted = False
+            entry.delete_xid = None
+
+
+@dataclass
 class MarkLeafEntryRecord(LogRecord):
     """Table 1 "Mark-Leaf-Entry" — logical deletion of a leaf entry."""
 
@@ -682,6 +704,27 @@ class UnmarkLeafEntryClr(LogRecord):
         if entry is not None:
             entry.deleted = False
             entry.delete_xid = None
+
+
+@dataclass
+class RemarkLeafEntryClr(LogRecord):
+    """CLR compensating a reviving Add-Leaf-Entry: restore the mark."""
+
+    page_id: PageId = NO_PAGE
+    key: object = None
+    rid: object = None
+    delete_xid: int | None = None
+
+    def affected_pages(self) -> Sequence[PageId]:
+        """Pages whose images this record's redo touches."""
+        return (self.page_id,)
+
+    def redo_page(self, page: Page) -> None:
+        """Apply this record's redo action to one affected page."""
+        entry = page.find_leaf_entry(self.key, self.rid)
+        if entry is not None:
+            entry.deleted = True
+            entry.delete_xid = self.delete_xid
 
 
 @dataclass

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import repro.lock.manager
 from repro.errors import LockTimeoutError
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
@@ -151,19 +152,6 @@ class TestRelease:
         lm = LockManager()
         lm.release(1, "nothing")  # no error
 
-    def test_downgrade_unblocks_reader(self):
-        lm = LockManager()
-        lm.acquire(1, "a", X)
-        granted = threading.Event()
-        t = threading.Thread(
-            target=lambda: (lm.acquire(2, "a", S), granted.set())
-        )
-        t.start()
-        time.sleep(0.02)
-        lm.downgrade(1, "a", S)
-        assert granted.wait(2.0)
-        t.join()
-
 
 class TestReplicateShared:
     """Split-time replication of signaling locks (section 10.3), which
@@ -191,12 +179,47 @@ class TestReplicateShared:
         assert len(table) == 0
 
 
+class _SliceCounter(threading.Condition):
+    """The lock manager's condition, recording each wait slice it is
+    asked for and returning at once instead of sleeping it."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.slices: list[float] = []
+
+    def wait(self, timeout=None):
+        self.slices.append(timeout)
+        return False
+
+
+class _ManagerThreading:
+    """``threading`` as :mod:`repro.lock.manager` sees it."""
+
+    def __init__(self) -> None:
+        self.conditions: list[_SliceCounter] = []
+
+    def __getattr__(self, name: str):
+        return getattr(threading, name)
+
+    def Condition(self, lock):  # noqa: N802 - the name __init__ looks up
+        condition = _SliceCounter(lock)
+        self.conditions.append(condition)
+        return condition
+
+
 class TestTimeout:
-    def test_lock_wait_times_out(self):
+    def test_lock_wait_times_out(self, monkeypatch):
+        shim = _ManagerThreading()
+        monkeypatch.setattr(repro.lock.manager, "threading", shim)
         lm = LockManager(default_timeout=0.2)
+        (slices,) = [c.slices for c in shim.conditions]
         lm.acquire(1, "a", X)
-        start = time.perf_counter()
         with pytest.raises(LockTimeoutError):
             lm.acquire(2, "a", X)
-        assert time.perf_counter() - start < 5.0
+        # The 0.2 s timeout is honoured, not the 30 s default (600
+        # slices): four 50 ms slices, then the float residue of
+        # 0.2 - 4 * 0.05 (about 1e-17 s) as a fifth.
+        assert slices[:4] == [0.05] * 4
+        assert len(slices) == 5 and 0 < slices[4] < 1e-9
+        assert sum(slices) == pytest.approx(0.2)
         assert lm.stats.timeouts == 1
