@@ -1,13 +1,20 @@
 """B-tree as a GiST extension.
 
 The canonical first example from [HNP95]: keys are values from a totally
-ordered domain and bounding predicates are closed intervals.  Node
-entries stay in insertion order (nothing sorts a node); the
-``organize`` hook sorts a *batch* by key, so that the batched
-operations and ``bulk_load`` meet neighbouring keys together
-(:mod:`repro.gist.batch`).  This is also the specialization the paper's
-Figures 1 and 2 are drawn with, and the one "emulating B-trees in
-DB2/Common Server" mentioned in the abstract.
+ordered domain and bounding predicates are closed intervals.  The
+extension declares that order (:mod:`repro.gist.extension`): a key is
+its own order key and an interval's is its ``lo``, so every node keeps
+its entries sorted, as section 2 says a B-tree does, and a node visit
+bisects to the entries a query can match.  The same order sorts a
+batch, so that the batched operations and ``bulk_load`` meet
+neighbouring keys together (:mod:`repro.gist.batch`).  This is also the
+specialization the paper's Figures 1 and 2 are drawn with, and the one
+"emulating B-trees in DB2/Common Server" mentioned in the abstract.
+
+Keys of type ``int``, ``float``, ``str`` and ``bytes`` are registered
+as ordered.  Leaves of keys of another type are scanned entry by entry
+unless the type is registered with
+:func:`~repro.storage.page.register_order_key` before its first insert.
 
 Queries may be raw key values (point queries) or :class:`Interval`
 objects (range queries).
@@ -20,7 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.gist.extension import GiSTExtension
-from repro.storage.page import register_immutable_type
+from repro.storage.page import (
+    order_of,
+    register_immutable_type,
+    register_order_key,
+)
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ def as_interval(pred: object) -> Interval:
 
 
 class BTreeExtension(GiSTExtension):
-    """Ordered-domain extension: interval BPs, key-sorted batches.
+    """Ordered-domain extension: interval BPs, key-sorted nodes.
 
     The template calls these methods once per entry of every node it
     visits, so each compares raw keys, :class:`Interval` and
@@ -212,7 +223,7 @@ class BTreeExtension(GiSTExtension):
         self, preds: Sequence[object]
     ) -> tuple[list[int], list[int]]:
         """Partition entry indices for a split (contract: :meth:`GiSTExtension.pick_split`)."""
-        order = _order_by_lo(preds)
+        order = order_of(preds)
         mid = len(order) // 2
         return order[:mid], order[mid:]
 
@@ -243,15 +254,15 @@ class BTreeExtension(GiSTExtension):
         :meth:`GiSTExtension.multi_eq_query`)."""
         return MultiPoint.of(keys)
 
-    def organize(self, preds: Sequence[object]) -> list[int]:
-        """Key order for a batch (contract: :meth:`GiSTExtension.organize`)."""
-        return _order_by_lo(preds)
-
-
-def _order_by_lo(preds: Sequence[object]) -> list[int]:
-    """Indices of ``preds`` in ascending order of lower bound (stable)."""
-    lows = [pred.lo if isinstance(pred, Interval) else pred for pred in preds]
-    return sorted(range(len(lows)), key=lows.__getitem__)
+    def query_bounds(self, query: object) -> tuple | None:
+        """Lowest and highest key ``query`` can match (contract:
+        :attr:`GiSTExtension.query_bounds`)."""
+        if isinstance(query, Interval):
+            return query.lo, query.hi
+        if isinstance(query, MultiPoint):
+            keys = query.keys
+            return (keys[0], keys[-1]) if keys else None
+        return query, query
 
 
 def _bounds(pred: object) -> tuple:
@@ -264,3 +275,7 @@ def _bounds(pred: object) -> tuple:
 # Interval is a frozen dataclass over ordered scalars: page snapshots may
 # share instances instead of deep-copying them on every flush/eviction.
 register_immutable_type(Interval)
+# The declared order: scalar keys are points, an interval sorts by lo.
+for _tp in (int, float, str, bytes):
+    register_order_key(_tp)
+register_order_key(Interval, "lo")

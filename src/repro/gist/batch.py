@@ -1,7 +1,7 @@
 """Batched operations: ``multi_put``, ``multi_get``, ``multi_delete``.
 
-Nothing here adds protocol: a batch is sorted with the extension's
-``organize`` hook and then handed, piece by piece, to the steps the
+Nothing here adds protocol: a batch is sorted in the extension's
+declared order (``organize``) and then handed, piece by piece, to the steps the
 point operations use (:mod:`repro.gist.tree`, whose module docstring
 lists the interface).  ``multi_put`` decides only *which pairs share a
 leaf* — the run extension in :func:`put_runs`; what is done to the leaf
@@ -25,7 +25,8 @@ from repro.txn.transaction import Transaction
 def organize_pairs(
     tree: GiST, pairs: "Sequence[tuple]"
 ) -> tuple[list[tuple], bool]:
-    """Normalize keys and sort the batch with the ``organize`` hook.
+    """Normalize keys and sort the batch in the extension's declared
+    order (:meth:`~repro.gist.extension.GiSTExtension.organize`).
 
     Returns ``(pairs, organized)``: the flag records whether the
     extension actually imposed an order — consecutive pairs of an
@@ -80,7 +81,7 @@ def batch_insert(
 def multi_put(tree: GiST, txn: Transaction, pairs: "Sequence[tuple]") -> int:
     """Batched insert: one descent per *leaf run* of the sorted batch.
 
-    The batch is sorted with the extension's ``organize`` hook, then
+    The batch is sorted in the extension's declared order, then
     consumed run by run: each run locates its head's target leaf
     once and appends every subsequent pair the leaf can absorb —
     key covered by the leaf's BP, a free slot remaining — emitting

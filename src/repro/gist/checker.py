@@ -19,7 +19,9 @@ Checked invariants:
 4. rightlink chains are acyclic and stay within one level;
 5. NSNs never exceed the current global counter value;
 6. the leaves partition the RID set: no RID appears twice (section 2);
-7. every leaf entry is reachable by a search with its own key.
+7. every leaf entry is reachable by a search with its own key;
+8. in a tree whose extension declares an order, every node's entries
+   are sorted by order key (node visits bisect on it).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.gist.tree import GiST
-from repro.storage.page import NO_PAGE, PageId
+from repro.storage.page import NO_PAGE, PageId, order_key
 from repro.sync.latch import LatchMode
 
 
@@ -81,6 +83,7 @@ def check_tree(tree: GiST, *, check_reachability: bool = True) -> CheckReport:
     _check_bounding_predicates(tree, pages, report)
     _check_rid_partition(tree, pages, report)
     _check_nsns(tree, pages, report)
+    _check_order(tree, pages, report)
     if check_reachability and report.ok:
         _check_reachability(tree, pages, report)
     return report
@@ -198,6 +201,22 @@ def _check_nsns(tree, pages, report) -> None:
                 f"page {pid} NSN {page.nsn} exceeds global counter "
                 f"{current}"
             )
+
+
+def _check_order(tree, pages, report) -> None:
+    if tree.ext.query_bounds is None:
+        return
+    for pid, page in pages.items():
+        keys = [
+            order_key(e.key if page.is_leaf else e.pred) for e in page.entries
+        ]
+        for i in range(1, len(keys)):
+            if keys[i] < keys[i - 1]:
+                report.fail(
+                    f"page {pid} entry {i} (order key {keys[i]!r}) sorts "
+                    f"before its predecessor ({keys[i - 1]!r})"
+                )
+                break
 
 
 def _check_reachability(tree, pages, report) -> None:

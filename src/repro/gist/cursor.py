@@ -77,6 +77,8 @@ class SearchCursor:
         self.tree = tree
         self.txn = txn
         self.query = query
+        #: the query's order-key range on an ordered tree, else ``None``
+        self.bounds = tree.query_bounds(query)
         self.repeatable = txn.repeatable_read
         if lock_rids is not None:
             self.lock_rids = lock_rids
@@ -228,7 +230,12 @@ class SearchCursor:
                 continue  # rescan the leaf, dedup via self.seen
             child_memo = tree.nsn.memo_for_children(page)
             consistent, query = tree.ext.consistent, self.query
-            for node_entry in page.entries:
+            # Every entry up to the query's upper bound is tested: the
+            # first inconsistent one ends nothing, as sibling BPs of a
+            # multi_put-built tree overlap.
+            bounds = self.bounds
+            entries = page.entries if bounds is None else page.candidates(*bounds)
+            for node_entry in entries:
                 if consistent(node_entry.pred, query):
                     self.stack.append(
                         tree._stack_pointer(txn, node_entry.child, child_memo)
@@ -249,8 +256,9 @@ class SearchCursor:
         """
         tree, txn = self.tree, self.txn
         consistent, query, seen = tree.ext.consistent, self.query, self.seen
+        page, bounds = frame.page, self.bounds
         hits = []
-        for entry in frame.page.entries:
+        for entry in page.entries if bounds is None else page.candidates(*bounds):
             # Both tests are pure filters; the predicate goes first so
             # that only matching entries pay for hashing the pair.
             if not consistent(entry.key, query):

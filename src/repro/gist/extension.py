@@ -17,16 +17,27 @@ The four classic methods are ``consistent``, ``union``, ``penalty`` and
   leaves on visited nodes (section 8) and that key deletion searches by
   (section 7).
 
-``organize`` is an optional ordering hook.  Section 2 ends by noting that
-a B-tree keeps node entries sorted for binary search; this library does
-not: node entries stay in insertion order, and ``organize`` orders a
-*batch* of keys instead (:mod:`repro.gist.batch`).
+Section 2 ends by noting that a B-tree keeps node entries sorted for
+binary search.  An extension may declare such an order: the order key
+of its stored keys and predicates, registered per type with
+:func:`repro.storage.page.register_order_key`, and ``query_bounds``,
+the lowest and highest order key a query can match.  Pages of its
+trees then keep their entries sorted, and a node visit tests only the
+entries :meth:`~repro.storage.page.Page.candidates` leaves — on an
+internal node those whose lower end is at most the query's upper
+bound, on a leaf of point keys those inside both bounds.  The
+contract clause: every entry consistent with a query has its order key
+at most the query's upper bound and, for a point key, at least its
+lower bound.  The same order sorts a batch for the batched operations
+(:meth:`GiSTExtension.organize`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Sequence
+
+from repro.storage.page import order_of
 
 
 class GiSTExtension(ABC):
@@ -95,14 +106,12 @@ class GiSTExtension(ABC):
         """
         return key
 
-    def organize(self, preds: Sequence[object]) -> list[int] | None:
-        """Optional batch order: a permutation of indices of ``preds``
-        (e.g. key order for a B-tree), or ``None`` to keep the caller's
-        order.  The batched operations and ``bulk_load`` sort a batch
-        with it so that neighbouring keys share a descent; node entries
-        are never sorted.  Purely an
-        efficiency hook: correctness never depends on batch order."""
-        return None
+    #: ``query_bounds(query) -> (lo, hi)``, the lowest and highest order
+    #: key an entry consistent with ``query`` can have (or ``None`` for
+    #: a query it cannot bound), declared by an extension whose key and
+    #: predicate types register an order (see the module docstring).
+    #: ``None`` here declares no order: node visits test every entry.
+    query_bounds: Callable[[object], tuple | None] | None = None
 
     def multi_eq_query(self, keys: Sequence[object]) -> object | None:
         """A predicate satisfied by exactly the listed keys, or ``None``.
@@ -124,3 +133,15 @@ class GiSTExtension(ABC):
         if bp is None:
             return True
         return self.same(self.union([bp, key]), bp)
+
+    def organize(self, preds: Sequence[object]) -> list[int] | None:
+        """Batch order: the indices of ``preds`` in ascending order key
+        (stable), or ``None`` when the extension declares no order.
+
+        The batched operations and ``bulk_load`` sort a batch with it so
+        that neighbouring keys share a descent.  Derived from the
+        declared order, not a hook of its own; correctness never depends
+        on batch order."""
+        if self.query_bounds is None:
+            return None
+        return order_of(preds)

@@ -76,6 +76,7 @@ from repro.storage.page import (
     Page,
     PageId,
     PageKind,
+    copy_value,
 )
 from repro.sync.latch import LatchMode
 from repro.txn.transaction import Transaction
@@ -98,6 +99,11 @@ from repro.wal.records import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
+
+
+def _no_bounds(query: object) -> None:
+    """``query_bounds`` of a tree whose extension declares no order."""
+    return None
 
 
 class GiST:
@@ -123,6 +129,9 @@ class GiST:
         self.root_pid = root_pid
         self.unique = unique
         self.predicates = PredicateManager(extension.consistent)
+        #: ``query -> (lo, hi)`` order-key range, or ``None``: chosen once
+        #: here, so an unordered tree's node visits test every entry
+        self.query_bounds = extension.query_bounds or _no_bounds
         self.metrics = db.metrics
         self.stats = TreeStats(self.metrics)
         self._h_search_ns = self.metrics.histogram("gist.op.search_ns")
@@ -398,7 +407,9 @@ class GiST:
                 return
             child_memo = self.nsn.memo_for_children(page)
             consistent = self.ext.consistent
-            for node_entry in page.entries:
+            bounds = self.query_bounds(query)
+            entries = page.entries if bounds is None else page.candidates(*bounds)
+            for node_entry in entries:
                 if consistent(node_entry.pred, query):
                     stack.append(
                         self._stack_pointer(
@@ -526,28 +537,37 @@ class GiST:
         # tombstone is still on the leaf revives it in place, and its
         # record says so (the undo re-marks rather than removes).
         xid, name, nsn = txn.xid, self.name, page.nsn
-        tombstones = {
-            (e.key, e.rid): e.delete_xid for e in page.entries if e.deleted
-        }
+        found = [page.find_leaf_entry(key, rid) for key, rid in run]
         records = [
-            AddLeafEntryRecord(
-                xid=xid, tree=name, page_id=pid, nsn=nsn, key=key, rid=rid
-            )
-            if (key, rid) not in tombstones
-            else ReviveLeafEntryRecord(
+            ReviveLeafEntryRecord(
                 xid=xid,
                 tree=name,
                 page_id=pid,
                 nsn=nsn,
                 key=key,
                 rid=rid,
-                delete_xid=tombstones[key, rid],
+                delete_xid=entry.delete_xid,
             )
-            for key, rid in run
+            if entry is not None and entry.deleted
+            else AddLeafEntryRecord(
+                xid=xid, tree=name, page_id=pid, nsn=nsn, key=key, rid=rid
+            )
+            for (key, rid), entry in zip(run, found)
         ]
         lsns = self.db.log.append_many(records)
-        for record in records:
-            record.redo_page(page)
+        # The records' redo, with the new entries merged into the leaf
+        # in one pass rather than added one by one; a pair already live
+        # on the leaf, or named twice in the run, is added once.
+        fresh: dict = {}
+        for record, entry in zip(records, found):
+            if entry is None:
+                fresh[record.key, record.rid] = LeafEntry(
+                    copy_value(record.key), record.rid
+                )
+            elif entry.deleted:
+                record.redo_page(page)
+        if fresh:
+            page.add_entries(list(fresh.values()))
         frame.mark_dirty(lsns[-1], lsns[0])
         # Phase 6 per pair: attach its insert predicate, then collect
         # the search predicates attached *ahead of it* (FIFO fairness,
@@ -591,6 +611,7 @@ class GiST:
         """
         pool = self.db.pool
         penalty = self.ext.penalty
+        bounds = self.query_bounds(key)
         stack: list[StackEntry] = []
         entry = self._stack_pointer(txn, self.root_pid, self.nsn.current())
         while True:
@@ -642,17 +663,25 @@ class GiST:
             # node visited (after a chain walk: of the sibling chosen).
             entry.pid, entry.nsn_seen = page.pid, page.nsn
             stack.append(entry)
-            # The first min-penalty entry, as min() would return it;
-            # penalties are never negative (GiSTExtension.penalty), so
-            # the first zero is already that entry.
+            # On an ordered tree, the last entry whose lower end is at
+            # most the key is the one that can cover it; covering, it
+            # has penalty zero, the least there is.
             best = None
-            best_penalty = 0.0
-            for node_entry in page.entries:
-                entry_penalty = penalty(node_entry.pred, key)
-                if best is None or entry_penalty < best_penalty:
-                    best, best_penalty = node_entry, entry_penalty
-                    if entry_penalty == 0:
-                        break
+            if bounds is not None:
+                run = page.candidates(*bounds)
+                if run and penalty(run[-1].pred, key) == 0:
+                    best = run[-1]
+            if best is None:
+                # The first min-penalty entry, as min() would return it;
+                # penalties are never negative (GiSTExtension.penalty),
+                # so the first zero is already that entry.
+                best_penalty = 0.0
+                for node_entry in page.entries:
+                    entry_penalty = penalty(node_entry.pred, key)
+                    if best is None or entry_penalty < best_penalty:
+                        best, best_penalty = node_entry, entry_penalty
+                        if entry_penalty == 0:
+                            break
             child_memo = self.nsn.memo_for_children(page)
             entry = self._stack_pointer(txn, best.child, child_memo)
             pool.unfix(frame)

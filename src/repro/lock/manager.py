@@ -37,6 +37,9 @@ LockName = object
 #: Lock owners are transaction ids (ints) by convention.
 Owner = object
 
+#: A waiter re-checks for deadlock victimhood and timeout this often (µs).
+_SLICE_US = 50_000
+
 
 @dataclass
 class _Request:
@@ -210,7 +213,9 @@ class LockManager:
         wait_start = perf_counter_ns()
         try:
             self._detect_deadlock()
-            remaining = timeout
+            # The wait budget in whole microseconds: float subtraction
+            # would leave a residue of about 1e-17 s as a last slice.
+            remaining = None if timeout is None else round(timeout * 1e6)
             while not request.granted:
                 if request.victim:
                     self._remove_request(head, request)
@@ -226,10 +231,12 @@ class LockManager:
                         f"lock wait timeout on {head.name!r} by "
                         f"{request.owner!r}"
                     )
-                slice_ = 0.05 if remaining is None else min(0.05, remaining)
-                self._cond.wait(slice_)
+                slice_us = (
+                    _SLICE_US if remaining is None else min(_SLICE_US, remaining)
+                )
+                self._cond.wait(slice_us / 1e6)
                 if remaining is not None:
-                    remaining -= slice_
+                    remaining -= slice_us
             return True
         finally:
             # Every wait is measured — granted, victimized or timed out;

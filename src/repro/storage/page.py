@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import copy
 import zlib
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator
 
 from repro.errors import PageOverflowError
@@ -83,6 +85,67 @@ def copy_value(value: object) -> object:
     if _is_immutable(value):
         return value
     return copy.deepcopy(value)
+
+
+#: Types whose values carry a declared total order, mapped to the
+#: attribute holding a value's order key, or to ``None`` when the value
+#: is its own order key (a point).  A page whose entries are of such a
+#: type keeps them sorted by that key (:meth:`Page.add_entry`), which
+#: lets a node visit bisect to the entries a query can match
+#: (:meth:`Page.candidates`).  Registered per key type rather than per
+#: tree, so that redo, which knows no extension, keeps the same order.
+_ORDER_ATTRS: dict[type, str | None] = {}
+
+#: ``(entry field, value type)`` -> ``(entry sort key, point-valued)``,
+#: or ``None`` for a type with no declared order
+_ENTRY_ORDERS: dict[tuple[str, type], tuple | None] = {}
+
+
+def register_order_key(tp: type, attr: str | None = None) -> None:
+    """Declare that values of ``tp`` are totally ordered.
+
+    With ``attr`` a value's order key is ``value.<attr>`` (the lower
+    end of an extended value, such as an interval's ``lo``); without it
+    the value is a point and its own order key.  The order keys of
+    the values stored in one tree must compare with each other.
+    """
+    _ORDER_ATTRS[tp] = attr
+    _ENTRY_ORDERS.clear()
+
+
+def order_key(value: object) -> object:
+    """The order key of a value: ``value.<attr>`` for a type registered
+    with an attribute, else the value itself."""
+    attr = _ORDER_ATTRS.get(type(value))
+    return value if attr is None else getattr(value, attr)
+
+
+def order_of(values: list) -> list[int]:
+    """Indices of ``values`` in ascending order key (stable)."""
+    keys = [order_key(value) for value in values]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _entry_order(entry: "LeafEntry | InternalEntry") -> tuple | None:
+    """``(sort key over entries, point-valued)`` of ``entry``'s type."""
+    if type(entry) is LeafEntry:
+        slot = ("key", type(entry.key))
+    else:
+        slot = ("pred", type(entry.pred))
+    try:
+        return _ENTRY_ORDERS[slot]
+    except KeyError:
+        pass
+    name, tp = slot
+    order = None
+    if tp in _ORDER_ATTRS:
+        attr = _ORDER_ATTRS[tp]
+        order = (
+            attrgetter(name if attr is None else f"{name}.{attr}"),
+            attr is None,
+        )
+    _ENTRY_ORDERS[slot] = order
+    return order
 
 
 class PageKind(Enum):
@@ -212,16 +275,76 @@ class Page:
     # mutation helpers (callers hold the X latch and have logged)
     # ------------------------------------------------------------------
     def add_entry(self, entry: LeafEntry | InternalEntry) -> None:
-        """Append an entry (raises :class:`PageOverflowError` when full)."""
+        """Add an entry at its place in the declared order, or append
+        it when its type declares none (raises
+        :class:`PageOverflowError` when full).
+
+        Among entries with equal order keys the newest goes last, so a
+        page rebuilt by replaying its adds in log order is the page
+        they built.
+        """
         if len(self.entries) >= self.capacity:
             raise PageOverflowError(
                 f"page {self.pid} full ({self.capacity} entries)"
             )
-        self.entries.append(entry)
+        order = _entry_order(entry)
+        if order is None:
+            self.entries.append(entry)
+        else:
+            insort(self.entries, entry, key=order[0])
+
+    def add_entries(self, entries: list) -> None:
+        """Add a run of entries in one merge pass: the same page as
+        :meth:`add_entry` on each in turn."""
+        if len(self.entries) + len(entries) > self.capacity:
+            raise PageOverflowError(
+                f"page {self.pid} full ({self.capacity} entries)"
+            )
+        self.entries.extend(entries)
+        self.sort_entries()
+
+    def sort_entries(self) -> None:
+        """Restore the declared order after entries were added in bulk.
+
+        The sort is stable: entries with equal order keys keep their
+        list order, which is where :meth:`add_entry` would have put
+        them one by one.
+        """
+        entries = self.entries
+        order = _entry_order(entries[0]) if entries else None
+        if order is not None:
+            entries.sort(key=order[0])
+
+    def candidates(self, lo: object, hi: object) -> list:
+        """The entries a query whose order keys lie in ``[lo, hi]`` can
+        match, in a page of ordered entries; all entries otherwise.
+
+        Point-valued entries (a B-tree's leaf keys) are cut at both
+        ends.  Extended values (bounding intervals) are cut only above:
+        an entry whose lower end exceeds ``hi`` cannot match, but the
+        upper ends are not sorted, so nothing is cut below.  The caller
+        still tests each candidate, which settles open bounds.
+        """
+        entries = self.entries
+        order = _entry_order(entries[0]) if entries else None
+        if order is None:
+            return entries
+        key, points = order
+        end = bisect_right(entries, hi, key=key)
+        if not points:
+            return entries[:end]
+        return entries[bisect_left(entries, lo, 0, end, key=key) : end]
 
     def find_leaf_entry(self, key: object, rid: object) -> LeafEntry | None:
         """Locate the leaf entry with exactly this ``(key, rid)`` pair."""
-        for entry in self.entries:
+        entries = self.entries
+        order = _entry_order(entries[0]) if entries else None
+        if order is not None and type(key) in _ORDER_ATTRS:
+            # only the entries whose order key equals the key's
+            sort_key, at = order[0], order_key(key)
+            start = bisect_left(entries, at, key=sort_key)
+            entries = entries[start : bisect_right(entries, at, start, key=sort_key)]
+        for entry in entries:
             if entry.rid == rid and entry.key == key:
                 return entry
         return None
@@ -232,6 +355,27 @@ class Page:
             if entry.child == child:
                 return entry
         return None
+
+    def set_child_pred(self, child: PageId, pred: object) -> None:
+        """Give the internal entry pointing at ``child`` a new predicate,
+        moving it to its place if that changed its order key."""
+        entries = self.entries
+        for i, entry in enumerate(entries):
+            if entry.child == child:
+                break
+        else:
+            return
+        entry.pred = pred
+        order = _entry_order(entry)
+        if order is None:
+            return
+        key = order[0]
+        at = key(entry)
+        if (i > 0 and at < key(entries[i - 1])) or (
+            i + 1 < len(entries) and key(entries[i + 1]) < at
+        ):
+            del entries[i]
+            insort(entries, entry, key=key)
 
     def remove_child_entry(self, child: PageId) -> InternalEntry | None:
         """Remove and return the internal entry pointing at ``child``."""

@@ -266,9 +266,7 @@ class ParentEntryUpdateRecord(LogRecord):
         if page.pid == self.child_pid:
             page.bp = copy_value(self.new_bp)
         if page.pid == self.parent_pid:
-            entry = page.find_child_entry(self.child_pid)
-            if entry is not None:
-                entry.pred = copy_value(self.new_bp)
+            page.set_child_pred(self.child_pid, copy_value(self.new_bp))
 
 
 @dataclass
@@ -345,6 +343,7 @@ class SplitRecord(LogRecord):
                 key = entry.rid if self.kind is PageKind.LEAF else entry.child
                 if key not in existing:
                     page.entries.append(entry.copy())
+            page.sort_entries()
             page.nsn = self.old_nsn
             page.rightlink = self.old_rightlink
             page.bp = copy_value(self.old_bp)
@@ -416,6 +415,7 @@ class RootSplitRecord(LogRecord):
             page.entries = [
                 e.copy() for e in (*self.left_entries, *self.right_entries)
             ]
+            page.sort_entries()
         # children: no action; their Get-Page undos free them.
 
 
@@ -516,15 +516,11 @@ class InternalEntryUpdateRecord(LogRecord):
 
     def redo_page(self, page: Page) -> None:
         """Apply this record's redo action to one affected page."""
-        entry = page.find_child_entry(self.child)
-        if entry is not None:
-            entry.pred = copy_value(self.new_bp)
+        page.set_child_pred(self.child, copy_value(self.new_bp))
 
     def undo_page(self, page: Page) -> None:
         """Page-oriented undo (reached only when a crash interrupted the surrounding atomic action)."""
-        entry = page.find_child_entry(self.child)
-        if entry is not None:
-            entry.pred = copy_value(self.old_bp)
+        page.set_child_pred(self.child, copy_value(self.old_bp))
 
 
 @dataclass

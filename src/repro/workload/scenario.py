@@ -16,19 +16,22 @@ aborted transactions are never recorded: they had no effect, so they
 have no place in the history.  Writes are partitioned by rid — the
 insert and delete of one element always run on the same worker, in
 program order — which keeps every generated stream executable under
-concurrency; searches round-robin across workers.
+concurrency; searches round-robin across workers.  A ``multi_put``
+records one insert per pair and a ``multi_get`` one search under its
+multi-point predicate, both spanning the batch's transaction.
 
 CLI (the CI ``oracle-smoke`` job)::
 
     PYTHONPATH=src python -m repro.workload.scenario \
-        --ops 400 --threads 4 --seed 3 --check
+        --ops 400 --threads 4 --seed 3 --check \
+        [--mix insert=.4,search=.3,delete=.1,multi_put=.2]
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter, perf_counter_ns
 
 from repro.database import Database
@@ -42,7 +45,10 @@ from repro.obs.history import (
 from repro.txn.transaction import IsolationLevel
 from repro.workload.generator import MixSpec, Op, ScalarWorkload
 
-__all__ = ["ScenarioResult", "partition_by_rid", "run_scenario"]
+__all__ = ["ScenarioResult", "parse_mix", "partition_by_rid", "run_scenario"]
+
+#: op kinds the scenario can run and the oracle can judge
+MIX_KINDS = ("insert", "search", "delete", "multi_put", "multi_get")
 
 
 def covers(query: object, key: object) -> bool:
@@ -54,18 +60,42 @@ def covers(query: object, key: object) -> bool:
     return bool(query.contains(key))  # type: ignore[attr-defined]
 
 
+def parse_mix(text: str) -> MixSpec:
+    """A mix from ``kind=fraction`` pairs, e.g. ``insert=.4,search=.6``;
+    kinds left out get 0, and the fractions must sum to 1."""
+    shares = {f.name: 0.0 for f in fields(MixSpec)}
+    for item in text.split(","):
+        kind, _, share = item.partition("=")
+        kind = kind.strip()
+        if kind not in MIX_KINDS:
+            raise ValueError(
+                f"unknown or unsupported op kind {kind!r} in mix "
+                f"(choose from {', '.join(MIX_KINDS)})"
+            )
+        shares[kind] = float(share)
+    return MixSpec(**shares)
+
+
 def partition_by_rid(ops: list[Op], workers: int) -> list[list[Op]]:
     """Partition an op stream so each element's writes stay ordered.
 
     Insert and delete of the same rid land on the same worker (in
-    program order — a delete can never race ahead of its insert);
-    searches are dealt round-robin.  Deterministic for a given stream.
+    program order — a delete can never race ahead of its insert); a
+    ``multi_put`` goes where its first pair's rid does, and later
+    deletes of its pairs follow it there.  Searches and ``multi_get``
+    are dealt round-robin.  Deterministic for a given stream.
     """
     buckets: list[list[Op]] = [[] for _ in range(workers)]
+    home: dict = {}  # rid of a multi_put pair -> its batch's worker
     search_turn = 0
     for op in ops:
-        if op.kind in ("insert", "delete"):
-            idx = _stable_bucket(op.rid, workers)
+        if op.kind == "multi_put":
+            idx = _stable_bucket(op.pairs[0][1], workers)
+            home.update((rid, idx) for _, rid in op.pairs)
+        elif op.kind in ("insert", "delete"):
+            idx = home.get(op.rid)
+            if idx is None:
+                idx = _stable_bucket(op.rid, workers)
         else:
             idx = search_turn % workers
             search_turn += 1
@@ -188,6 +218,7 @@ def _run_scenario_body(
     attempts: int,
 ) -> ScenarioResult:
     # deferred: repro.harness.driver itself imports repro.workload
+    from repro.ext.btree import MultiPoint
     from repro.harness.driver import run_with_retry
 
     result = ScenarioResult(seed=seed, threads=threads, db=db)
@@ -225,9 +256,14 @@ def _run_scenario_body(
             inv = perf_counter_ns()
             txn = db.begin(isolation)
             try:
-                if op.kind == "insert":
+                outcome: object = True
+                if op.kind == "multi_put":
+                    tree.multi_put(txn, op.pairs)
+                elif op.kind == "multi_get":
+                    found = tree.multi_get(txn, op.keys)
+                    outcome = [rid for rids in found.values() for rid in rids]
+                elif op.kind == "insert":
                     tree.insert(txn, op.key, op.rid)
-                    outcome: object = True
                 elif op.kind == "delete":
                     try:
                         tree.delete(txn, op.key, op.rid)
@@ -242,10 +278,22 @@ def _run_scenario_body(
                 best_effort(db.rollback, txn)
                 raise
             resp = perf_counter_ns()
-            history.add(
-                op.kind, inv_ns=inv, resp_ns=resp,
-                key=op.key, rid=op.rid, query=op.query, result=outcome,
-            )
+            if op.kind == "multi_put":
+                for key, rid in op.pairs:
+                    history.add(
+                        "insert", inv_ns=inv, resp_ns=resp,
+                        key=key, rid=rid, result=True,
+                    )
+            elif op.kind == "multi_get":
+                history.add(
+                    "search", inv_ns=inv, resp_ns=resp,
+                    query=MultiPoint.of(op.keys), result=outcome,
+                )
+            else:
+                history.add(
+                    op.kind, inv_ns=inv, resp_ns=resp,
+                    key=op.key, rid=op.rid, query=op.query, result=outcome,
+                )
 
         try:
             run_with_retry(attempt, attempts=attempts)
@@ -294,6 +342,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--preload", type=int, default=32)
     parser.add_argument("--key-space", type=int, default=512)
     parser.add_argument(
+        "--mix",
+        type=parse_mix,
+        default=None,
+        help="op fractions as kind=share pairs, e.g. "
+        "insert=.4,search=.3,delete=.1,multi_put=.2 (default "
+        "insert=.4,search=.4,delete=.2)",
+    )
+    parser.add_argument(
         "--check",
         action="store_true",
         help="exit nonzero when the oracle flags the history",
@@ -316,6 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         threads=args.threads,
         preload=args.preload,
         key_space=args.key_space,
+        mix=args.mix,
         op_tracing=args.op_tracing,
     )
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval, MultiPoint, as_interval
 from repro.gist.extension import GiSTExtension
+from repro.storage.page import order_key
 
 
 class TestInterval:
@@ -113,9 +114,13 @@ class TestExtensionContract:
         assert not self.ext.covers(Interval(0, 10), 11)
         assert self.ext.covers(None, 123)  # None = whole space
 
-    def test_organize_sorts(self):
-        order = self.ext.organize([5, 1, 3])
-        assert order == [1, 2, 0]
+    def test_declared_order_sorts_keys_and_intervals_by_lower_end(self):
+        preds = [5, 1, Interval(3, 9), 3]
+        assert sorted(preds, key=order_key) == [1, Interval(3, 9), 3, 5]
+        assert self.ext.query_bounds(Interval(2, 4, lo_incl=False)) == (2, 4)
+        assert self.ext.query_bounds(MultiPoint.of([7, 3, 5])) == (3, 7)
+        assert self.ext.query_bounds(6) == (6, 6)
+        assert self.ext.query_bounds(MultiPoint(())) is None
 
     def test_as_interval_idempotent(self):
         iv = Interval(1, 2)
@@ -269,7 +274,8 @@ class TestFastPathsAgreeWithNormalisingReference:
     def test_union_and_sort_order(self, preds):
         assert self.ext.union(preds) == self.ref.union(preds)
         order = self.ref.sort_order(preds)
-        assert self.ext.organize(preds) == order
+        by_key = sorted(range(len(preds)), key=lambda i: order_key(preds[i]))
+        assert by_key == order
         if len(preds) > 1:
             mid = len(order) // 2
             assert self.ext.pick_split(preds) == (order[:mid], order[mid:])

@@ -96,3 +96,23 @@ class TestCorruptionIsCaught:
             entry.pred = Interval(-10, -5)
         report = check_tree(btree)
         assert not report.ok
+
+    def test_unsorted_node_of_an_ordered_tree(self, db, btree):
+        load(db, btree)
+        for pid in (leaf_pids(db, btree)[0], btree.root_pid):
+            with db.pool.fixed(pid, LatchMode.X) as frame:
+                frame.page.entries.reverse()
+        report = check_tree(btree, check_reachability=False)
+        assert not report.ok
+        assert sum("sorts before" in e for e in report.errors) == 2
+
+    def test_unordered_tree_has_no_order_to_check(self, db, rtree):
+        from repro.ext.rtree import Rect
+
+        txn = db.begin()
+        for i in range(20):
+            rtree.insert(txn, Rect(i, i, i + 1, i + 1), f"r{i}")
+        db.commit(txn)
+        with db.pool.fixed(leaf_pids(db, rtree)[0], LatchMode.X) as frame:
+            frame.page.entries.reverse()
+        assert check_tree(rtree).ok

@@ -217,9 +217,6 @@ class TestTimeout:
         with pytest.raises(LockTimeoutError):
             lm.acquire(2, "a", X)
         # The 0.2 s timeout is honoured, not the 30 s default (600
-        # slices): four 50 ms slices, then the float residue of
-        # 0.2 - 4 * 0.05 (about 1e-17 s) as a fifth.
-        assert slices[:4] == [0.05] * 4
-        assert len(slices) == 5 and 0 < slices[4] < 1e-9
-        assert sum(slices) == pytest.approx(0.2)
+        # slices): exactly four 50 ms slices, and no fifth.
+        assert slices == [0.05] * 4
         assert lm.stats.timeouts == 1

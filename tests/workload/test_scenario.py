@@ -1,8 +1,11 @@
 """History-recorded scenario runner."""
 
-from repro.workload.generator import Op
+import pytest
+
+from repro.workload.generator import MixSpec, Op
 from repro.workload.scenario import (
     main,
+    parse_mix,
     partition_by_rid,
     run_scenario,
 )
@@ -34,6 +37,16 @@ class TestPartitioning:
             ["r1", "r4", "r7"],
             ["r2", "r5"],
         ]
+
+    def test_batch_deletes_follow_their_multi_put(self):
+        ops = [
+            Op("multi_put", pairs=((5, "r1"), (6, "r2"), (7, "r3"))),
+            Op("delete", key=6, rid="r2"),
+            Op("delete", key=7, rid="r3"),
+            Op("delete", key=9, rid="r4"),
+        ]
+        buckets = partition_by_rid(ops, 3)
+        assert [op.rid for op in buckets[1]] == [None, "r2", "r3", "r4"]
 
     def test_searches_round_robin(self):
         ops = [Op("search", query=i) for i in range(4)]
@@ -71,6 +84,38 @@ class TestRunScenario:
         result = run_scenario(seed=4, ops=30, threads=1, preload=4)
         for op in result.history.ops():
             assert op.inv_ns < op.resp_ns
+
+
+class TestMix:
+    def test_parse_mix_zeroes_the_kinds_left_out(self):
+        assert parse_mix("insert=.4,search=.3,delete=.1,multi_put=.2") == (
+            MixSpec(insert=0.4, search=0.3, delete=0.1, multi_put=0.2)
+        )
+        assert parse_mix("search=1") == MixSpec(insert=0.0, search=1.0)
+
+    @pytest.mark.parametrize(
+        "text", ["insert=.5,search=.4", "insert=.5,multi_delete=.5", "scan=1"]
+    )
+    def test_parse_mix_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_mix(text)
+
+    def test_batched_mix_passes_the_oracle(self):
+        result = run_scenario(
+            seed=5,
+            ops=120,
+            threads=3,
+            preload=16,
+            mix=parse_mix("insert=.3,search=.3,delete=.1,multi_put=.2,multi_get=.1"),
+        )
+        assert result.ok, (
+            result.errors
+            + result.linearizability.violations
+            + result.read_committed.violations
+        )
+        kinds = {op.kind for op in result.history.ops()}
+        assert kinds == {"insert", "search", "delete"}
+        assert result.ops_run > 120  # a multi_put records one insert per pair
 
 
 class TestCli:
