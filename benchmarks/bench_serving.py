@@ -135,7 +135,7 @@ def _assert_server_ledger_exact(server: DatabaseServer) -> dict:
         admitted = _dig(counts, "admitted", klass)
         rejected = sum(
             _dig(counts, "rejected", reason, klass)
-            for reason in ("rate", "queue", "stopping")
+            for reason in ("queue", "stopping")
         )
         shed_admission = _dig(counts, "shed", "admission", klass)
         terminal = sum(

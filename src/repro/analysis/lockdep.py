@@ -309,10 +309,6 @@ class LockdepWitness:
         with self._mutex:
             return list(self._cycles)
 
-    def leaks(self) -> ProtocolReport:
-        """Report of currently-held latches/pins (for quiesced points)."""
-        return self.report()
-
     def report(self) -> ProtocolReport:
         with self._mutex:
             return ProtocolReport(

@@ -161,11 +161,6 @@ class PurePredicateIndex:
         self.table.register(owner, self.tree.ext.eq_query(key), "insert")
         self.tree.insert(key, rid)
 
-    def delete(self, owner: int, key: object, rid: object) -> bool:
-        """Remove a pair (protocol-specific)."""
-        self.table.register(owner, self.tree.ext.eq_query(key), "delete")
-        return self.tree.delete(key, rid)
-
     def end(self, owner: int) -> None:
         """Transaction end: release every predicate the owner holds."""
         self.table.release_owner(owner)

@@ -64,15 +64,6 @@ class BaselineStats:
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
 
-    def snapshot(self) -> dict[str, int]:
-        """Thread-safe snapshot of the counters."""
-        with self._lock:
-            return {
-                k: v
-                for k, v in self.__dict__.items()
-                if not k.startswith("_")
-            }
-
 
 def _pred_of(entry: LeafEntry | InternalEntry) -> object:
     return entry.key if isinstance(entry, LeafEntry) else entry.pred
@@ -306,15 +297,6 @@ class BaselineTree:
                         if self.ext.consistent(e.pred, eq)
                     )
         return False
-
-    # API stubs
-    def insert(self, key: object, rid: object) -> None:
-        """Insert a ``(key, rid)`` pair (protocol-specific)."""
-        raise NotImplementedError
-
-    def search(self, query: object) -> list[tuple]:
-        """All live ``(key, rid)`` pairs matching ``query``."""
-        raise NotImplementedError
 
 
 class _HeldPathTree(BaselineTree):

@@ -3,15 +3,13 @@
 See DESIGN.md §13.  The public surface:
 
 * :class:`PartitionedDatabase` — the logical database front end
-* :class:`HashRouter` / :class:`RangeRouter` / :func:`make_router` —
-  pluggable key-placement policies
+* :class:`HashRouter` / :func:`make_router` — stable-hash key placement
 * :func:`stable_hash` — the process-independent hash routing uses
 """
 
 from repro.cluster.partitioned import PartitionedDatabase
 from repro.cluster.router import (
     HashRouter,
-    RangeRouter,
     Router,
     make_router,
     stable_hash,
@@ -21,7 +19,6 @@ from repro.cluster.worker import TreeSpec
 __all__ = [
     "PartitionedDatabase",
     "HashRouter",
-    "RangeRouter",
     "Router",
     "TreeSpec",
     "make_router",

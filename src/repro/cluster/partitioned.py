@@ -1,8 +1,8 @@
 """The cluster front end: one logical database over N partition workers.
 
 :class:`PartitionedDatabase` is the embedder-facing object.  It routes
-single-key operations to the owning partition (pluggable
-:mod:`~repro.cluster.router` policy), scatters multi-partition work as
+single-key operations to the owning partition (stable-hash
+:mod:`~repro.cluster.router` placement), scatters multi-partition work as
 pipelined fan-outs (send every leg, then collect every ack — legs
 execute concurrently in the worker processes), and merge-gathers range
 scans into one ordered iteration via :func:`heapq.merge`.
@@ -72,7 +72,7 @@ def _budget(deadline: float | None) -> float | None:
 
 
 class PartitionedDatabase:
-    """Hash/range-partitioned database over process-per-partition workers."""
+    """Hash-partitioned database over process-per-partition workers."""
 
     def __init__(
         self,
@@ -668,18 +668,15 @@ class PartitionedDatabase:
     def search(
         self, tree: str, query: object, timeout: float | None = None
     ) -> list:
-        """Scatter ``query``, merge-gather one result sequence.
+        """Scatter ``query`` to every partition, merge-gather one result
+        sequence.
 
-        The router prunes the fan-out when it can (range router +
-        interval query); hash routing scatters to all partitions.
         When every leg reports an ordered result the legs are
         heap-merged into one globally ordered iteration; router key
         ownership is disjoint, so every matching key appears exactly
         once — no cross-partition dedupe pass exists or is needed.
         """
-        targets = self.router.partitions_for_query(query)
-        if targets is None:
-            targets = list(range(self.partitions))
+        targets = list(range(self.partitions))
         if len(targets) > 1:
             self.metrics.counter("cluster.scatter_queries").inc()
         acks = self._scatter(
@@ -721,16 +718,6 @@ class PartitionedDatabase:
         targets = list(range(self.partitions))
         return self._scatter(
             targets, {p: ("describe", None) for p in targets}
-        )
-
-    def stats(self) -> dict:
-        targets = list(range(self.partitions))
-        return self._scatter(targets, {p: ("stats", None) for p in targets})
-
-    def checkpoint(self) -> dict:
-        targets = list(range(self.partitions))
-        return self._scatter(
-            targets, {p: ("checkpoint", None) for p in targets}
         )
 
     def verify(self, queries: dict) -> dict:
@@ -791,9 +778,3 @@ class PartitionedDatabase:
             import shutil
 
             shutil.rmtree(self.data_dir, ignore_errors=True)
-
-    def __enter__(self) -> "PartitionedDatabase":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

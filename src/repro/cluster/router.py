@@ -1,4 +1,4 @@
-"""Key routers: which partition owns which key (pluggable policy).
+"""Key routers: which partition owns which key.
 
 A router is a pure, deterministic function from keys to partition ids —
 the *only* invariant the scatter-gather layer relies on is that the
@@ -6,15 +6,9 @@ partitions' key sets are disjoint and exhaustive, which is what makes
 the merged range-scan iterator yield each key exactly once (no
 cross-partition duplicates to dedupe).
 
-Two policies ship:
-
-* :class:`HashRouter` — stable-hash placement.  Balances any key
-  distribution, but every range scan must scatter to all partitions
-  (hash destroys order).
-* :class:`RangeRouter` — ordered-domain boundaries.  Range queries
-  prune to the covering partitions, but skewed key distributions
-  produce hot partitions (measurable with the workload generator's
-  Zipf-skewed routing streams).
+One policy ships, :class:`HashRouter`: stable-hash placement.  It
+balances any key distribution, and every search scatters to all
+partitions (hash destroys order).
 
 Hashing is **not** Python's builtin ``hash``: that is salted per
 process for strings (PYTHONHASHSEED), which would route the same key
@@ -27,8 +21,6 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from bisect import bisect_right
-from typing import Sequence
 
 from repro.errors import ClusterError
 
@@ -50,7 +42,7 @@ def stable_hash(key: object) -> int:
 
 
 class Router:
-    """Interface: key → partition, query → candidate partitions."""
+    """Interface: key → partition."""
 
     #: short spec name persisted in the cluster manifest
     kind = "abstract"
@@ -64,21 +56,13 @@ class Router:
         """The partition owning ``key``."""
         raise NotImplementedError
 
-    def partitions_for_query(self, query: object) -> list[int] | None:
-        """Partitions that may hold matches for ``query``.
-
-        ``None`` means "cannot prune": the caller scatters to all
-        partitions.  A returned list must be sorted and duplicate-free.
-        """
-        return None
-
     def spec(self) -> dict:
         """Manifest form, reconstructed by :func:`make_router`."""
         return {"kind": self.kind, "partitions": self.partitions}
 
 
 class HashRouter(Router):
-    """Stable-hash placement; every multi-key query scatters."""
+    """Stable-hash placement; every search scatters."""
 
     kind = "hash"
 
@@ -86,72 +70,11 @@ class HashRouter(Router):
         return stable_hash(key) % self.partitions
 
 
-class RangeRouter(Router):
-    """Boundary-based placement over an ordered key domain.
-
-    ``boundaries`` are the ``partitions - 1`` split points: partition
-    ``i`` owns keys in ``[boundaries[i-1], boundaries[i])`` (the first
-    partition is unbounded below, the last unbounded above).  Range
-    queries (objects with ``lo``/``hi``, e.g. the B-tree ``Interval``)
-    prune to the covering partitions.
-    """
-
-    kind = "range"
-
-    def __init__(
-        self, partitions: int, boundaries: Sequence[object]
-    ) -> None:
-        super().__init__(partitions)
-        self.boundaries = list(boundaries)
-        if len(self.boundaries) != partitions - 1:
-            raise ClusterError(
-                f"range router over {partitions} partitions needs "
-                f"{partitions - 1} boundaries, got {len(self.boundaries)}"
-            )
-        if any(
-            self.boundaries[i] >= self.boundaries[i + 1]
-            for i in range(len(self.boundaries) - 1)
-        ):
-            raise ClusterError("range boundaries must strictly increase")
-
-    @classmethod
-    def even(cls, partitions: int, key_space: int) -> "RangeRouter":
-        """Evenly split ``[0, key_space)`` into ``partitions`` ranges."""
-        width = max(1, key_space // partitions)
-        return cls(
-            partitions, [width * i for i in range(1, partitions)]
-        )
-
-    def partition_of(self, key: object) -> int:
-        return bisect_right(self.boundaries, key)
-
-    def partitions_for_query(self, query: object) -> list[int] | None:
-        lo = getattr(query, "lo", None)
-        hi = getattr(query, "hi", None)
-        if lo is None or hi is None:
-            # point query (raw key) routes to one partition; anything
-            # else is unprunable
-            try:
-                return [self.partition_of(query)]
-            except TypeError:
-                return None
-        first = self.partition_of(lo)
-        last = self.partition_of(hi)
-        return list(range(first, last + 1))
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "partitions": self.partitions,
-            "boundaries": self.boundaries,
-        }
-
-
 def make_router(spec: "dict | str | Router", partitions: int) -> Router:
     """Build a router from a manifest spec, a shorthand, or pass one
     through.
 
-    Shorthands: ``"hash"`` and ``"range:<key_space>"`` (even split).
+    Shorthand: ``"hash"``.
     """
     if isinstance(spec, Router):
         if spec.partitions != partitions:
@@ -163,12 +86,8 @@ def make_router(spec: "dict | str | Router", partitions: int) -> Router:
     if isinstance(spec, str):
         if spec == "hash":
             return HashRouter(partitions)
-        if spec.startswith("range:"):
-            return RangeRouter.even(partitions, int(spec.split(":", 1)[1]))
         raise ClusterError(f"unknown router spec {spec!r}")
     kind = spec.get("kind")
     if kind == "hash":
         return HashRouter(partitions)
-    if kind == "range":
-        return RangeRouter(partitions, spec["boundaries"])
     raise ClusterError(f"unknown router spec {spec!r}")

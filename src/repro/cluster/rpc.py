@@ -184,11 +184,6 @@ def channel_pair() -> tuple[FrameChannel, FrameChannel]:
 # ---------------------------------------------------------------------------
 
 
-def request(req_id: int, method: str, payload: object) -> tuple:
-    """Build a request envelope."""
-    return (req_id, method, payload)
-
-
 def ok_response(req_id: int, payload: object) -> tuple:
     """Build a success response envelope."""
     return (req_id, True, payload)

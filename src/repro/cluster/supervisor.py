@@ -111,9 +111,6 @@ class Supervisor:
         except KeyError:
             raise ClusterError(f"no partition {partition}") from None
 
-    def is_alive(self, partition: int) -> bool:
-        return self.handle(partition).is_alive()
-
     # ------------------------------------------------------------------
     # failure injection + recovery
     # ------------------------------------------------------------------

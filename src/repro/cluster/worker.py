@@ -148,9 +148,6 @@ class PartitionWorker:
             raise ValueError(f"unknown RPC method {method!r}")
         return handler(payload)
 
-    def _do_ping(self, _payload: object) -> str:
-        return "pong"
-
     def _do_describe(self, _payload: object) -> dict:
         db = self.db
         return {
@@ -264,14 +261,6 @@ class PartitionWorker:
 
     def _do_snapshot(self, _payload: object) -> dict:
         return self.db.metrics.snapshot()
-
-    def _do_stats(self, _payload: object) -> dict:
-        return self.db.stats()
-
-    def _do_checkpoint(self, _payload: object) -> int:
-        lsn = self.db.checkpoint()
-        self.shadow.append_durable(self.db.log)
-        return lsn
 
     def _do_verify(self, payload: dict) -> dict:
         """Structural check + full contents per tree (the oracle feed).

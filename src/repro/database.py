@@ -342,38 +342,6 @@ class Database:
             for txn in txns:
                 self.flightrec.record("txn.commit", xid=txn.xid)
 
-    # ------------------------------------------------------------------
-    # batched operations (thin tree dispatch)
-    # ------------------------------------------------------------------
-    def _tree_of(self, tree: "GiST | str") -> GiST:
-        return tree if isinstance(tree, GiST) else self.tree(tree)
-
-    def multi_put(
-        self, txn: Transaction, tree: "GiST | str", pairs
-    ) -> int:
-        """Batched insert of ``(key, rid)`` pairs into ``tree``.
-
-        Sorts the batch and shares one descent per leaf run; see
-        :meth:`repro.gist.tree.GiST.multi_put`.
-        """
-        return self._tree_of(tree).multi_put(txn, pairs)
-
-    def multi_get(self, txn: Transaction, tree: "GiST | str", keys) -> dict:
-        """Batched point lookup; see :meth:`repro.gist.tree.GiST.multi_get`."""
-        return self._tree_of(tree).multi_get(txn, keys)
-
-    def multi_delete(
-        self, txn: Transaction, tree: "GiST | str", pairs
-    ) -> int:
-        """Batched delete of ``(key, rid)`` pairs; see
-        :meth:`repro.gist.tree.GiST.multi_delete`."""
-        return self._tree_of(tree).multi_delete(txn, pairs)
-
-    def bulk_load(self, txn: Transaction, tree: "GiST | str", pairs) -> int:
-        """Bottom-up bulk load of an empty tree; see
-        :meth:`repro.gist.tree.GiST.bulk_load`."""
-        return self._tree_of(tree).bulk_load(txn, pairs)
-
     # duck-typed predicate registry for the transaction manager
     def release_transaction(self, xid: int) -> None:
         """Drop the transaction's predicates in every tree (txn-manager hook)."""

@@ -119,15 +119,6 @@ class RecoveryError(WALError):
     """Restart recovery detected an inconsistency it cannot repair."""
 
 
-class WALCorruptionError(WALError):
-    """A log record failed its checksum outside the healable tail.
-
-    The healable case — bad records in the log *tail* — never raises:
-    restart recovery truncates the log at the first bad record and
-    replays the valid prefix.
-    """
-
-
 class CrashError(ReproError):
     """Raised by the crash-injection harness at the injected crash point."""
 
@@ -235,7 +226,7 @@ class RetryLater(ServerError):
 
     Never a silent drop — the frame carries ``retry_after``, the
     server's hint for how long the client should back off, and
-    ``reason`` (``"rate_limit"``, ``"queue_full"``, ``"circuit_open"``,
+    ``reason`` (``"queue_full"``, ``"circuit_open"``,
     ``"stopping"``) for accounting.
     """
 

@@ -298,13 +298,3 @@ class FaultPlan:
         """Record that a fired fault turned out to be a no-op."""
         with self._lock:
             self.injected.append(f"skipped: {message}")
-
-    def snapshot(self) -> dict:
-        """Diagnostic snapshot (fired faults + op counters)."""
-        with self._lock:
-            return {
-                "specs": [spec.describe() for spec in self.specs],
-                "injected": list(self.injected),
-                "reads": self._reads_total,
-                "writes": self._writes_total,
-            }

@@ -745,10 +745,25 @@ class GiST:
         atomic action; all its latches are released before it returns
         except the returned frame's (two-phase latching within the
         atomic action, section 9.1).
+
+        The split steps put the frames they are done with in
+        ``release``, unfixed only after ``end_nta`` appended the
+        ``DummyClr``: released earlier, a sibling could take another
+        transaction's committed row while the action is open, and a
+        crash would undo the split and lose the row.  No extra force is
+        needed: every later record on a released page lies after the
+        ``DummyClr`` in the sequential log.
         """
-        saved = self.db.log.begin_nta(txn.xid)
-        target = self._split_node(txn, frame, stack, key_hint=key_hint)
-        self.db.log.end_nta(txn.xid, saved)
+        release: list[Frame] = []
+        try:
+            saved = self.db.log.begin_nta(txn.xid)
+            target = self._split_node(
+                txn, frame, stack, release, key_hint=key_hint
+            )
+            self.db.log.end_nta(txn.xid, saved)
+        finally:
+            for done in release:
+                self.db.pool.unfix(done)
         return target
 
     def _split_node(
@@ -756,6 +771,7 @@ class GiST:
         txn: Transaction,
         frame: Frame,
         stack: list[StackEntry],
+        release: list[Frame],
         *,
         key_hint: object = None,
         locate_child: PageId | None = None,
@@ -763,7 +779,11 @@ class GiST:
         page = frame.page
         if page.pid == self.root_pid:
             return self._split_root(
-                txn, frame, key_hint=key_hint, locate_child=locate_child
+                txn,
+                frame,
+                release,
+                key_hint=key_hint,
+                locate_child=locate_child,
             )
         pool, log = self.db.pool, self.db.log
 
@@ -844,6 +864,7 @@ class GiST:
                     txn,
                     parent,
                     stack[:-1],
+                    release,
                     locate_child=page.pid,
                 )
             add_rec = InternalEntryAddRecord(
@@ -866,28 +887,34 @@ class GiST:
             lsn = log.append(upd_rec)
             upd_rec.redo_page(parent.page)
             parent.mark_dirty(lsn)
-            pool.unfix(parent)
+            release.append(parent)
 
         except BaseException:
             # An aborting split (extension error, injected fault, log
             # failure) must not strand the sibling or parent latches:
-            # release whatever this level still holds.  The caller's
-            # own frame remains the caller's responsibility.
+            # release whatever this level still holds and has not
+            # handed to ``release``.  The caller's own frame remains the
+            # caller's responsibility.
             if new_frame is not None and new_frame.latch.held_by_me():
                 new_frame.latch.release()
             if new_pinned:
                 pool.unpin(new_pid)
-            if parent.latch.held_by_me():
+            if parent.latch.held_by_me() and parent not in release:
                 pool.unfix(parent)
             raise
         return self._pick_split_side(
-            txn, frame, new_frame, key_hint=key_hint, locate_child=locate_child
+            frame,
+            new_frame,
+            release,
+            key_hint=key_hint,
+            locate_child=locate_child,
         )
 
     def _split_root(
         self,
         txn: Transaction,
         frame: Frame,
+        release: list[Frame],
         *,
         key_hint: object = None,
         locate_child: PageId | None = None,
@@ -967,7 +994,7 @@ class GiST:
             self.predicates.replicate_for_split(
                 page.pid, right_pid, right_frame.page.bp
             )
-            pool.unfix(frame)
+            release.append(frame)
             self.db.hooks.fire(
                 "insert:after-split", pid=page.pid, new_pid=right_pid
             )
@@ -985,9 +1012,9 @@ class GiST:
                 pool.unpin(cleanup_pid)
             raise
         chosen = self._pick_split_side(
-            txn,
             left_frame,
             right_frame,
+            release,
             key_hint=key_hint,
             locate_child=locate_child,
         )
@@ -999,15 +1026,15 @@ class GiST:
 
     def _pick_split_side(
         self,
-        txn: Transaction,
         orig: Frame,
         new: Frame,
+        release: list[Frame],
         *,
         key_hint: object = None,
         locate_child: PageId | None = None,
     ) -> Frame:
-        """Choose which split side the caller continues with."""
-        pool = self.db.pool
+        """Choose which split side the caller continues with; the other
+        goes to ``release``."""
         if locate_child is not None:
             keep = (
                 orig
@@ -1022,8 +1049,7 @@ class GiST:
                 keep = new if keep is orig else orig
         else:
             keep = orig
-        drop = new if keep is orig else orig
-        pool.unfix(drop)
+        release.append(new if keep is orig else orig)
         return keep
 
     def _checked_pick_split(

@@ -13,7 +13,7 @@ from repro.harness.driver import (
     run_with_retry,
 )
 from repro.harness.phantoms import AnomalyReport, run_phantom_campaign
-from repro.harness.report import print_table, render_table
+from repro.harness.report import render_table
 
 __all__ = [
     "AnomalyReport",
@@ -21,7 +21,6 @@ __all__ = [
     "DriverMetrics",
     "RETRYABLE_ERRORS",
     "TransactionalDriver",
-    "print_table",
     "render_table",
     "run_phantom_campaign",
     "run_with_retry",

@@ -42,14 +42,3 @@ def _fmt(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-def print_table(
-    rows: Sequence[Mapping[str, object]],
-    *,
-    title: str | None = None,
-    columns: Sequence[str] | None = None,
-) -> None:
-    """Print a rendered table with surrounding blank lines."""
-    print()
-    print(render_table(rows, title=title, columns=columns))
-    print()

@@ -1,23 +1,15 @@
 """Transactional lock manager: modes, queues, deadlock detection."""
 
-from repro.lock.hierarchy import (
-    HierarchicalLocker,
-    record_lock,
-    table_lock,
-)
 from repro.lock.manager import LockManager, LockName, LockStats, Owner
 from repro.lock.modes import LockMode, compatible, stronger_or_equal, supremum
 
 __all__ = [
-    "HierarchicalLocker",
     "LockManager",
     "LockMode",
     "LockName",
     "LockStats",
     "Owner",
     "compatible",
-    "record_lock",
-    "table_lock",
     "stronger_or_equal",
     "supremum",
 ]

@@ -2,7 +2,7 @@
 
 Implements the transactional locking substrate the paper assumes:
 
-* multi-mode locks on arbitrary hashable names (data-record RIDs,
+* S and X locks on arbitrary hashable names (data-record RIDs,
   owner-transaction ids for blocking "on a predicate" — see section
   10.3; node *signaling locks* live in :mod:`repro.lock.signaling`),
 * FIFO wait queues with immediate-grant conversions,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 
 from repro.errors import DeadlockError, LockTimeoutError
-from repro.lock.modes import LockMode, compatible, stronger_or_equal, supremum
+from repro.lock.modes import LockMode, compatible, stronger_or_equal
 from repro.obs.metrics import MetricsRegistry
 
 #: Lock names are arbitrary hashables; by convention the library uses
@@ -166,9 +166,7 @@ class LockManager:
                 head.queue = deque()
             held = head.granted.get(owner)
             if held is not None:
-                request = _Request(
-                    owner, supremum(held, mode), convert_from=held
-                )
+                request = _Request(owner, mode, convert_from=held)
                 # Conversions go ahead of ordinary waiters but behind
                 # earlier conversions (FIFO among conversions).
                 insert_at = 0
@@ -315,8 +313,8 @@ class LockManager:
         is possible without waiting (the caller counts the attempt).
 
         A name nobody holds is granted by creating its head; a held mode
-        that covers ``mode`` is re-entered; a conversion is granted when
-        no other holder conflicts; a fresh request when no holder
+        that covers ``mode`` is re-entered; the one conversion, S to X,
+        is granted to a sole holder; a fresh request when no holder
         conflicts and nobody is queued (FIFO fairness).
         """
         head = self._heads.get(name)
@@ -327,10 +325,9 @@ class LockManager:
         held = head.granted.get(owner)
         if held is not None:
             if not stronger_or_equal(held, mode):
-                target = supremum(held, mode)
-                if not self._conversion_grantable(head, owner, target):
+                if len(head.granted) > 1:
                     return False
-                head.granted[owner] = target
+                head.granted[owner] = mode
             head.counts[owner] += 1
             return True
         if self._fresh_grantable(head, mode):
@@ -355,25 +352,14 @@ class LockManager:
             return False  # FIFO fairness: never overtake waiters
         return all(compatible(m, mode) for m in head.granted.values())
 
-    def _conversion_grantable(
-        self, head: _LockHead, owner: Owner, target: LockMode
-    ) -> bool:
-        return all(
-            compatible(m, target)
-            for other, m in head.granted.items()
-            if other != owner
-        )
-
     def _promote(self, head: _LockHead) -> None:
         """Grant queued requests now possible, preserving FIFO order."""
         woke = False
         while head.queue:
             request = head.queue[0]
             if request.convert_from is not None:
-                if not self._conversion_grantable(
-                    head, request.owner, request.mode
-                ):
-                    break
+                if len(head.granted) > 1:
+                    break  # X converts from S only for a sole holder
                 head.granted[request.owner] = request.mode
                 head.counts[request.owner] += 1
             else:

@@ -143,11 +143,6 @@ class PredicateManager:
             self._by_node.setdefault(pid, []).append(plock)
         self.stats.note_attach()
 
-    def detach(self, plock: PredicateLock, pid: PageId) -> None:
-        """Remove one node attachment of the predicate."""
-        with self._mutex:
-            self._detach_locked(plock, pid)
-
     def _detach_locked(self, plock: PredicateLock, pid: PageId) -> None:
         if pid not in plock.attachments:
             return

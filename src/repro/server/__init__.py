@@ -15,8 +15,6 @@ the system *well-behaved past saturation*:
   wasting a tree descent) and forwards the remaining budget into the
   cluster RPC timeout, so a hung partition trips its circuit breaker
   instead of hanging the request forever.
-* **Rate limiting** — per-client token buckets turn an aggressive
-  client into its own problem instead of everyone's.
 * **Exact accounting** — every offered request ends in exactly one
   bucket (completed / rejected / shed / failed); the serving benchmark
   asserts the sums balance to the op.
@@ -27,8 +25,7 @@ machine, and ``benchmarks/bench_serving.py`` for the overload gate.
 
 from repro.server.admission import AdmissionQueue, Ticket
 from repro.server.backend import ClusterBackend, LocalBackend
-from repro.server.client import PipelinedClient, ReproClient, call_with_retry
-from repro.server.ratelimit import RateLimiter, TokenBucket
+from repro.server.client import PipelinedClient, ReproClient
 from repro.server.server import DatabaseServer
 
 __all__ = [
@@ -37,9 +34,6 @@ __all__ = [
     "DatabaseServer",
     "LocalBackend",
     "PipelinedClient",
-    "RateLimiter",
     "ReproClient",
     "Ticket",
-    "TokenBucket",
-    "call_with_retry",
 ]

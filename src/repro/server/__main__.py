@@ -54,7 +54,6 @@ def _serve(args) -> int:
         backend,
         args.host,
         args.port,
-        rate_limit=args.rate_limit,
         blackbox_dir=args.blackbox_dir,
     )
     server.start()
@@ -115,7 +114,6 @@ def _smoke(args) -> int:
         backend,
         args.host,
         args.port,
-        rate_limit=args.rate_limit,
         blackbox_dir=args.blackbox_dir,
     )
     server.start()
@@ -173,7 +171,7 @@ def _smoke(args) -> int:
         admitted = _dig(server_counts, "admitted", klass)
         rejected = sum(
             _dig(server_counts, "rejected", reason, klass)
-            for reason in ("rate", "queue", "stopping")
+            for reason in ("queue", "stopping")
         )
         shed_admission = _dig(server_counts, "shed", "admission", klass)
         terminal = sum(
@@ -254,12 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=2.0,
         help="per-call partition RPC deadline (cluster backend)",
-    )
-    parser.add_argument(
-        "--rate-limit",
-        type=float,
-        default=None,
-        help="per-client requests/sec (None: unlimited)",
     )
     parser.add_argument("--blackbox-dir", default=None)
     parser.add_argument(

@@ -5,9 +5,8 @@ method stamps an absolute deadline from its ``timeout``, sends one
 request frame and blocks for the matching response.  Backpressure and
 deadline outcomes surface as typed exceptions
 (:class:`~repro.errors.RetryLater`,
-:class:`~repro.errors.DeadlineExceededError`) so callers — and
-:func:`call_with_retry` — can honor the server's hints instead of
-guessing.
+:class:`~repro.errors.DeadlineExceededError`) so callers can honor the
+server's hints instead of guessing.
 
 :class:`PipelinedClient` exists for *open-loop* load: a sequential
 client cannot offer load faster than the server answers (the offered
@@ -42,7 +41,7 @@ from repro.errors import (
 )
 from repro.server import protocol
 
-__all__ = ["PipelinedClient", "ReproClient", "call_with_retry"]
+__all__ = ["PipelinedClient", "ReproClient"]
 
 
 def _connect(
@@ -169,34 +168,6 @@ class ReproClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def call_with_retry(
-    fn,
-    *,
-    attempts: int = 8,
-    max_backoff: float = 0.5,
-    rng=None,
-    sleep=time.sleep,
-):
-    """Run ``fn`` honoring ``RetryLater`` hints with jitter.
-
-    The server's ``retry_after`` is the base; full jitter (uniform in
-    ``[hint/2, hint]``) decorrelates the retry herd the same way the
-    cluster driver's backoff does.  The last attempt's ``RetryLater``
-    propagates — backpressure is the caller's problem eventually.
-    """
-    for attempt in range(attempts):
-        try:
-            return fn()
-        except RetryLater as exc:
-            if attempt == attempts - 1:
-                raise
-            hint = min(max_backoff, max(1e-4, exc.retry_after))
-            if rng is not None:
-                hint *= 0.5 + 0.5 * rng.random()
-            sleep(hint)
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 class PipelinedClient:

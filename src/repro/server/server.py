@@ -3,8 +3,8 @@
 Request lifecycle (DESIGN.md §14)::
 
     accept -> hello -> [reader thread]
-        classify -> rate limit -> deadline check -> queue offer
-            full/over-rate/stopping -> RETRY frame (explicit shed)
+        classify -> deadline check -> queue offer
+            full/stopping -> RETRY frame (explicit shed)
             expired                 -> DEADLINE frame
             admitted                -> Ticket parked in class queue
     [worker pool per class]
@@ -20,8 +20,8 @@ reader thread — an overloaded data path must never blind the operator.
 Accounting is *exact*: every offered request lands in exactly one
 terminal counter, and the class invariants::
 
-    offered  == admitted + rejected.rate + rejected.queue
-                + rejected.stopping + shed.admission
+    offered  == admitted + rejected.queue + rejected.stopping
+                + shed.admission
     admitted == completed + failed + shed.dequeue + shed.backend
                 + shed.stopping
 
@@ -56,7 +56,6 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.server import protocol
 from repro.server.admission import AdmissionQueue, Ticket
-from repro.server.ratelimit import RateLimiter
 
 __all__ = ["DatabaseServer"]
 
@@ -110,8 +109,6 @@ class DatabaseServer:
         Admission queue bounds per class.
     point_workers / scan_workers:
         Executor threads per class.
-    rate_limit / rate_burst:
-        Per-client token bucket (requests/sec, burst); None disables.
     blackbox_dir:
         Where shed-burst flight recorder dumps land (None disables).
     shed_burst / shed_burst_window:
@@ -128,8 +125,6 @@ class DatabaseServer:
         scan_capacity: int = 16,
         point_workers: int = 4,
         scan_workers: int = 2,
-        rate_limit: float | None = None,
-        rate_burst: float | None = None,
         metrics_enabled: bool = True,
         blackbox_dir: str | None = None,
         shed_burst: int = 32,
@@ -141,7 +136,6 @@ class DatabaseServer:
         self.port: int | None = None
         self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self.recorder = FlightRecorder(capacity=1024)
-        self.limiter = RateLimiter(rate_limit, rate_burst)
         self.queues: dict[str, AdmissionQueue] = {
             protocol.POINT: AdmissionQueue(
                 protocol.POINT, point_capacity
@@ -167,7 +161,6 @@ class DatabaseServer:
         self._started_at = 0.0
         for klass, queue in self.queues.items():
             self.metrics.gauge(f"server.queue.{klass}", queue.snapshot)
-        self.metrics.gauge("server.ratelimit", self.limiter.snapshot)
         self.metrics.gauge(
             "server.blackbox_dumps", lambda: self._dumps
         )
@@ -344,12 +337,6 @@ class DatabaseServer:
             ).inc()
             conn.send(protocol.retry(req_id, 0.1, "stopping"))
             return
-        ok, wait = self.limiter.check(conn.client_id)
-        if not ok:
-            self.metrics.counter(f"server.rejected.rate.{klass}").inc()
-            self._note_shed(klass, "rate_limit", conn.client_id)
-            conn.send(protocol.retry(req_id, wait, "rate_limit"))
-            return
         ticket = Ticket(
             req_id=req_id,
             method=method,
@@ -473,7 +460,6 @@ class DatabaseServer:
                 klass: queue.snapshot()
                 for klass, queue in self.queues.items()
             },
-            "ratelimit": self.limiter.snapshot(),
             "backend": self.backend.health(),
         }
 

@@ -8,7 +8,6 @@ from repro.sync.hooks import (
     Gate,
     Hooks,
     PredicateGate,
-    StallPoint,
 )
 from repro.sync.latch import LatchMode, SXLatch
 
@@ -22,5 +21,4 @@ __all__ = [
     "LatchMode",
     "PredicateGate",
     "SXLatch",
-    "StallPoint",
 ]

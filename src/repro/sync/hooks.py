@@ -190,17 +190,6 @@ class EventLog:
             return sum(1 for p, _ in self._events if p == point)
 
 
-class StallPoint:
-    """Inject a fixed delay at a hook point (coarse race amplification)."""
-
-    def __init__(self, delay: float) -> None:
-        self._delay = delay
-
-    def block(self, **_context: object) -> None:
-        """Hook callback: park the calling thread per the class contract."""
-        threading.Event().wait(self._delay)
-
-
 def make_barrier_hook(parties: int) -> tuple[HookFn, threading.Barrier]:
     """Create a barrier-based hook forcing ``parties`` threads to align."""
     barrier = threading.Barrier(parties)

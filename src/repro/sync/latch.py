@@ -199,26 +199,6 @@ class SXLatch:
                 # MUST be woken even if a metrics sink misbehaves
                 self._cond.notify_all()
 
-    def upgrade(self) -> bool:
-        """Try to upgrade an S latch to X without an intervening release.
-
-        Returns ``False`` (leaving the S latch in place) if other readers
-        are present; upgrading then would risk an undetected latch
-        deadlock, which the caller must avoid by releasing and
-        re-acquiring in X mode (re-validating the node afterwards).
-        """
-        me = threading.get_ident()
-        with self._cond:
-            if me not in self._readers:
-                raise LatchError(
-                    f"thread {me} upgrading latch {self.name!r} without S latch"
-                )
-            if len(self._readers) > 1 or self._writer is not None:
-                return False
-            self._readers.discard(me)
-            self._writer = me
-            return True
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

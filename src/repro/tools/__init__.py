@@ -4,7 +4,6 @@ from repro.tools.inspect import (
     describe_record,
     dump_log,
     dump_tree,
-    format_stats,
     lock_table_report,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "describe_record",
     "dump_log",
     "dump_tree",
-    "format_stats",
     "lock_table_report",
 ]

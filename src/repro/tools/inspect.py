@@ -157,23 +157,6 @@ def dump_log(
     return "\n".join(lines)
 
 
-def format_stats(db: "Database") -> str:
-    """Render :meth:`Database.stats` as an indented report."""
-    snapshot = db.stats()
-    lines = []
-    for section, values in snapshot.items():
-        lines.append(f"{section}:")
-        if section == "trees":
-            for name, tree_stats in values.items():
-                lines.append(f"  {name}:")
-                for key, value in tree_stats.items():
-                    lines.append(f"    {key}: {value}")
-        else:
-            for key, value in values.items():
-                lines.append(f"  {key}: {value}")
-    return "\n".join(lines)
-
-
 def dump_stats(db: "Database") -> str:
     """Render ``db.metrics.snapshot()`` as aligned ASCII tables.
 

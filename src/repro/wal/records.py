@@ -132,11 +132,6 @@ class LogRecord:
         will stamp ``page.page_lsn = self.lsn`` afterwards.
         """
 
-    @property
-    def is_clr(self) -> bool:
-        """True for compensation records (never undone)."""
-        return self.undo_next is not None
-
     def stamp_checksum(self) -> None:
         """Capture the record's serialized form and checksum it.
 

@@ -10,7 +10,6 @@ from repro.workload.generator import (
     MixSpec,
     Op,
     RectKeys,
-    RectWorkload,
     ScalarKeys,
     ScalarWorkload,
     SetKeys,
@@ -21,7 +20,6 @@ __all__ = [
     "MixSpec",
     "Op",
     "RectKeys",
-    "RectWorkload",
     "ScalarKeys",
     "ScalarWorkload",
     "SetKeys",

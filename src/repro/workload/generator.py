@@ -162,12 +162,6 @@ class PartitionRoutedKeys:
             f"no key for partition {target} in {self._max_rejects} draws"
         )
 
-    def range_query(self, selectivity: float = 0.01) -> Interval:
-        """A random interval covering ``selectivity`` of the key space."""
-        width = max(1, int(self.key_space * selectivity))
-        lo = self._rng.randrange(max(1, self.key_space - width))
-        return Interval(lo, lo + width)
-
 
 def partition_histogram(ops: "Sequence[Op]", router) -> list[int]:
     """Per-partition routed-key counts for an op stream.
@@ -374,57 +368,6 @@ class ScalarWorkload:
                 pairs.append(self._live.pop(idx))
             return Op("multi_delete", pairs=tuple(pairs))
         return Op("search", query=self.keys.range_query(self.selectivity))
-
-    def preload(self, count: int) -> list[Op]:
-        """Pure-insert prefix used to build the initial tree."""
-        out = []
-        for _ in range(count):
-            key = self.keys.next_key()
-            self._counter += 1
-            rid = f"r{self._counter}"
-            self._live.append((key, rid))
-            out.append(Op("insert", key=key, rid=rid))
-        return out
-
-
-class RectWorkload:
-    """A reproducible stream of operations over rectangles."""
-
-    def __init__(
-        self,
-        seed: int,
-        mix: MixSpec | None = None,
-        distribution: str = "uniform",
-        selectivity: float = 0.01,
-    ) -> None:
-        self.keys = RectKeys(seed, distribution=distribution)
-        self._rng = random.Random(seed ^ 0x5EED)
-        self.mix = mix or MixSpec()
-        self.selectivity = selectivity
-        self._live: list[tuple[Rect, str]] = []
-        self._counter = 0
-
-    def next_op(self) -> Op:
-        """Draw the next operation of the mix."""
-        u = self._rng.random()
-        if u < self.mix.insert or not self._live:
-            key = self.keys.next_key()
-            self._counter += 1
-            rid = f"r{self._counter}"
-            self._live.append((key, rid))
-            return Op("insert", key=key, rid=rid)
-        if u < self.mix.insert + self.mix.delete:
-            idx = self._rng.randrange(len(self._live))
-            key, rid = self._live.pop(idx)
-            return Op("delete", key=key, rid=rid)
-        return Op(
-            "search", query=self.keys.window_query(self.selectivity)
-        )
-
-    def ops(self, count: int) -> Iterator[Op]:
-        """A finite stream of ``count`` operations."""
-        for _ in range(count):
-            yield self.next_op()
 
     def preload(self, count: int) -> list[Op]:
         """Pure-insert prefix used to build the initial tree."""

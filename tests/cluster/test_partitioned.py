@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.cluster import PartitionedDatabase, RangeRouter
+from repro.cluster import PartitionedDatabase
 from repro.errors import ClusterError, WorkerFaultError
 from repro.ext.btree import BTreeExtension, Interval
 
@@ -61,25 +61,6 @@ class TestScatterGather:
         cluster.multi_put("t", [(i, f"r{i}") for i in range(300)])
         rows = cluster.search("t", Interval(37, 251))
         assert [k for k, _ in rows] == list(range(37, 252))
-
-    def test_range_router_prunes_fan_out(self):
-        cluster = PartitionedDatabase(
-            4, router=RangeRouter.even(4, 1000), page_capacity=16
-        )
-        try:
-            cluster.create_tree("t", BTreeExtension())
-            cluster.multi_put("t", [(i, f"r{i}") for i in range(1000)])
-            before = cluster.metrics.counter(
-                "cluster.scatter_queries"
-            ).value
-            rows = cluster.search("t", Interval(10, 40))  # partition 0
-            assert [k for k, _ in rows] == list(range(10, 41))
-            after = cluster.metrics.counter(
-                "cluster.scatter_queries"
-            ).value
-            assert after == before  # single-leg query, no scatter
-        finally:
-            cluster.shutdown()
 
     def test_merged_scan_each_key_exactly_once_under_inserts(
         self, cluster

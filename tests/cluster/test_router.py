@@ -1,4 +1,4 @@
-"""Router policies: determinism, disjoint ownership, query pruning."""
+"""Router policy: determinism, disjoint ownership, manifest specs."""
 
 import pickle
 import subprocess
@@ -8,12 +8,10 @@ import pytest
 
 from repro.cluster.router import (
     HashRouter,
-    RangeRouter,
     make_router,
     stable_hash,
 )
 from repro.errors import ClusterError
-from repro.ext.btree import Interval
 
 
 class TestStableHash:
@@ -67,9 +65,6 @@ class TestHashRouter:
         for key in ["a", 0, -5, (1, 2), frozenset({3})]:
             assert router.partition_of(key) == router.partition_of(key)
 
-    def test_never_prunes_queries(self):
-        assert HashRouter(3).partitions_for_query(Interval(0, 10)) is None
-
     def test_roundtrips_through_spec(self):
         router = HashRouter(5)
         again = make_router(router.spec(), 5)
@@ -78,53 +73,9 @@ class TestHashRouter:
         ]
 
 
-class TestRangeRouter:
-    def test_boundary_ownership(self):
-        router = RangeRouter(3, [100, 200])
-        assert router.partition_of(0) == 0
-        assert router.partition_of(99) == 0
-        assert router.partition_of(100) == 1
-        assert router.partition_of(199) == 1
-        assert router.partition_of(200) == 2
-        assert router.partition_of(10**9) == 2
-
-    def test_even_split(self):
-        router = RangeRouter.even(4, 1000)
-        assert router.boundaries == [250, 500, 750]
-
-    def test_interval_pruning(self):
-        router = RangeRouter(4, [100, 200, 300])
-        assert router.partitions_for_query(Interval(0, 50)) == [0]
-        assert router.partitions_for_query(Interval(150, 250)) == [1, 2]
-        assert router.partitions_for_query(Interval(0, 999)) == [
-            0,
-            1,
-            2,
-            3,
-        ]
-
-    def test_point_query_routes_to_one_partition(self):
-        router = RangeRouter(3, [10, 20])
-        assert router.partitions_for_query(15) == [1]
-
-    def test_rejects_bad_boundaries(self):
-        with pytest.raises(ClusterError):
-            RangeRouter(3, [5])  # wrong count
-        with pytest.raises(ClusterError):
-            RangeRouter(3, [20, 10])  # not increasing
-
-    def test_roundtrips_through_spec(self):
-        router = RangeRouter(3, [7, 77])
-        again = make_router(router.spec(), 3)
-        assert again.boundaries == [7, 77]
-
-
 class TestMakeRouter:
     def test_shorthands(self):
         assert make_router("hash", 4).kind == "hash"
-        ranged = make_router("range:1000", 4)
-        assert ranged.kind == "range"
-        assert ranged.boundaries == [250, 500, 750]
 
     def test_partition_count_mismatch_rejected(self):
         with pytest.raises(ClusterError):
@@ -137,15 +88,15 @@ class TestMakeRouter:
             make_router({"kind": "geo"}, 3)
 
     def test_router_pickles_for_fork(self):
-        router = RangeRouter(3, [10, 20])
+        router = HashRouter(3)
         clone = pickle.loads(pickle.dumps(router))
-        assert clone.partition_of(15) == 1
+        assert clone.partition_of(15) == router.partition_of(15)
 
 
 class TestDisjointOwnership:
     """The merged-scan exactly-once guarantee rests on this invariant."""
 
-    @pytest.mark.parametrize("spec", ["hash", "range:10000"])
+    @pytest.mark.parametrize("spec", ["hash"])
     def test_each_key_has_exactly_one_owner(self, spec):
         router = make_router(spec, 5)
         for key in range(0, 10_000, 37):

@@ -329,21 +329,6 @@ class TestPageFixGates:
 
 
 class TestDatabaseWrappers:
-    def test_database_level_batch_apis(self):
-        db = Database(page_capacity=8)
-        db.create_tree("t", BTreeExtension())
-        txn = db.begin()
-        assert db.multi_put(txn, "t", [(1, "a"), (2, "b")]) == 2
-        db.commit(txn)
-        txn = db.begin()
-        assert db.multi_get(txn, "t", [1, 2, 3]) == {
-            1: ["a"],
-            2: ["b"],
-            3: [],
-        }
-        assert db.multi_delete(txn, "t", [(1, "a")]) == 1
-        db.commit(txn)
-
     def test_commit_many_groups_the_force(self):
         db = Database(page_capacity=8)
         tree = db.create_tree("t", BTreeExtension())

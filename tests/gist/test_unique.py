@@ -1,6 +1,7 @@
 """Unique-index insertion (section 8)."""
 
 import threading
+import time
 
 import pytest
 
@@ -149,3 +150,83 @@ class TestUniqueRace:
         keys = [k for k, _ in result]
         assert len(keys) == len(set(keys))  # uniqueness held
         assert sorted(set(committed)) == sorted(keys)
+
+
+class TestLeafCheckWait:
+    """Section 8's last defence: the leaf check finds a racer's entry
+    that the search phase could not see, waits for the racer with no
+    latch held, then re-runs the duplicate probe.
+
+    Two point inserts of one key always meet in the search phase (the
+    second blocks at the root on the first's "= key" predicate), so the
+    racer here is a ``bulk_load`` into the empty unique tree: it writes
+    its entries without a search phase, between the insert's probe and
+    its leaf check.
+    """
+
+    @staticmethod
+    def _race(racer_commits: bool):
+        db = Database(page_capacity=4, lock_timeout=10.0)
+        tree = db.create_tree("uq", BTreeExtension(), unique=True)
+        probed, go = threading.Event(), threading.Event()
+        inserter = []
+        visits = []
+
+        def on_visit(**ctx):
+            if threading.current_thread() not in inserter:
+                return
+            visits.append(ctx["pid"])
+            if not probed.is_set():
+                probed.set()  # the probe passed the empty root leaf
+                go.wait(10.0)
+
+        db.hooks.on("search:node-visited", on_visit)
+        result = []
+
+        def insert():
+            txn = db.begin()
+            try:
+                tree.insert(txn, 42, "mine")
+                db.commit(txn)
+                result.append("inserted")
+            except UniqueViolationError:
+                db.rollback(txn)
+                result.append("violation")
+
+        thread = threading.Thread(target=insert)
+        inserter.append(thread)
+        thread.start()
+        assert probed.wait(10.0)
+        racer = db.begin()
+        tree.bulk_load(racer, [(k, f"bulk{k}") for k in (10, 20, 42, 50, 60)])
+        go.set()
+        deadline = time.monotonic() + 10.0
+        while not tree.stats.snapshot().get("predicate_blocks"):
+            assert time.monotonic() < deadline, "the leaf check never vetoed"
+            time.sleep(0.005)
+        time.sleep(0.2)
+        # the inserter waits for the racer itself: no re-probe has
+        # visited a node since the first probe's one visit
+        assert len(visits) == 1
+        assert thread.is_alive()
+        if racer_commits:
+            db.commit(racer)
+        else:
+            db.rollback(racer)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        db.hooks.clear()
+        txn = db.begin()
+        rids = sorted(r for _, r in tree.search(txn, Interval(42, 42)))
+        db.commit(txn)
+        return result, rids
+
+    def test_racer_commits_then_unique_violation(self):
+        result, rids = self._race(racer_commits=True)
+        assert result == ["violation"]
+        assert rids == ["bulk42"]
+
+    def test_racer_aborts_then_insert_succeeds(self):
+        result, rids = self._race(racer_commits=False)
+        assert result == ["inserted"]
+        assert rids == ["mine"]

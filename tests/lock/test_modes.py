@@ -1,4 +1,4 @@
-"""Unit tests for the lock-mode compatibility and supremum tables."""
+"""Unit tests for the S/X compatibility and supremum rules."""
 
 import pytest
 
@@ -9,13 +9,7 @@ from repro.lock.modes import (
     supremum,
 )
 
-S, X, IS, IX, SIX = (
-    LockMode.S,
-    LockMode.X,
-    LockMode.IS,
-    LockMode.IX,
-    LockMode.SIX,
-)
+S, X = LockMode.S, LockMode.X
 
 
 class TestCompatibility:
@@ -26,21 +20,6 @@ class TestCompatibility:
             (S, X, False),
             (X, S, False),
             (X, X, False),
-            (IS, IS, True),
-            (IS, IX, True),
-            (IS, S, True),
-            (IS, SIX, True),
-            (IS, X, False),
-            (IX, IX, True),
-            (IX, S, False),
-            (IX, SIX, False),
-            (S, IS, True),
-            (S, IX, False),
-            (SIX, IS, True),
-            (SIX, IX, False),
-            (SIX, S, False),
-            (SIX, SIX, False),
-            (X, IS, False),
         ],
     )
     def test_matrix(self, held, requested, expected):
@@ -65,13 +44,7 @@ class TestSupremum:
     @pytest.mark.parametrize(
         "a,b,expected",
         [
-            (S, IX, SIX),
-            (IS, IX, IX),
-            (IS, S, S),
             (S, X, X),
-            (SIX, IX, SIX),
-            (SIX, S, SIX),
-            (IS, X, X),
         ],
     )
     def test_known_suprema(self, a, b, expected):
@@ -91,6 +64,6 @@ class TestSubsumption:
         for mode in LockMode:
             assert stronger_or_equal(X, mode)
 
-    def test_s_subsumes_is_not_ix(self):
-        assert stronger_or_equal(S, IS)
-        assert not stronger_or_equal(S, IX)
+
+def test_lock_mode_is_shared_or_exclusive():
+    assert list(LockMode) == [S, X]

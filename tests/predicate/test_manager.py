@@ -25,14 +25,6 @@ class TestRegistrationAndAttachment:
         assert len(pm.predicates_on(5)) == 1
         assert plock.attachments == {5}
 
-    def test_detach(self):
-        pm = make_pm()
-        plock = pm.register(1, Interval(0, 10), PredicateKind.SEARCH)
-        pm.attach(plock, 5)
-        pm.detach(plock, 5)
-        assert pm.predicates_on(5) == []
-        assert plock.attachments == set()
-
     def test_unregister_removes_everywhere(self):
         pm = make_pm()
         plock = pm.register(1, Interval(0, 10), PredicateKind.INSERT)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.database import Database
+from repro.errors import RetryLater
 from repro.ext.btree import BTreeExtension
 from repro.server import DatabaseServer, LocalBackend
 from repro.server.loadgen import (
@@ -74,12 +75,18 @@ class TestClosedLoop:
     def test_retries_are_ledgered_and_resolve(self):
         db = Database()
         db.create_tree("t", BTreeExtension())
-        with DatabaseServer(
-            LocalBackend(db),
-            port=0,
-            rate_limit=200.0,
-            rate_burst=2.0,
-        ) as srv:
+        with DatabaseServer(LocalBackend(db), port=0) as srv:
+            real_put = srv.backend.put
+            refused = set()
+
+            def put_refused_once(tree, key, rid, timeout=None):
+                # an even key's first attempt is shed by the backend
+                if key % 2 == 0 and key not in refused:
+                    refused.add(key)
+                    raise RetryLater(0.001, "circuit_open")
+                return real_put(tree, key, rid, timeout=timeout)
+
+            srv.backend.put = put_refused_once
             report = run_closed_loop(
                 "127.0.0.1",
                 srv.port,
@@ -90,7 +97,7 @@ class TestClosedLoop:
             )
         db.shutdown()
         assert report.completed == 20
-        assert report.retried.get("rate_limit", 0) > 0
+        assert report.retried == {"circuit_open": 10}
         assert report.balanced()
 
 
@@ -128,7 +135,6 @@ class TestOpenLoop:
             port=0,
             point_capacity=2,
             point_workers=1,
-            rate_limit=None,
         ) as srv:
             real_put = srv.backend.put
 

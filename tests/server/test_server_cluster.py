@@ -21,7 +21,6 @@ from repro.server import (
     ClusterBackend,
     DatabaseServer,
     ReproClient,
-    call_with_retry,
 )
 
 
@@ -151,20 +150,6 @@ class TestHungPartition:
         start = time.monotonic()
         assert client.get("t", k1, timeout=5.0) == ["r1"]
         assert time.monotonic() - start < 0.3
-
-    def test_retry_loop_rides_through_the_hang(self, cluster, server):
-        k0 = _key_for(cluster, 0)
-        self._sigstop(cluster, 0)
-        with ReproClient(
-            "127.0.0.1", server.port, "persistent"
-        ) as cli:
-            ack = call_with_retry(
-                lambda: cli.put("t", k0, "after", timeout=5.0),
-                attempts=12,
-                max_backoff=0.3,
-            )
-            assert ack["durable_lsn"] > 0
-            assert cli.get("t", k0, timeout=5.0) == ["after"]
 
 
 class TestKilledPartition:

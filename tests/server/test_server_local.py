@@ -7,14 +7,13 @@ import time
 import pytest
 
 from repro.database import Database
-from repro.errors import DeadlineExceededError, RemoteOpError, RetryLater
+from repro.errors import DeadlineExceededError, RemoteOpError
 from repro.ext.btree import BTreeExtension, Interval
 from repro.server import (
     DatabaseServer,
     LocalBackend,
     PipelinedClient,
     ReproClient,
-    call_with_retry,
 )
 from repro.wal.records import CommitRecord
 
@@ -233,36 +232,6 @@ class TestBackpressure:
         assert len(stopping) == 2
         assert _count(server, "shed", "stopping", "point") == 2
 
-    def test_rate_limit_sheds_with_exact_hint(self, backend):
-        with DatabaseServer(
-            backend, port=0, rate_limit=5.0, rate_burst=2.0
-        ) as server:
-            with ReproClient(
-                "127.0.0.1", server.port, "greedy"
-            ) as cli:
-                cli.put("t", 1, "a")
-                cli.put("t", 2, "b")
-                with pytest.raises(RetryLater) as info:
-                    cli.put("t", 3, "c")
-                assert info.value.reason == "rate_limit"
-                assert 0 < info.value.retry_after <= 0.25
-                assert (
-                    _count(server, "rejected", "rate", "point") == 1
-                )
-
-    def test_call_with_retry_rides_through_rate_limit(self, backend):
-        with DatabaseServer(
-            backend, port=0, rate_limit=50.0, rate_burst=1.0
-        ) as server:
-            with ReproClient(
-                "127.0.0.1", server.port, "patient"
-            ) as cli:
-                for i in range(5):
-                    ack = call_with_retry(
-                        lambda i=i: cli.put("t", i, f"r{i}")
-                    )
-                    assert ack["commit_lsn"] > 0
-
 
 class TestShedBurstBlackBox:
     def test_burst_of_sheds_dumps_flight_recorder(
@@ -271,8 +240,6 @@ class TestShedBurstBlackBox:
         with DatabaseServer(
             backend,
             port=0,
-            rate_limit=0.001,
-            rate_burst=1.0,
             blackbox_dir=str(tmp_path),
             shed_burst=5,
             shed_burst_window=10.0,
@@ -280,10 +247,10 @@ class TestShedBurstBlackBox:
             with ReproClient(
                 "127.0.0.1", server.port, "storm"
             ) as cli:
-                cli.put("t", 0, "r0")  # the single burst token
-                for i in range(6):
-                    with pytest.raises(RetryLater):
-                        cli.put("t", i, "x")
+                cli.put("t", 0, "r0")
+                for _ in range(6):  # dead on arrival: shed at admission
+                    with pytest.raises(DeadlineExceededError):
+                        cli._call("get", ("t", 0), -0.05)
             dumps = sorted(tmp_path.glob("server-shed-burst-*.jsonl"))
             assert len(dumps) == 1
             events = [
@@ -294,7 +261,7 @@ class TestShedBurstBlackBox:
                 e for e in events if e["name"] == "server.shed"
             ]
             assert len(shed_events) >= 5
-            assert shed_events[0]["data"]["reason"] == "rate_limit"
+            assert shed_events[0]["data"]["reason"] == "admission"
             assert server.metrics.snapshot()["server"][
                 "blackbox_dumps"
             ] == 1

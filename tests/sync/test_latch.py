@@ -127,41 +127,6 @@ class TestWriterPreference:
         wt.join()
 
 
-class TestUpgrade:
-    def test_upgrade_sole_reader(self):
-        latch = SXLatch()
-        latch.acquire(LatchMode.S)
-        assert latch.upgrade()
-        assert latch.held_by_me() == LatchMode.X
-        latch.release()
-
-    def test_upgrade_with_other_reader_fails(self):
-        latch = SXLatch()
-        latch.acquire(LatchMode.S)
-        other_in = threading.Event()
-        release_other = threading.Event()
-
-        def other():
-            latch.acquire(LatchMode.S)
-            other_in.set()
-            release_other.wait(5.0)
-            latch.release()
-
-        t = threading.Thread(target=other)
-        t.start()
-        other_in.wait()
-        assert not latch.upgrade()
-        assert latch.held_by_me() == LatchMode.S  # S retained
-        release_other.set()
-        t.join()
-        latch.release()
-
-    def test_upgrade_without_s_raises(self):
-        latch = SXLatch()
-        with pytest.raises(LatchError):
-            latch.upgrade()
-
-
 class TestIntrospection:
     def test_holders_and_counts(self):
         latch = SXLatch()

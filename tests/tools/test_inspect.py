@@ -6,7 +6,6 @@ from repro.tools.inspect import (
     describe_record,
     dump_log,
     dump_tree,
-    format_stats,
     lock_table_report,
 )
 
@@ -76,11 +75,6 @@ class TestDumpLog:
 
 
 class TestReports:
-    def test_format_stats(self):
-        db, tree = build()
-        text = format_stats(db)
-        assert "trees:" in text and "inserts: 10" in text
-
     def test_lock_table_report(self):
         db, tree = build()
         txn = db.begin()

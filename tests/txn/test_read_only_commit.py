@@ -51,7 +51,7 @@ class TestReadersNeverTouchTheLog:
         for i in range(20):
             txn = db.begin(isolation)
             keys = list(range(i * 10, i * 10 + 8))
-            found = db.multi_get(txn, tree, keys)
+            found = tree.multi_get(txn, keys)
             assert sorted(found) == keys
             assert db.commit(txn) == 0
         assert wal_counts(db) == before

@@ -7,7 +7,6 @@ from repro.ext.rtree import Rect
 from repro.workload.generator import (
     MixSpec,
     RectKeys,
-    RectWorkload,
     ScalarKeys,
     ScalarWorkload,
     SetKeys,
@@ -107,11 +106,6 @@ class TestMixAndWorkloads:
         ops = wl.preload(50)
         assert len(ops) == 50
         assert all(op.kind == "insert" for op in ops)
-
-    def test_rect_workload_runs(self):
-        wl = RectWorkload(3, mix=MixSpec(0.6, 0.3, 0.1))
-        kinds = {op.kind for op in wl.ops(200)}
-        assert "insert" in kinds and "search" in kinds
 
     def test_partition_round_robin(self):
         wl = ScalarWorkload(9)
