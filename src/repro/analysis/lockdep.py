@@ -37,6 +37,8 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 
+from repro.obs.flightrec import FlightRecorder
+
 #: resource-key kinds, in rough global acquisition order
 KIND_LATCH = "latch"
 KIND_POOL = "pool"
@@ -103,15 +105,15 @@ class LockdepWitness:
     one dict lookup per acquisition.
     """
 
-    def __init__(self, flushed_lsn=None, flightrec=None) -> None:
+    def __init__(self, flightrec: FlightRecorder, flushed_lsn=None) -> None:
         #: callable returning the WAL's flushed LSN, for the WAL-rule
         #: check on page writes; queried *before* taking the witness
         #: mutex so the log can use its own locking freely
         self.flushed_lsn = flushed_lsn
-        #: optional :class:`repro.obs.flightrec.FlightRecorder`; hard
-        #: violations are recorded as black-box events (the recorder is
-        #: itself a leaf — it takes only its own ring lock — so calling
-        #: it under the witness mutex cannot deadlock)
+        #: the database's flight recorder; hard violations are recorded
+        #: as black-box events (the recorder is itself a leaf — it takes
+        #: only its own ring lock — so calling it under the witness
+        #: mutex cannot deadlock)
         self.flightrec = flightrec
         self._mutex = threading.Lock()
         self._held: dict[int, list[tuple[str, object]]] = {}
@@ -280,10 +282,7 @@ class LockdepWitness:
         self._violations.append(
             ProtocolViolation(rule, detail, threading.get_ident(), held)
         )
-        if self.flightrec is not None:
-            self.flightrec.record(
-                "lockdep.violation", rule=rule, detail=detail
-            )
+        self.flightrec.record("lockdep.violation", rule=rule, detail=detail)
 
     def _warn(self, rule: str, detail: str, held=()) -> None:
         dedup = (rule, detail)

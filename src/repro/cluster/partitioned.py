@@ -80,7 +80,6 @@ class PartitionedDatabase:
         *,
         router: "Router | dict | str" = "hash",
         data_dir: str | None = None,
-        metrics_enabled: bool = True,
         rpc_timeout: float | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 1.0,
@@ -103,7 +102,7 @@ class PartitionedDatabase:
         self.breaker_cooldown = breaker_cooldown
         #: tree name -> TreeSpec (the parent-side catalog mirror)
         self.catalog: dict[str, TreeSpec] = {}
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
+        self.metrics = MetricsRegistry()
         self._req_ids = itertools.count(1)
         self._locks = [threading.Lock() for _ in range(partitions)]
         self._breakers = self._make_breakers()
@@ -243,9 +242,7 @@ class PartitionedDatabase:
             )
             for name, entry in manifest["catalog"].items()
         }
-        cluster.metrics = MetricsRegistry(
-            enabled=db_config.pop("metrics_enabled", True)
-        )
+        cluster.metrics = MetricsRegistry()
         cluster._req_ids = itertools.count(1)
         cluster._locks = [
             threading.Lock() for _ in range(cluster.partitions)

@@ -79,11 +79,6 @@ class Database:
     hooks:
         The :class:`~repro.sync.hooks.Hooks` table tests use to force
         interleavings at named points; a private one when omitted.
-    metrics_enabled:
-        ``False`` builds the whole assembly over a disabled metrics
-        registry: every instrument is a shared no-op and no clock is
-        read on any hot path.  ``tests/obs/test_overhead.py``'s call
-        budget measures both settings, so it stays a setting.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injecting storage and
         WAL-tail faults on a seeded, deterministic schedule (DESIGN.md
@@ -103,22 +98,20 @@ class Database:
         ``True`` attaches a :class:`repro.obs.spans.SpanTracker`: every
         operation opens an :class:`~repro.obs.spans.OpSpan` and latches,
         the lock manager, the buffer pool and the WAL attribute their
-        stalls to it (``op.<kind>.*`` in ``db.metrics.snapshot()``,
-        pretty-printed by ``python -m repro.tools.trace``).  Off by
-        default; when off, every subsystem holds ``None`` and the hot
-        paths are span-free (counter-asserted in
+        stalls to it (``op.<kind>.*`` in ``db.metrics.snapshot()``);
+        each completed span is one ``op.<kind>`` event on the flight
+        recorder, pretty-printed by ``python -m repro.tools.trace``.
+        Off by default; when off, every subsystem holds ``None`` and
+        the hot paths are span-free (counter-asserted in
         ``tests/obs/test_overhead.py``).
-    flight_recorder:
-        The always-on black box (:class:`repro.obs.flightrec.
-        FlightRecorder`): a bounded per-thread ring of recent rare
-        events (txn begin/commit/abort, SMOs, deadlock victims, lockdep
-        hard violations, crash/restart), dumped as replayable JSONL by
-        failed chaos trials.  On by default — it records only rare
-        events; ``tests/obs/test_overhead.py``'s call budget measures
-        both settings, so it stays a setting.
 
-    The surviving disk, log and black box reach a new instance only
-    through :meth:`restart` and :meth:`open_from_log`.
+    Every instance records into a metrics registry (``db.metrics``) and
+    a flight recorder (``db.flightrec``): the black box, a bounded
+    per-thread ring of recent rare events (txn begin/commit/abort, SMOs,
+    deadlock victims, lockdep hard violations, crash/restart) dumped as
+    replayable JSONL by failed chaos trials.  The surviving disk, log
+    and black box reach a new instance only through :meth:`restart` and
+    :meth:`open_from_log`.
     """
 
     def __init__(
@@ -130,28 +123,22 @@ class Database:
         lock_timeout: float | None = 30.0,
         flush_delay: float = 0.0,
         hooks: Hooks | None = None,
-        metrics_enabled: bool = True,
         fault_plan: FaultPlan | None = None,
         protocol_checks: bool | None = None,
         op_tracing: bool = False,
-        flight_recorder: bool = True,
     ) -> None:
         # what _reopen hands over from a crashed instance, if anything
-        store, log, flightrec = vars(self).pop(
-            "_survivors", (None, None, None)
+        survivors = vars(self).pop("_survivors", None)
+        store, log, self.flightrec = survivors or (
+            None, None, FlightRecorder()
         )
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
+        self.metrics = MetricsRegistry()
         self.op_tracing = op_tracing
         #: per-op latency attribution; ``None`` when off — subsystems
         #: gate on the reference, paying one attribute-load + branch
-        self.spans = SpanTracker(self.metrics) if op_tracing else None
-        self.flight_recorder_enabled = flight_recorder
-        if flightrec is not None:
-            self.flightrec: FlightRecorder | None = flightrec
-        elif flight_recorder:
-            self.flightrec = FlightRecorder()
-        else:
-            self.flightrec = None
+        self.spans = (
+            SpanTracker(self.metrics, self.flightrec) if op_tracing else None
+        )
         self.pool_capacity = pool_capacity
         self.lock_timeout = lock_timeout
         self.store = store or PageStore(
@@ -205,8 +192,7 @@ class Database:
             from repro.analysis.lockdep import LockdepWitness
 
             self.witness = LockdepWitness(
-                flushed_lsn=lambda: self.log.flushed_lsn,
-                flightrec=self.flightrec,
+                self.flightrec, flushed_lsn=lambda: self.log.flushed_lsn
             )
         else:
             self.witness = None
@@ -295,8 +281,7 @@ class Database:
     ) -> Transaction:
         """Start a transaction at the given isolation level."""
         txn = self.txns.begin(isolation)
-        if self.flightrec is not None:
-            self.flightrec.record("txn.begin", xid=txn.xid)
+        self.flightrec.record("txn.begin", xid=txn.xid)
         return txn
 
     def commit(self, txn: Transaction) -> int:
@@ -313,8 +298,7 @@ class Database:
         finally:
             if spans is not None:
                 spans.finish(span)
-        if self.flightrec is not None:
-            self.flightrec.record("txn.commit", xid=txn.xid)
+        self.flightrec.record("txn.commit", xid=txn.xid)
         return lsn
 
     def rollback(self, txn: Transaction) -> None:
@@ -326,8 +310,7 @@ class Database:
         finally:
             if spans is not None:
                 spans.finish(span)
-        if self.flightrec is not None:
-            self.flightrec.record("txn.abort", xid=txn.xid)
+        self.flightrec.record("txn.abort", xid=txn.xid)
 
     def commit_many(self, txns: "list[Transaction]") -> None:
         """Commit a batch of transactions under one shared log force."""
@@ -338,9 +321,8 @@ class Database:
         finally:
             if spans is not None:
                 spans.finish(span)
-        if self.flightrec is not None:
-            for txn in txns:
-                self.flightrec.record("txn.commit", xid=txn.xid)
+        for txn in txns:
+            self.flightrec.record("txn.commit", xid=txn.xid)
 
     # duck-typed predicate registry for the transaction manager
     def release_transaction(self, xid: int) -> None:
@@ -399,10 +381,7 @@ class Database:
         were written strictly before the dependent state (WAL rule), so
         a torn *last* write cannot have touched them.
         """
-        if self.flightrec is not None:
-            self.flightrec.record(
-                "db.crash", flushed_lsn=self.log.flushed_lsn
-            )
+        self.flightrec.record("db.crash", flushed_lsn=self.log.flushed_lsn)
         self.log.crash()
         self.pool.crash()
         if self.fault_plan is not None:
@@ -438,18 +417,15 @@ class Database:
         if self.fault_plan is not None:
             self.fault_plan.note_restart()
         config.setdefault("page_capacity", self.store.page_capacity)
-        config.setdefault("metrics_enabled", self.metrics.enabled)
         config.setdefault("pool_capacity", self.pool_capacity)
         config.setdefault("lock_timeout", self.lock_timeout)
         config.setdefault("protocol_checks", self.protocol_checks)
         config.setdefault("op_tracing", self.op_tracing)
-        config.setdefault("flight_recorder", self.flight_recorder_enabled)
         # The black box is the external observer, not volatile state:
         # the pre-crash instance carries over so a post-restart dump
         # still shows the events that led up to the crash.
         new_db = Database._reopen(self.store, self.log, self.flightrec, config)
-        if new_db.flightrec is not None:
-            new_db.flightrec.record("db.restart")
+        new_db.flightrec.record("db.restart")
         new_db.recovery_report = RestartRecovery(new_db, extensions).run()
         return new_db
 
@@ -458,7 +434,7 @@ class Database:
         cls,
         store: PageStore | None,
         log: LogManager,
-        flightrec: FlightRecorder | None,
+        flightrec: FlightRecorder,
         config: dict,
     ) -> "Database":
         """Build an instance over what a crash left behind — the disk
@@ -500,9 +476,8 @@ class Database:
         # a store that did not survive: without one, analysis puts every
         # page in the table from its first mention and redo rebuilds it.
         log.master_lsn = NULL_LSN
-        db = cls._reopen(None, log, None, config)
-        if db.flightrec is not None:
-            db.flightrec.record("db.open_from_log", end_lsn=log.end_lsn)
+        db = cls._reopen(None, log, FlightRecorder(), config)
+        db.flightrec.record("db.open_from_log", end_lsn=log.end_lsn)
         db.recovery_report = RestartRecovery(db, extensions).run()
         # Redo replays allocation records only from the redo point, which
         # is enough when the allocator state survived the crash — here it

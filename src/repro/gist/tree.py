@@ -180,13 +180,10 @@ class GiST:
             self.db.signaling.drop(txn.xid, name)
 
     def _note_event(self, name: str, **data: object) -> None:
-        """Emit one named tree event (SMO, missed split, drain wait, bulk
-        load) to both recorders: the flight recorder and the active
-        operation's span."""
-        if self.db.flightrec is not None:
-            self.db.flightrec.record(name, tree=self.name, **data)
-        if self.db.spans is not None:
-            self.db.spans.note_event(name, **data)
+        """Record one named tree event (SMO, missed split, drain wait,
+        bulk load) on the flight recorder; a traced operation's span
+        finds it there by thread and time window."""
+        self.db.flightrec.record(name, tree=self.name, **data)
 
     # ------------------------------------------------------------------
     # public operations

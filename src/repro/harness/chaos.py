@@ -893,8 +893,6 @@ class ChaosHarness:
     ) -> None:
         """Dump the flight recorder and embed the path + tail in errors."""
         flightrec = db.flightrec
-        if flightrec is None:
-            return
         directory = self.blackbox_dir or tempfile.gettempdir()
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(

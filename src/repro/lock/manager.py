@@ -29,6 +29,7 @@ from time import perf_counter_ns
 
 from repro.errors import DeadlockError, LockTimeoutError
 from repro.lock.modes import LockMode, compatible, stronger_or_equal
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 
 #: Lock names are arbitrary hashables; by convention the library uses
@@ -124,8 +125,9 @@ class LockManager:
         #: attributed to the blocked thread's active operation span
         self.tracker = None
         #: flight recorder (black box); deadlock-victim selection is a
-        #: rare, semantically heavy event and is always recorded
-        self.flightrec = None
+        #: rare, semantically heavy event and is always recorded — a
+        #: private one until the database installs its own
+        self.flightrec = FlightRecorder()
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
         self._heads: dict[LockName, _LockHead] = {}
@@ -425,14 +427,13 @@ class LockManager:
             entry = self._waiting.get(victim)
             if entry is not None:
                 entry[0].victim = True
-                if self.flightrec is not None:
-                    # leaf-safe: the recorder takes only its ring lock
-                    self.flightrec.record(
-                        "lock.deadlock_victim",
-                        victim=repr(victim),
-                        cycle=[repr(o) for o in cycle],
-                        lock=repr(entry[1].name),
-                    )
+                # leaf-safe: the recorder takes only its ring lock
+                self.flightrec.record(
+                    "lock.deadlock_victim",
+                    victim=repr(victim),
+                    cycle=[repr(o) for o in cycle],
+                    lock=repr(entry[1].name),
+                )
                 self._cond.notify_all()
 
     @staticmethod

@@ -8,12 +8,15 @@ names are a stable public contract documented in README.md
 
 Observability v2 (DESIGN.md §11) adds three coupled subsystems:
 
+* :class:`FlightRecorder` — the one event recorder: an always-on
+  bounded black box of recent rare events, dumped as replayable JSONL
+  on failed chaos trials, lockdep hard violations and deadlock-victim
+  selection;
 * :class:`SpanTracker` / :class:`OpSpan` — per-operation latency
   attribution (latch wait vs lock wait vs I/O vs WAL vs CPU), enabled
-  with ``Database(op_tracing=True)``;
-* :class:`FlightRecorder` — an always-on bounded black box of recent
-  rare events, dumped as replayable JSONL on failed chaos trials,
-  lockdep hard violations and deadlock-victim selection;
+  with ``Database(op_tracing=True)``; each completed span is one
+  ``op.<kind>`` event on the flight recorder, and
+  :func:`spans_from_events` reads the span view back out of a dump;
 * :class:`HistoryRecorder` + :func:`check_linearizability` /
   :func:`check_read_committed` — invocation/response histories checked
   mechanically for per-element linearizability.
@@ -42,7 +45,7 @@ from repro.obs.metrics import (
     LatchTimer,
     MetricsRegistry,
 )
-from repro.obs.spans import OpSpan, SpanTracker
+from repro.obs.spans import OpSpan, SpanTracker, spans_from_events
 
 __all__ = [
     "Counter",
@@ -65,4 +68,5 @@ __all__ = [
     "dump_jsonl",
     "dumps_line",
     "load_jsonl",
+    "spans_from_events",
 ]

@@ -1,6 +1,6 @@
 """JSONL export/load helpers shared by the observability subsystems.
 
-The flight recorder, the span tracker and the history recorder all
+The flight recorder (op spans included) and the history recorder
 persist as JSON Lines: one self-describing JSON object per line, sorted
 keys, no trailing whitespace.  That format is greppable, appendable,
 diffable, and — because key order is canonical — two dumps of the same

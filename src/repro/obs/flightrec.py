@@ -5,8 +5,14 @@ rivet; it keeps the last few minutes of the *decisions* — and that is
 the contract here.  Subsystems record only rare, semantically heavy
 events (transaction begin/commit/abort, structure modifications,
 deadlock-victim selection, lockdep hard violations, crash/restart
-boundaries), so the recorder can stay on in every configuration within
-a fixed extra-calls budget (gated in ``tests/obs/test_overhead.py``).
+boundaries), so the recorder stays on in every configuration within a
+fixed extra-calls budget (gated in ``tests/obs/test_overhead.py``).
+
+It is the database's one recorder.  With ``Database(op_tracing=True)``
+each completed operation span also lands here, as one ``op.<kind>``
+event (:mod:`repro.obs.spans`); a span's point events are the events
+its thread recorded inside its time window, so one dump carries both
+the span view and the black-box view (``python -m repro.tools.trace``).
 
 Storage is a ring ``deque`` per recording thread — an append takes no
 shared lock — plus one global ``itertools.count`` sequence number whose

@@ -26,23 +26,30 @@ paths pay a single attribute-load-plus-branch — the same gating pattern
 as the lockdep witness — so the off state adds *zero* function calls
 and zero ring writes (counter-asserted in ``tests/obs/test_overhead.py``).
 
-Completed spans land in two places: per-kind aggregate instruments on
-the metrics registry (``op.<kind>.*``, visible in
-``db.metrics.snapshot()``) and a bounded ring of recent spans that
-``python -m repro.tools.trace`` pretty-prints.
+There is one recorder.  A completed span lands as per-kind aggregate
+instruments on the metrics registry (``op.<kind>.*``, visible in
+``db.metrics.snapshot()``) and as one ``op.<kind>`` event on the
+database's :class:`~repro.obs.flightrec.FlightRecorder` ring, carrying
+:meth:`OpSpan.as_dict`.  A span keeps no events of its own: its point
+events (SMOs, drain waits) are the ring events recorded on the same
+thread inside ``[start_ns, start_ns + total_ns]`` — both clocks are
+``perf_counter_ns`` — and :func:`spans_from_events` pairs them up, so
+one flight dump carries both views ``python -m repro.tools.trace``
+renders.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
+from bisect import bisect_left, bisect_right
 from time import perf_counter_ns
+from typing import Iterable
 
-from repro.obs.export import dump_jsonl
+from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["OpSpan", "SpanTracker"]
+__all__ = ["OpSpan", "SpanTracker", "spans_from_events"]
 
 #: attribution buckets, in the order the trace tool prints them
 ATTRIBUTION_FIELDS = (
@@ -68,7 +75,6 @@ class OpSpan:
         "wal_ns",
         "wal_appends",
         "buffer_fixes",
-        "events",
     )
 
     def __init__(self, op_id: int, kind: str, tree: str | None) -> None:
@@ -88,8 +94,6 @@ class OpSpan:
         self.wal_ns = 0
         self.wal_appends = 0
         self.buffer_fixes = 0
-        #: point events attached to the span (SMOs, NSN restarts)
-        self.events: list[tuple[str, dict]] = []
 
     @property
     def total_ns(self) -> int:
@@ -111,15 +115,12 @@ class OpSpan:
         )
         return max(0, self.total_ns - waits)
 
-    def note_event(self, name: str, **data: object) -> None:
-        """Attach a point event (SMO, restart) to this span."""
-        self.events.append((name, data))
-
     def as_dict(self) -> dict:
-        """The span as a JSONL-ready dict (the trace tool's input)."""
+        """The span as a JSONL-ready dict (its ``op.<kind>`` event's data)."""
         out = {
             "op_id": self.op_id,
             "kind": self.kind,
+            "start_ns": self.start_ns,
             "total_ns": self.total_ns,
             "cpu_ns": self.cpu_ns,
             "latch_wait_ns": self.latch_wait_ns,
@@ -131,10 +132,6 @@ class OpSpan:
         }
         if self.tree is not None:
             out["tree"] = self.tree
-        if self.events:
-            out["events"] = [
-                {"name": name, **data} for name, data in self.events
-            ]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -148,21 +145,18 @@ class SpanTracker:
     ----------
     metrics:
         Registry receiving the ``op.<kind>.*`` aggregates.
-    capacity:
-        Completed spans retained for :meth:`completed` / the trace tool.
+    flightrec:
+        Recorder whose ring receives each completed span as one
+        ``op.<kind>`` event.
     """
 
     def __init__(
-        self, metrics: MetricsRegistry | None = None, capacity: int = 256
+        self, metrics: MetricsRegistry, flightrec: FlightRecorder
     ) -> None:
-        self.metrics = metrics or MetricsRegistry()
-        self.capacity = capacity
+        self.metrics = metrics
+        self.flightrec = flightrec
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._done_lock = threading.Lock()
-        self._done: deque[OpSpan] = deque(maxlen=capacity)
-        #: exact count of spans ever started (bench dormancy gate)
-        self._started = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -178,12 +172,10 @@ class SpanTracker:
             return None
         span = OpSpan(next(self._ids), kind, tree)
         self._local.span = span
-        with self._done_lock:
-            self._started += 1
         return span
 
     def finish(self, span: OpSpan | None) -> None:
-        """Close ``span``, fold it into the aggregates, retain it."""
+        """Close ``span``, fold it into the aggregates, record it."""
         if span is None:
             return
         span.end_ns = perf_counter_ns()
@@ -199,8 +191,7 @@ class SpanTracker:
         m.counter(f"op.{kind}.cpu_ns").inc(span.cpu_ns)
         m.counter(f"op.{kind}.wal_appends").inc(span.wal_appends)
         m.counter(f"op.{kind}.buffer_fixes").inc(span.buffer_fixes)
-        with self._done_lock:
-            self._done.append(span)
+        self.flightrec.record(f"op.{kind}", **span.as_dict())
 
     def active(self) -> OpSpan | None:
         """The span of the operation running on the calling thread."""
@@ -209,12 +200,6 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # subsystem attribution hooks (each: one thread-local read + branch)
     # ------------------------------------------------------------------
-    def add_latch_wait(self, ns: int) -> None:
-        """Attribute a latch acquisition's duration to the active op."""
-        span = getattr(self._local, "span", None)
-        if span is not None:
-            span.latch_wait_ns += ns
-
     def add_lock_wait(self, ns: int) -> None:
         """Attribute a lock-manager wait to the active op."""
         span = getattr(self._local, "span", None)
@@ -245,26 +230,32 @@ class SpanTracker:
         if span is not None:
             span.buffer_fixes += 1
 
-    def note_event(self, name: str, **data: object) -> None:
-        """Attach a point event to the active op (no-op when none)."""
-        span = getattr(self._local, "span", None)
-        if span is not None:
-            span.note_event(name, **data)
 
-    # ------------------------------------------------------------------
-    # consumption
-    # ------------------------------------------------------------------
-    def completed(self) -> list[OpSpan]:
-        """Recently completed spans, oldest first."""
-        with self._done_lock:
-            return list(self._done)
+def spans_from_events(events: Iterable[dict]) -> list[dict]:
+    """The completed spans in a flight-recorder event stream, oldest first.
 
-    @property
-    def started(self) -> int:
-        """Exact number of spans ever begun (bench dormancy gate)."""
-        with self._done_lock:
-            return self._started
-
-    def export_jsonl(self, path: str) -> str:
-        """Dump the completed spans to ``path`` as canonical JSONL."""
-        return dump_jsonl(path, (s.as_dict() for s in self.completed()))
+    ``events`` are :meth:`FlightEvent.as_dict` dicts — a live
+    ``flightrec.events()`` or a loaded dump.  Each ``op.<kind>`` event is
+    one span (its data is :meth:`OpSpan.as_dict`); the other events its
+    thread recorded inside ``[start_ns, start_ns + total_ns]`` are
+    attached as ``events``, each ``{"name": ..., **data}``.
+    """
+    ops: list[dict] = []
+    by_thread: dict[object, tuple[list[int], list[dict]]] = {}
+    for event in events:
+        if event["name"].startswith("op."):
+            ops.append(event)
+            continue
+        stamps, points = by_thread.setdefault(event.get("thread"), ([], []))
+        stamps.append(event["ts_ns"])
+        points.append({"name": event["name"], **event.get("data", {})})
+    spans = []
+    for event in ops:
+        span = dict(event.get("data", {}))
+        stamps, points = by_thread.get(event.get("thread"), ([], []))
+        start = span["start_ns"]
+        lo = bisect_left(stamps, start)
+        hi = bisect_right(stamps, start + span["total_ns"])
+        span["events"] = points[lo:hi]
+        spans.append(span)
+    return spans

@@ -125,7 +125,6 @@ class DatabaseServer:
         scan_capacity: int = 16,
         point_workers: int = 4,
         scan_workers: int = 2,
-        metrics_enabled: bool = True,
         blackbox_dir: str | None = None,
         shed_burst: int = 32,
         shed_burst_window: float = 1.0,
@@ -134,7 +133,7 @@ class DatabaseServer:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        self.metrics = MetricsRegistry(enabled=metrics_enabled)
+        self.metrics = MetricsRegistry()
         self.recorder = FlightRecorder(capacity=1024)
         self.queues: dict[str, AdmissionQueue] = {
             protocol.POINT: AdmissionQueue(

@@ -1,29 +1,32 @@
-"""Pretty-printer for op-span traces and flight-recorder black boxes.
+"""Pretty-printer for flight-recorder dumps: op spans and the black box.
 
-Renders the JSONL artifacts the observability layer exports —
-per-operation spans (``SpanTracker.export_jsonl``) and flight-recorder
-dumps (``FlightRecorder.dump``) — as aligned ASCII, with per-kind
-latency attribution (time in latch waits vs lock waits vs IO vs WAL vs
-CPU).  The file format is auto-detected per line: flight events carry
-``seq``/``name``, spans carry ``op_id``/``kind``.
+One recorder, one file format: a :meth:`FlightRecorder.dump
+<repro.obs.flightrec.FlightRecorder.dump>` JSONL file.  Its ``op.<kind>``
+events are the completed operation spans of a traced run
+(``Database(op_tracing=True)``); every other event is a black-box event.
+Both views render from the one file — the span table (with the point
+events each span's thread recorded inside its time window) plus per-kind
+latency attribution (latch waits vs lock waits vs IO vs WAL vs CPU), and
+the black box itself, one line per event.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.tools.trace spans.jsonl
     PYTHONPATH=src python -m repro.tools.trace blackbox.jsonl
     PYTHONPATH=src python -m repro.tools.trace --demo
 
-``--demo`` runs a small seeded traced workload and prints its spans —
-a zero-setup way to see what ``op_tracing=True`` buys.
+``--demo`` runs a small seeded traced workload and renders both views
+from its database's flight recorder — a zero-setup way to see what
+``op_tracing=True`` buys.
 """
 
 from __future__ import annotations
 
 from repro.harness.report import render_table
 from repro.obs.export import load_jsonl
-from repro.obs.spans import ATTRIBUTION_FIELDS
+from repro.obs.spans import ATTRIBUTION_FIELDS, spans_from_events
 
 __all__ = [
+    "render_events",
     "render_flight_events",
     "render_span_attribution",
     "render_span_table",
@@ -51,6 +54,7 @@ def render_span_table(spans: list[dict], *, limit: int = 40) -> str:
                 "cpu_us": _us(span.get("cpu_ns")),
                 "fixes": span.get("buffer_fixes", 0),
                 "wal+": span.get("wal_appends", 0),
+                "events": ",".join(e["name"] for e in span.get("events", ())),
             }
         )
     title = f"op spans ({len(spans)} total, last {len(rows)} shown)"
@@ -115,43 +119,43 @@ def render_flight_events(events: list[dict], *, limit: int = 80) -> str:
     return "\n".join(lines)
 
 
+def render_events(events: list[dict]) -> str:
+    """Both views of one event stream: spans, attribution, black box."""
+    spans = spans_from_events(events)
+    blackbox = [e for e in events if not e["name"].startswith("op.")]
+    return "\n\n".join(
+        [
+            render_span_table(spans),
+            render_span_attribution(spans),
+            render_flight_events(blackbox),
+        ]
+    )
+
+
 def render_file(path: str) -> str:
-    """Auto-detect and render a span or flight-recorder JSONL file."""
-    records = load_jsonl(path)
-    if not records:
+    """Render a flight-recorder JSONL dump in both views."""
+    events = load_jsonl(path)
+    if not events:
         return f"{path}: empty"
-    if "op_id" in records[0]:
-        return "\n\n".join(
-            [render_span_table(records), render_span_attribution(records)]
-        )
-    return render_flight_events(records)
+    return render_events(events)
 
 
 def _demo() -> str:
-    """Run a tiny traced workload and render its spans."""
+    """Run a tiny traced workload and render its flight recorder."""
     from repro.workload.scenario import run_scenario
 
     result = run_scenario(seed=7, ops=60, threads=2, op_tracing=True)
-    spans = [s.as_dict() for s in result.db.spans.completed()]
-    parts = [render_span_table(spans), render_span_attribution(spans)]
-    if result.db.flightrec is not None:
-        parts.append(
-            render_flight_events(
-                [e.as_dict() for e in result.db.flightrec.events()],
-                limit=12,
-            )
-        )
-    return "\n\n".join(parts)
+    return render_events([e.as_dict() for e in result.db.flightrec.events()])
 
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="pretty-print op-span / flight-recorder JSONL"
+        description="pretty-print flight-recorder JSONL: spans + black box"
     )
     parser.add_argument(
-        "paths", nargs="*", help="JSONL files to render (auto-detected)"
+        "paths", nargs="*", help="flight-recorder JSONL dumps to render"
     )
     parser.add_argument(
         "--demo",

@@ -160,20 +160,19 @@ class RestartRecovery:
         self._undo(att)
         self._finalize(att)
         metrics.histogram("recovery.undo_ns").record(perf_counter_ns() - t2)
-        if self.db.flightrec is not None:
-            self.db.flightrec.record(
-                "db.recovered",
-                analyzed=report.analyzed_records,
-                redone=report.redone_records,
-                undone=report.undone_records,
-                losers=sorted(report.losers),
-                tail_dropped=report.tail_records_dropped,
-                torn_healed=report.torn_pages_healed,
-                pages_read=report.pages_read,
-                pages_written=report.pages_written,
-                redo_skipped=report.redo_skipped,
-                checkpoint_begin_lsn=report.checkpoint_begin_lsn,
-            )
+        self.db.flightrec.record(
+            "db.recovered",
+            analyzed=report.analyzed_records,
+            redone=report.redone_records,
+            undone=report.undone_records,
+            losers=sorted(report.losers),
+            tail_dropped=report.tail_records_dropped,
+            torn_healed=report.torn_pages_healed,
+            pages_read=report.pages_read,
+            pages_written=report.pages_written,
+            redo_skipped=report.redo_skipped,
+            checkpoint_begin_lsn=report.checkpoint_begin_lsn,
+        )
         return report
 
     # ------------------------------------------------------------------

@@ -186,8 +186,6 @@ def run_scenario(
 
 def _dump_blackbox(db: Database, seed: int) -> str | None:
     """Dump the flight recorder for a crashed scenario, best effort."""
-    if db.flightrec is None:
-        return None
     import os
     import sys
     import tempfile
@@ -296,15 +294,17 @@ def _run_scenario_body(
                 )
 
         try:
-            run_with_retry(attempt, attempts=attempts)
+            # A deadlock victim's immediate retry takes a fresh, younger
+            # xid and is picked as victim again; a jittered backoff lets
+            # the survivor finish first.
+            run_with_retry(attempt, attempts=attempts, base_backoff=0.001)
         except Exception as exc:
             with errors_lock:
                 result.dropped += 1
                 result.errors.append(f"{op.kind} {op.rid!r}: {exc!r}")
-            if db.flightrec is not None:
-                db.flightrec.record(
-                    "scenario.op_dropped", kind=op.kind, error=repr(exc)
-                )
+            db.flightrec.record(
+                "scenario.op_dropped", kind=op.kind, error=repr(exc)
+            )
 
     def worker(bucket: list[Op]) -> None:
         for op in bucket:

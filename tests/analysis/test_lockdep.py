@@ -13,6 +13,7 @@ from repro.errors import LockTimeoutError
 from repro.ext.btree import BTreeExtension
 from repro.lock.manager import LockManager
 from repro.lock.modes import LockMode
+from repro.obs.flightrec import FlightRecorder
 from repro.storage.disk import PageStore
 from repro.storage.page import PageKind
 from repro.sync.hooks import Hooks, make_barrier_hook
@@ -34,7 +35,7 @@ def _drain_seeded_violations():
 
 
 def test_three_thread_abba_cycle_reported_without_deadlocking():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     latches = {
         name: SXLatch(name=name, witness=witness) for name in "ABC"
     }
@@ -73,7 +74,7 @@ def test_three_thread_abba_cycle_reported_without_deadlocking():
 
 
 def test_consistent_order_produces_no_cycle():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     a = SXLatch(name="A", witness=witness)
     b = SXLatch(name="B", witness=witness)
     for _ in range(3):
@@ -83,7 +84,7 @@ def test_consistent_order_produces_no_cycle():
 
 
 def test_out_of_order_release_is_legal_crabbing():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     witness.note_acquired("latch", "parent")
     witness.note_acquired("latch", "child")
     # hand-over-hand: parent released first, child still held
@@ -100,7 +101,7 @@ def test_out_of_order_release_is_legal_crabbing():
 
 def test_wal_rule_violation_on_underflushed_write():
     store = PageStore(page_capacity=4)
-    witness = LockdepWitness(flushed_lsn=lambda: 5)
+    witness = LockdepWitness(FlightRecorder(), flushed_lsn=lambda: 5)
     store.witness = witness
     page = store.new_page(PageKind.LEAF)
     page.page_lsn = 9
@@ -112,7 +113,7 @@ def test_wal_rule_violation_on_underflushed_write():
 
 def test_wal_rule_silent_when_log_covers_page():
     store = PageStore(page_capacity=4)
-    witness = LockdepWitness(flushed_lsn=lambda: 100)
+    witness = LockdepWitness(FlightRecorder(), flushed_lsn=lambda: 100)
     store.witness = witness
     page = store.new_page(PageKind.LEAF)
     page.page_lsn = 9
@@ -126,7 +127,7 @@ def test_wal_rule_silent_when_log_covers_page():
 
 
 def test_latch_held_across_lock_wait_is_hard_violation():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     locks = LockManager(default_timeout=0.05)
     locks.witness = witness
     locks.acquire("t1", "k", LockMode.X)
@@ -143,7 +144,7 @@ def test_latch_held_across_lock_wait_is_hard_violation():
 
 
 def test_unlatched_lock_wait_is_not_a_violation():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     locks = LockManager(default_timeout=0.05)
     locks.witness = witness
     locks.acquire("t1", "k", LockMode.X)
@@ -154,7 +155,7 @@ def test_unlatched_lock_wait_is_not_a_violation():
 
 def test_io_under_latch_is_warning_not_violation():
     store = PageStore(page_capacity=4)
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     store.witness = witness
     page = store.new_page(PageKind.LEAF)
     store.write(page)
@@ -173,7 +174,7 @@ def test_io_under_latch_is_warning_not_violation():
 
 
 def test_leaked_latch_reported_until_released():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     latch = SXLatch(name="leaky", witness=witness)
     leaked_latch.leak(latch, LatchMode.S, lambda: None)
     me = threading.get_ident()
@@ -264,7 +265,7 @@ def test_restart_inherits_protocol_checks():
 
 
 def test_drain_new_reports_each_violation_once():
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     witness.note_acquired("latch", "A")
     witness.note_lock_wait("some-lock")
     witness.note_released("latch", "A")

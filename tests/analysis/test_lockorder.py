@@ -12,6 +12,7 @@ from pathlib import Path
 from repro.analysis import lockorder
 from repro.analysis.common import iter_py_files
 from repro.analysis.lockdep import LockdepWitness
+from repro.obs.flightrec import FlightRecorder
 from repro.sync.latch import LatchMode, SXLatch
 from tests.analysis.fixtures import abba_order
 
@@ -121,7 +122,7 @@ def test_static_graph_covers_runtime_witness(monkeypatch, shipped) -> None:
     prong sees all acquisition sites, the runtime prong only the
     executed interleavings."""
     monkeypatch.setenv("REPRO_PROTOCOL_CHECKS", "1")
-    witness = LockdepWitness()
+    witness = LockdepWitness(FlightRecorder())
     a = SXLatch(name="A", witness=witness)
     b = SXLatch(name="B", witness=witness)
     barrier = threading.Barrier(2)

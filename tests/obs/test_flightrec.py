@@ -159,7 +159,7 @@ class TestBlackBox:
 class TestDatabaseWiring:
     def test_on_by_default_and_records_txn_boundaries(self):
         db = Database(page_capacity=8)
-        assert db.flightrec is not None
+        assert isinstance(db.flightrec, FlightRecorder)
         tree = db.create_tree("t", BTreeExtension())
         txn = db.begin()
         tree.insert(txn, 1, "r1")
@@ -171,14 +171,6 @@ class TestDatabaseWiring:
         assert "txn.begin" in names
         assert "txn.commit" in names
         assert "txn.abort" in names
-
-    def test_can_be_disabled(self):
-        db = Database(page_capacity=8, flight_recorder=False)
-        assert db.flightrec is None
-        tree = db.create_tree("t", BTreeExtension())
-        txn = db.begin()
-        tree.insert(txn, 1, "r1")
-        db.commit(txn)
 
     def test_database_black_box_is_bounded(self):
         db = Database(page_capacity=8)

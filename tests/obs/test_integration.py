@@ -7,10 +7,12 @@ README.md's "Observability" section.
 """
 
 import json
+from functools import partial
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
 from repro.gist.maintenance import vacuum
+from repro.obs.metrics import MetricsRegistry
 from repro.tools.inspect import dump_stats
 
 
@@ -184,8 +186,14 @@ class TestRestartContinuity:
 
 
 class TestDisabledEndToEnd:
-    def test_disabled_database_works_and_reports_nothing(self):
-        db = Database(page_capacity=4, metrics_enabled=False)
+    def test_disabled_database_works_and_reports_nothing(self, monkeypatch):
+        # the metrics call budget's reference: the same assembly over a
+        # disabled registry
+        monkeypatch.setattr(
+            "repro.database.MetricsRegistry",
+            partial(MetricsRegistry, enabled=False),
+        )
+        db = Database(page_capacity=4)
         tree = db.create_tree("quiet", BTreeExtension())
         run_workload(db, tree, n=30)
         assert db.metrics.snapshot() == {}

@@ -11,12 +11,15 @@ function calls.  Wall-clock cost is what the ``bench/`` ladder measures.
 from __future__ import annotations
 
 import cProfile
+from functools import partial
 
 import pytest
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension
 from repro.harness.driver import TransactionalDriver
+from repro.obs import flightrec
+from repro.obs.metrics import MetricsRegistry
 from repro.workload.generator import MixSpec, ScalarWorkload
 
 PRELOAD = 200
@@ -28,17 +31,26 @@ METRICS_CALL_BUDGET = 1.05
 FLIGHT_CALL_BUDGET = 1.0122
 
 
-def run_probe(**db_kwargs) -> tuple[int, Database]:
+def run_probe(*, null_metrics: bool = False, **db_kwargs) -> tuple[list, Database]:
     """Profile the deterministic single-thread op mix.
 
     Same seed, same op sequence, one thread, no I/O delay — the only
     difference between two probes is the configuration under test.
-    Returns ``(total_function_calls, db)`` so callers can also gate on
-    the finished run's subsystem state.  The transaction loop runs
+    ``null_metrics`` builds the database over a disabled registry
+    (``MetricsRegistry(enabled=False)``: shared no-op instruments, no
+    clock reads), the metrics budget's reference.  Returns the
+    profile's per-function entries and the finished ``db``, so callers
+    can also gate on its subsystem state.  The transaction loop runs
     inline rather than through the driver because cProfile observes
     only the calling thread.
     """
-    db = Database(page_capacity=8, pool_capacity=40, **db_kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        if null_metrics:
+            patch.setattr(
+                "repro.database.MetricsRegistry",
+                partial(MetricsRegistry, enabled=False),
+            )
+        db = Database(page_capacity=8, pool_capacity=40, **db_kwargs)
     tree = db.create_tree("obs", BTreeExtension())
     workload = ScalarWorkload(
         seed=17,
@@ -57,30 +69,52 @@ def run_probe(**db_kwargs) -> tuple[int, Database]:
             driver._apply(txn, op)
         db.commit(txn)
     profile.disable()
-    return sum(entry.callcount for entry in profile.getstats()), db
+    return profile.getstats(), db
+
+
+def total_calls(stats: list) -> int:
+    """Every function call the probe made."""
+    return sum(entry.callcount for entry in stats)
+
+
+def recorder_calls(stats: list) -> int:
+    """The calls inside ``FlightRecorder.record``'s subtree: functions
+    in ``obs/flightrec.py`` plus the builtins they call (the recorder
+    calls no other Python code)."""
+    calls = 0
+    for entry in stats:
+        code = entry.code
+        if isinstance(code, str) or code.co_filename != flightrec.__file__:
+            continue
+        calls += entry.callcount
+        calls += sum(
+            sub.callcount for sub in entry.calls or () if isinstance(sub.code, str)
+        )
+    return calls
 
 
 @pytest.fixture(scope="module")
 def probe():
     """:func:`run_probe`, each configuration run once per module."""
-    runs: dict[tuple, tuple[int, Database]] = {}
+    runs: dict[tuple, tuple[list, Database]] = {}
 
-    def cached(**db_kwargs) -> tuple[int, Database]:
-        key = tuple(sorted(db_kwargs.items()))
+    def cached(**kwargs) -> tuple[list, Database]:
+        key = tuple(sorted(kwargs.items()))
         if key not in runs:
-            runs[key] = run_probe(**db_kwargs)
+            runs[key] = run_probe(**kwargs)
         return runs[key]
 
     return cached
 
 
 def test_metrics_call_budget(probe):
-    calls_off, db_off = probe(metrics_enabled=False)
-    calls_on, db_on = probe()
+    stats_off, db_off = probe(null_metrics=True)
+    stats_on, db_on = probe()
     # the arms differ the way we think they do
     assert db_off.metrics.snapshot() == {}
     snap = db_on.metrics.snapshot()
     assert snap["buffer"]["hits"] > 0 and snap["latch"]["acquisitions"] > 0
+    calls_on, calls_off = total_calls(stats_on), total_calls(stats_off)
     ratio = calls_on / calls_off
     assert ratio < METRICS_CALL_BUDGET, (
         f"metrics layer: {calls_on} calls vs {calls_off} without "
@@ -89,13 +123,14 @@ def test_metrics_call_budget(probe):
 
 
 def test_flight_recorder_call_budget(probe):
-    calls_off, db_off = probe(flight_recorder=False)
-    calls_on, db_on = probe()
-    assert db_off.flightrec is None
-    assert db_on.flightrec.writes() > 0
+    stats, db = probe()
+    recorded = recorder_calls(stats)
+    assert db.flightrec.writes() > 0 and recorded > 0
+    calls_on = total_calls(stats)
+    calls_off = calls_on - recorded
     ratio = calls_on / calls_off
     assert ratio < FLIGHT_CALL_BUDGET, (
-        f"flight recorder: {calls_on} calls vs {calls_off} without "
+        f"flight recorder: {recorded} of {calls_on} calls "
         f"({(ratio - 1) * 100:.2f}% extra, budget "
         f"{(FLIGHT_CALL_BUDGET - 1) * 100:.2f}%)"
     )
@@ -103,13 +138,15 @@ def test_flight_recorder_call_budget(probe):
 
 def test_spans_fully_dormant_when_off(probe):
     """``op_tracing=False`` (the default) leaves no tracker, no ``op.*``
-    aggregate, and — against an identical traced run — not one extra
-    flight-recorder write: span accounting lives on the thread-local
-    span object, never on the ring."""
-    _calls_off, db_off = probe()
-    _calls_on, db_on = probe(op_tracing=True)
+    aggregate, and — against an identical traced run — exactly one
+    fewer flight-recorder write per span: a span reaches the ring only
+    as its one ``op.<kind>`` event, its attribution stays on the
+    thread-local span object."""
+    _stats_off, db_off = probe()
+    _stats_on, db_on = probe(op_tracing=True)
     assert db_off.spans is None
     assert "op" not in db_off.metrics.snapshot()
-    assert db_on.spans.started > 0
-    assert "op" in db_on.metrics.snapshot()
-    assert db_off.flightrec.writes() == db_on.flightrec.writes()
+    ops = db_on.metrics.snapshot()["op"]
+    finished = sum(kind["count"] for kind in ops.values())
+    assert finished > 0
+    assert db_on.flightrec.writes() == db_off.flightrec.writes() + finished

@@ -4,6 +4,7 @@ import inspect
 
 from repro.database import Database
 from repro.ext.btree import BTreeExtension, Interval
+from repro.obs.spans import spans_from_events
 
 
 def _crash_restart(db, **config):
@@ -29,7 +30,8 @@ class TestRestartPropagation:
         txn = db2.begin()
         tree.insert(txn, 2, "r2")
         db2.commit(txn)
-        assert any(s.kind == "insert" for s in db2.spans.completed())
+        spans = spans_from_events(e.as_dict() for e in db2.flightrec.events())
+        assert any(s["kind"] == "insert" for s in spans)
 
     def test_tracing_off_stays_off(self):
         db = Database(page_capacity=8)
@@ -49,15 +51,8 @@ class TestRestartPropagation:
         db = Database(page_capacity=8)
         db.create_tree("t", BTreeExtension())
         db2 = _crash_restart(db)
-        assert db2.flight_recorder_enabled is True
         # same instance: the black box is the external observer
         assert db2.flightrec is db.flightrec
-
-    def test_disabled_flight_recorder_stays_disabled(self):
-        db = Database(page_capacity=8, flight_recorder=False)
-        db.create_tree("t", BTreeExtension())
-        db2 = _crash_restart(db)
-        assert db2.flightrec is None
 
     def test_wal_tracker_is_rebound_not_stale(self):
         # restart with tracing toggled off must not leave the new log
@@ -86,10 +81,8 @@ _NOT_FORWARDED = {
 _NON_DEFAULT = {
     "pool_capacity": 40,
     "lock_timeout": 1.5,
-    "metrics_enabled": False,
     "protocol_checks": True,
     "op_tracing": True,
-    "flight_recorder": False,
 }
 
 
@@ -97,7 +90,7 @@ def test_every_knob_survives_restart(monkeypatch):
     """Walks the constructor signature, so a knob added without
     ``restart`` forwarding (or without a value here) fails."""
     knobs = set(inspect.signature(Database.__init__).parameters)
-    assert len(knobs - {"self"}) == 11
+    assert len(knobs - {"self"}) == 9
     assert knobs - {"self"} - _NOT_FORWARDED == set(_NON_DEFAULT)
     db = Database(page_capacity=8, **_NON_DEFAULT)
     db.create_tree("t", BTreeExtension())

@@ -36,10 +36,22 @@ class TestOfferTake:
 
     def test_offer_never_blocks(self):
         q = AdmissionQueue("point", 1)
+        waits = []
+        cond_wait = q._cond.wait
+
+        def counting_wait(timeout=None):
+            waits.append(timeout)
+            return cond_wait(timeout)
+
+        q._cond.wait = counting_wait
         q.offer(_ticket(0))
-        start = time.monotonic()
+        # a full queue refuses without one condition wait
         assert q.offer(_ticket(1)) is False
-        assert time.monotonic() - start < 0.05
+        assert waits == []
+        # the spy sees the wait a taker on an empty queue does make
+        q.take()
+        assert q.take(timeout=0.001) is None
+        assert waits == [0.001]
 
     def test_take_timeout_returns_none(self):
         q = AdmissionQueue("point", 4)

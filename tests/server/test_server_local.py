@@ -271,10 +271,25 @@ class TestStop:
     def test_stop_is_prompt_and_leaves_no_server_thread(self, backend):
         before = set(threading.enumerate())
         srv = DatabaseServer(backend, port=0).start()
-        start = time.monotonic()
+        # every join stop() makes, and whether it returned on timeout
+        # (the thread still alive) rather than on the thread's exit
+        joins = []
+
+        def spy(thread):
+            join = thread.join
+
+            def counted(timeout=None):
+                join(timeout)
+                joins.append((thread.name, thread.is_alive()))
+
+            thread.join = counted
+
+        for thread in srv._threads:
+            spy(thread)
         srv.stop()
         # a blocked accept() used to outlive the 2 s join timeout
-        assert time.monotonic() - start < 0.5
+        assert len(joins) == len(srv._threads) > 0
+        assert [name for name, alive in joins if alive] == []
         left = [
             t.name
             for t in threading.enumerate()

@@ -1,6 +1,7 @@
 """Trace pretty-printer CLI."""
 
 from repro.obs.flightrec import FlightRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracker
 from repro.tools.trace import (
     main,
@@ -62,13 +63,23 @@ class TestRendering:
 
 
 class TestAutodetect:
+    """One file format: a flight dump renders in both views."""
+
     def test_renders_span_export(self, tmp_path):
-        tracker = SpanTracker()
-        tracker.finish(tracker.begin("insert", tree="t"))
-        path = tracker.export_jsonl(str(tmp_path / "spans.jsonl"))
+        fr = FlightRecorder()
+        tracker = SpanTracker(MetricsRegistry(), fr)
+        span = tracker.begin("insert", tree="t")
+        fr.record("gist.split", pid=4)
+        tracker.finish(span)
+        path = fr.dump(str(tmp_path / "box.jsonl"))
         out = render_file(path)
-        assert "op spans" in out
+        assert "op spans (1 total" in out
         assert "latency attribution" in out
+        # the split shows under its span and in the black box, which
+        # leaves the span's own op.insert event to the span view
+        (row,) = [line for line in out.splitlines() if " insert " in line]
+        assert row.rstrip().endswith("gist.split")
+        assert "flight recorder (1 events)" in out
 
     def test_renders_flight_dump(self, tmp_path):
         fr = FlightRecorder()
@@ -99,6 +110,20 @@ class TestCli:
             assert exc.code != 0
         else:  # pragma: no cover - argparse always exits
             raise AssertionError("expected SystemExit")
+
+    def test_traced_run_dump_renders_both_views(self, tmp_path, capsys):
+        from repro.workload.scenario import run_scenario
+
+        result = run_scenario(
+            seed=2, ops=30, threads=2, preload=40, op_tracing=True
+        )
+        path = result.db.flightrec.dump(str(tmp_path / "box.jsonl"))
+        assert main([path]) == 0
+        out = capsys.readouterr().out
+        assert "op spans" in out and "latency attribution" in out
+        assert "flight recorder" in out and "txn.commit" in out
+        # a preload of 40 into 16-entry pages splits under a span
+        assert "gist.split" in out
 
     def test_demo_mode(self, capsys):
         assert main(["--demo"]) == 0

@@ -77,7 +77,11 @@ class TestRunScenario:
         )
         assert result.ok
         assert result.db.spans is not None
-        kinds = {s.kind for s in result.db.spans.completed()}
+        kinds = {
+            e.data["kind"]
+            for e in result.db.flightrec.events()
+            if e.name.startswith("op.")
+        }
         assert "commit" in kinds
 
     def test_history_reaches_the_oracle_with_intervals(self):
