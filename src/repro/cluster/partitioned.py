@@ -183,10 +183,7 @@ class PartitionedDatabase:
                 if isinstance(v, (int, float, str, bool, type(None)))
             },
             "catalog": {
-                name: {
-                    "unique": spec.unique,
-                    "nsn_source": spec.nsn_source,
-                }
+                name: {"unique": spec.unique}
                 for name, spec in self.catalog.items()
             },
         }
@@ -235,11 +232,7 @@ class PartitionedDatabase:
         cluster.breaker_threshold = breaker_threshold
         cluster.breaker_cooldown = breaker_cooldown
         cluster.catalog = {
-            name: TreeSpec(
-                extension=extensions[name],
-                unique=entry["unique"],
-                nsn_source=entry["nsn_source"],
-            )
+            name: TreeSpec(extension=extensions[name], unique=entry["unique"])
             for name, entry in manifest["catalog"].items()
         }
         cluster.metrics = MetricsRegistry()
@@ -505,14 +498,11 @@ class PartitionedDatabase:
         extension,
         *,
         unique: bool = False,
-        nsn_source: str = "counter",
     ) -> None:
         """Create ``name`` on every partition (broadcast DDL)."""
         if name in self.catalog:
             raise ClusterError(f"tree {name!r} already exists")
-        spec = TreeSpec(
-            extension=extension, unique=unique, nsn_source=nsn_source
-        )
+        spec = TreeSpec(extension=extension, unique=unique)
         acked = self._scatter(
             list(range(self.partitions)),
             {

@@ -38,7 +38,6 @@ class TreeSpec:
 
     extension: object
     unique: bool = False
-    nsn_source: str = "counter"
 
 
 @dataclass
@@ -101,12 +100,7 @@ class PartitionWorker:
         # kill before the first commit still recovers the catalog.
         db = Database(**config.db_config)
         for name, spec in config.catalog.items():
-            db.create_tree(
-                name,
-                spec.extension,
-                unique=spec.unique,
-                nsn_source=spec.nsn_source,
-            )
+            db.create_tree(name, spec.extension, unique=spec.unique)
         db.log.flush()
         self.shadow.append_durable(db.log)
         return db
@@ -164,12 +158,7 @@ class PartitionWorker:
     def _do_create_tree(self, payload: tuple) -> bool:
         name, spec = payload
         self.config.catalog[name] = spec
-        self.db.create_tree(
-            name,
-            spec.extension,
-            unique=spec.unique,
-            nsn_source=spec.nsn_source,
-        )
+        self.db.create_tree(name, spec.extension, unique=spec.unique)
         self.db.log.flush()
         self.shadow.append_durable(self.db.log)
         return True

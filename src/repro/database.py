@@ -225,9 +225,12 @@ class Database:
         extension: GiSTExtension,
         *,
         unique: bool = False,
-        nsn_source: str = "counter",
     ) -> GiST:
-        """Create a new (empty) GiST index."""
+        """Create a new (empty) GiST index.
+
+        Its node sequence numbers are LSNs (section 10.1): a split's new
+        NSN is the LSN of its own split record.
+        """
         if name in self.trees:
             raise ReproError(f"tree {name!r} already exists")
         root_pid = self.store.allocate()
@@ -237,7 +240,6 @@ class Database:
             name=name,
             root_pid=root_pid,
             unique=unique,
-            nsn_source=nsn_source,
         )
         root = Page(
             pid=root_pid,
@@ -255,14 +257,7 @@ class Database:
         finally:
             frame.latch.release()
         self.log.flush(lsn)
-        tree = GiST(
-            self,
-            name,
-            extension,
-            root_pid,
-            unique=unique,
-            nsn_source=nsn_source,
-        )
+        tree = GiST(self, name, extension, root_pid, unique=unique)
         self.trees[name] = tree
         return tree
 
@@ -656,7 +651,6 @@ class Database:
                 name: {
                     **tree.stats.snapshot(),
                     "predicates": tree.predicates.stats.snapshot(),
-                    "nsn_reads": tree.nsn.global_reads,
                 }
                 for name, tree in self.trees.items()
             },

@@ -17,7 +17,7 @@ Checked invariants:
    downlinks;
 3. each node's stored BP covers all of its (live) content;
 4. rightlink chains are acyclic and stay within one level;
-5. NSNs never exceed the current global counter value;
+5. NSNs never exceed the end-of-log LSN (NSNs are LSNs, section 10.1);
 6. the leaves partition the RID set: no RID appears twice (section 2);
 7. every leaf entry is reachable by a search with its own key;
 8. in a tree whose extension declares an order, every node's entries
@@ -194,12 +194,12 @@ def _check_rid_partition(tree, pages, report) -> None:
 
 
 def _check_nsns(tree, pages, report) -> None:
-    current = tree.nsn.current()
+    end_lsn = tree.db.log.end_lsn
     for pid, page in pages.items():
-        if page.nsn > current:
+        if page.nsn > end_lsn:
             report.fail(
-                f"page {pid} NSN {page.nsn} exceeds global counter "
-                f"{current}"
+                f"page {pid} NSN {page.nsn} exceeds the end of the log "
+                f"{end_lsn}"
             )
 
 

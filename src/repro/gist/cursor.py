@@ -1,7 +1,7 @@
 """Search (Figure 3) as an incremental, savepoint-restorable cursor.
 
 The cursor owns the traversal stack of Figure 3: entries are ``(page
-pointer, memorized counter value)`` pairs; a node whose NSN exceeds the
+pointer, memorized LSN)`` pairs; a node whose NSN exceeds the
 memorized value has split since the pointer was stacked, and the cursor
 compensates by stacking the rightlink with the *original* memo (so the
 whole split chain is covered, however many times the node split).
@@ -99,9 +99,8 @@ class SearchCursor:
             self._own_plock = True
         else:
             self.plock = None
-        memo = tree.nsn.current()
         self.stack: list[StackEntry] = [
-            tree._stack_pointer(txn, tree.root_pid, memo)
+            tree._stack_pointer(txn, tree.root_pid, tree.db.log.end_lsn)
         ]
         #: (key, RID) pairs already processed — dedup across rescans
         #: (footnote 9 dedupes by data RID; we key by the full pair so a
@@ -228,7 +227,9 @@ class SearchCursor:
                     break
                 self._block_on_rid(blocked_rid)
                 continue  # rescan the leaf, dedup via self.seen
-            child_memo = tree.nsn.memo_for_children(page)
+            # the parent's LSN exceeds any child NSN it reflects
+            # (footnote 13; repro.gist.tree says why it holds)
+            child_memo = page.page_lsn
             consistent, query = tree.ext.consistent, self.query
             # Every entry up to the query's upper bound is tested: the
             # first inconsistent one ends nothing, as sibling BPs of a

@@ -2,9 +2,9 @@
 
 Both search (Figure 3) and insertion (Figure 4) remember, for every node
 pointer they intend to visit or may have to revisit, the page id together
-with a *memorized sequence number*: the value of the tree-global counter
-(or, with the LSN optimization of section 10.1, the parent's page LSN) as
-of the moment the pointer was read.  Comparing it against the node's NSN
+with a *memorized sequence number*: the parent's page LSN as of the
+moment the pointer was read, or the end-of-log LSN for the root (NSNs
+are LSNs, section 10.1).  Comparing it against the node's NSN
 at visit time is what makes missed splits detectable.
 """
 
@@ -19,7 +19,7 @@ from repro.storage.page import PageId
 class StackEntry:
     """One stacked node pointer.
 
-    ``memo`` is the memorized global-counter value for split detection.
+    ``memo`` is the memorized LSN for split detection.
     For insertion stacks (the path of visited ancestors), ``nsn_seen``
     additionally records the node's NSN at visit time, which the back-up
     phases compare to decide whether the ancestor itself has split since

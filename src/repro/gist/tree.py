@@ -45,6 +45,14 @@ Protocol rules enforced throughout:
 * **Structure modifications are atomic actions** (nested top actions,
   section 9.1): individually committed, two-phase-latched, and invisible
   to the rollback of the transaction that executed them.
+* **NSNs are LSNs** (section 10.1): a split's new NSN is the LSN of its
+  own split record, an operation memorises the end-of-log LSN at the
+  root, and a child pointer is memorised with its parent's page LSN.
+  The parent's LSN exceeds any child NSN it reflects (footnote 13):
+  :meth:`GiST._split_node` latches the parent before the split record
+  exists and keeps it latched until the downlink is installed, so the
+  parent's LSN passes the split's only in the same atomic action that
+  links the sibling in.  The NSNs are recovered with the log itself.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ from repro.errors import (
 )
 from repro.gist.cursor import SearchCursor
 from repro.gist.extension import GiSTExtension
-from repro.gist.nsn import CounterNSN, LSNBasedNSN, NSNSource
 from repro.gist.stack import StackEntry
 from repro.gist.stats import OpEnvelope, TreeStats
 from repro.lock.modes import LockMode
@@ -121,7 +128,6 @@ class GiST:
         root_pid: PageId,
         *,
         unique: bool = False,
-        nsn_source: str = "counter",
     ) -> None:
         self.db = db
         self.name = name
@@ -137,13 +143,6 @@ class GiST:
         self._h_search_ns = self.metrics.histogram("gist.op.search_ns")
         self._h_insert_ns = self.metrics.histogram("gist.op.insert_ns")
         self._h_delete_ns = self.metrics.histogram("gist.op.delete_ns")
-        if nsn_source == "lsn":
-            self.nsn: NSNSource = LSNBasedNSN(db.log)
-        elif nsn_source == "counter":
-            self.nsn = CounterNSN()
-        else:
-            raise ReproError(f"unknown nsn_source {nsn_source!r}")
-        self.nsn_source = nsn_source
 
     # ------------------------------------------------------------------
     # lock naming
@@ -317,7 +316,7 @@ class GiST:
         batch.  All of a leaf's targeted entries are marked with a
         single batched WAL append.  Returns the targets *not* found.
         """
-        memo = self.nsn.current()
+        memo = self.db.log.end_lsn
         stack = [self._stack_pointer(txn, self.root_pid, memo)]
         missing = set(targets)
         rids = {rid for _, rid in missing}
@@ -402,7 +401,7 @@ class GiST:
                         "delete:marked", pid=page.pid, rid=record.rid
                     )
                 return
-            child_memo = self.nsn.memo_for_children(page)
+            child_memo = page.page_lsn
             consistent = self.ext.consistent
             bounds = self.query_bounds(query)
             entries = page.entries if bounds is None else page.candidates(*bounds)
@@ -610,7 +609,7 @@ class GiST:
         penalty = self.ext.penalty
         bounds = self.query_bounds(key)
         stack: list[StackEntry] = []
-        entry = self._stack_pointer(txn, self.root_pid, self.nsn.current())
+        entry = self._stack_pointer(txn, self.root_pid, self.db.log.end_lsn)
         while True:
             pid, memo = entry.pid, entry.memo
             frame = pool.fix(pid, LatchMode.S)
@@ -653,7 +652,7 @@ class GiST:
                 self._release_path_signaling(txn, stack)
                 stack.clear()
                 entry = self._stack_pointer(
-                    txn, self.root_pid, self.nsn.current()
+                    txn, self.root_pid, self.db.log.end_lsn
                 )
                 continue
             # The pointer that led here becomes the path entry of the
@@ -679,8 +678,9 @@ class GiST:
                         best, best_penalty = node_entry, entry_penalty
                         if entry_penalty == 0:
                             break
-            child_memo = self.nsn.memo_for_children(page)
-            entry = self._stack_pointer(txn, best.child, child_memo)
+            # the parent's LSN exceeds any child NSN it reflects
+            # (footnote 13; see the module docstring for why)
+            entry = self._stack_pointer(txn, best.child, page.page_lsn)
             pool.unfix(frame)
 
     def _choose_in_chain(
@@ -825,11 +825,10 @@ class GiST:
                 capacity=page.capacity,
             )
             lsn = log.append(split_rec)
-            # Section 3: increment the global counter, stamp the new value
-            # on the ORIGINAL node; the sibling inherits the old NSN and
-            # rightlink.  (With the LSN source the split record's own LSN is
-            # the new value.)
-            split_rec.new_nsn = self.nsn.next_for_split(lsn)
+            # Section 3: stamp a new NSN on the ORIGINAL node, the
+            # split record's own LSN (section 10.1); the sibling
+            # inherits the old NSN and rightlink.
+            split_rec.new_nsn = lsn
             split_rec.redo_page(page)
             frame.mark_dirty(lsn)
             split_rec.redo_page(new_page)
@@ -969,7 +968,7 @@ class GiST:
             # Only now the record: all three pages are resident and
             # X-latched before it exists (BufferPool.dirty_page_table).
             lsn = log.append(rec)
-            rec.new_nsn = self.nsn.next_for_split(lsn)
+            rec.new_nsn = lsn
             for target_frame in (frame, left_frame, right_frame):
                 rec.redo_page(target_frame.page)
                 target_frame.mark_dirty(lsn)

@@ -42,7 +42,7 @@ def dump_tree(tree: "GiST", *, max_entries: int = 6) -> str:
     pool = tree.db.pool
     lines = [
         f"tree {tree.name!r} (root pid {tree.root_pid}, "
-        f"extension {tree.ext.name}, nsn_source {tree.nsn_source})"
+        f"extension {tree.ext.name})"
     ]
 
     def render(pid: PageId, depth: int, seen: set[PageId]) -> None:

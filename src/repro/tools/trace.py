@@ -14,9 +14,9 @@ Usage::
     PYTHONPATH=src python -m repro.tools.trace blackbox.jsonl
     PYTHONPATH=src python -m repro.tools.trace --demo
 
-``--demo`` runs a small seeded traced workload and renders both views
-from its database's flight recorder — a zero-setup way to see what
-``op_tracing=True`` buys.
+``--demo`` runs a small seeded traced workload, dumps its database's
+flight recorder to a temporary file and renders both views from that
+file — a zero-setup way to see what ``op_tracing=True`` buys.
 """
 
 from __future__ import annotations
@@ -141,11 +141,18 @@ def render_file(path: str) -> str:
 
 
 def _demo() -> str:
-    """Run a tiny traced workload and render its flight recorder."""
+    """Run a tiny traced workload, dump its flight recorder to a file
+    and render that file, as a dump taken from a live run would be."""
+    import os
+    import tempfile
+
     from repro.workload.scenario import run_scenario
 
     result = run_scenario(seed=7, ops=60, threads=2, op_tracing=True)
-    return render_events([e.as_dict() for e in result.db.flightrec.events()])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "demo.jsonl")
+        result.db.flightrec.dump(path)
+        return render_file(path)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,8 +3,8 @@
 An append-only, in-memory write-ahead log with an explicit durability
 boundary: records with ``lsn <= flushed_lsn`` survive a crash, the rest
 are lost (:meth:`LogManager.crash` truncates to the boundary).  LSNs are
-monotonically increasing integers starting at 1, which also makes them a
-valid NSN source (the section 10.1 optimization).
+monotonically increasing integers starting at 1, which is what lets the
+tree use them as its NSNs (the section 10.1 optimization).
 
 The manager keeps the per-transaction backchain (``prev_lsn``) and
 implements **nested top actions**: :meth:`begin_nta` memorizes the

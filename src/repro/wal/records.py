@@ -217,7 +217,6 @@ class TreeCreateRecord(LogRecord):
     name: str = ""
     root_pid: PageId = NO_PAGE
     unique: bool = False
-    nsn_source: str = "counter"
 
     def affected_pages(self) -> Sequence[PageId]:
         """Pages whose images this record's redo touches."""

@@ -3,14 +3,15 @@
 Three passes over the surviving log:
 
 * **Analysis** — rebuild the active-transaction table (losers), the
-  dirty page table (what redo must look at), the tree catalog, the set
-  of committed transactions (garbage collection consults it), and the
-  maximum NSN ever issued (the global counter must be recoverable,
-  section 10.1).  With a checkpoint on record, ATT/DPT scanning starts
-  at its ``begin_lsn``; without one, at LSN 1, which puts every page in
-  the DPT from its first mention.  Catalog and NSN metadata are
-  collected from the whole log (cheap for an in-memory log, and
-  equivalent to keeping them in the checkpoint).
+  dirty page table (what redo must look at), the tree catalog and the
+  set of committed transactions (garbage collection consults it).  NSNs
+  are LSNs (section 10.1), so they need no recovery of their own: a
+  split after restart stamps an LSN above the surviving log.  With a
+  checkpoint on record, ATT/DPT scanning starts at its ``begin_lsn``;
+  without one, at LSN 1, which puts every page in the DPT from its
+  first mention.  The catalog is collected from the whole log (cheap
+  for an in-memory log, and equivalent to keeping it in the
+  checkpoint).
 * **Redo** — repeat history, but only the part the crash left undone:
   from the smallest recLSN on, a record (compensation records included)
   is looked at for an affected page only if the page is in the DPT and
@@ -43,8 +44,6 @@ from repro.wal.records import (
     FreePageRecord,
     GetPageRecord,
     NULL_LSN,
-    RootSplitRecord,
-    SplitRecord,
     TreeCreateRecord,
 )
 
@@ -103,7 +102,6 @@ class RecoveryReport:
     winners: list[int] = field(default_factory=list)
     undone_records: int = 0
     trees: list[str] = field(default_factory=list)
-    max_nsn: int = 0
     #: LSN of the last log record that survived checksum verification
     #: (the durable prefix recovery replayed)
     valid_end_lsn: int = 0
@@ -196,7 +194,7 @@ class RestartRecovery:
                 start = checkpoint.begin_lsn
                 self.report.checkpoint_begin_lsn = start
 
-        # Metadata sweep over the whole log: catalog, NSN maximum, and
+        # Metadata sweep over the whole log: catalog, max xid, and
         # the committed/aborted xid sets (GC visibility needs the full
         # history, not just post-checkpoint commits).
         self._catalog: dict[str, TreeCreateRecord] = {}
@@ -206,10 +204,6 @@ class RestartRecovery:
             max_xid = max(max_xid, record.xid)
             if isinstance(record, TreeCreateRecord):
                 self._catalog[record.name] = record
-            elif isinstance(record, (SplitRecord, RootSplitRecord)):
-                self.report.max_nsn = max(
-                    self.report.max_nsn, record.new_nsn
-                )
             if record.lsn >= start:
                 if record.xid != 0:
                     att[record.xid] = record.lsn
@@ -237,12 +231,7 @@ class RestartRecovery:
                     f"no extension supplied for recovered tree {name!r}"
                 )
             tree = GiST(
-                self.db,
-                name,
-                extension,
-                record.root_pid,
-                unique=record.unique,
-                nsn_source=record.nsn_source or "counter",
+                self.db, name, extension, record.root_pid, unique=record.unique
             )
             self.db.trees[name] = tree
             self.report.trees.append(name)
@@ -376,7 +365,5 @@ class RestartRecovery:
         txns.aborted_xids |= self._aborted | set(att)
         self.report.winners = sorted(self._committed)
         txns.restore_counters(self._max_xid + 1)
-        for tree in self.db.trees.values():
-            tree.nsn.note_recovered(self.report.max_nsn)
         self.db.pool.flush_all()
         self.db.log.flush()

@@ -101,6 +101,19 @@ def _sigstop(cluster, partition):
     )
 
 
+def _frames_sent(cluster, partition):
+    return cluster.supervisor.handles[partition].channel.frames_sent
+
+
+def _assert_failed_fast(cluster, partition, frames_before):
+    """An open breaker refused one call before any RPC: the first
+    timeout's dead worker was neither sent a frame nor respawned."""
+    assert _frames_sent(cluster, partition) == frames_before
+    assert cluster.supervisor.restarts == 0
+    assert cluster.metrics.counter_value("cluster.rpc.timeouts") == 1
+    assert cluster._breakers[partition].rejections == 1
+
+
 class TestClusterTimeouts:
     def test_sigstopped_worker_times_out_not_hangs(self, cluster):
         """The headline regression: a hung worker used to hang forever."""
@@ -121,10 +134,11 @@ class TestClusterTimeouts:
         with pytest.raises(PartitionTimeoutError):
             cluster.get("t", k0)
         assert cluster._breakers[0].state == BreakerState.OPEN
-        start = time.monotonic()
+        sent = _frames_sent(cluster, 0)
         with pytest.raises(CircuitOpenError) as info:
             cluster.get("t", k0)
-        assert time.monotonic() - start < 0.05  # no RPC happened
+        # no RPC happened: not a frame sent, no respawn, no new timeout
+        _assert_failed_fast(cluster, 0, sent)
         assert info.value.retry_after <= 0.4
 
     def test_healthy_partition_unaffected_by_hung_sibling(self, cluster):
@@ -194,15 +208,15 @@ class TestScatterTimeouts:
         _sigstop(cluster, 0)
         with pytest.raises(PartitionTimeoutError):
             cluster.get("t", k0)
-        start = time.monotonic()
+        sent = _frames_sent(cluster, 0)
         with pytest.raises(CircuitOpenError) as info:
             cluster.apply_batch(
                 "t",
                 [("put", k0, "y0"), ("put", k1, "y1")],
             )
-        # the open leg fails fast (no 0.4s deadline wait), and the
-        # healthy leg still committed
-        assert time.monotonic() - start < 0.3
+        # the open leg fails fast (sends nothing, so waits out no 0.4s
+        # deadline), and the healthy leg still committed
+        _assert_failed_fast(cluster, 0, sent)
         assert list(info.value.acked) == [1]
 
     def test_scatter_probe_recovers_after_cooldown(self, cluster):

@@ -61,10 +61,12 @@ class TestSplitMechanics:
         for i in range(4):
             btree.insert(txn, i, f"r{i}")
         # root (a leaf) is now full; the next insert splits it
-        before = btree.nsn.current()
+        before = db.log.end_lsn
         btree.insert(txn, 4, "r4")
         db.commit(txn)
-        assert btree.nsn.current() > before
+        assert db.log.end_lsn > before
+        with db.pool.fixed(btree.root_pid, LatchMode.S) as frame:
+            assert before < frame.page.nsn <= db.log.end_lsn
         assert btree.stats.root_splits == 1
 
     def test_sibling_inherits_old_nsn_and_rightlink(self, db, btree):

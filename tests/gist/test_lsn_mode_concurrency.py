@@ -1,10 +1,10 @@
 """The §10.1 LSN-as-NSN optimization under real concurrency.
 
 The optimization's safety argument (footnote 13) is subtle: memorizing
-the parent's page LSN instead of the global counter is only sound
+the parent's page LSN instead of the end-of-log LSN is only sound
 because a parent that reflects a child's split carries an LSN above the
-child's NSN.  These tests hammer an LSN-sourced tree with concurrent
-splits and verify nothing is ever missed.
+child's NSN.  These tests hammer a tree with concurrent splits and
+verify nothing is ever missed.
 """
 
 import random
@@ -18,7 +18,7 @@ from repro.gist.checker import check_tree
 
 def build():
     db = Database(page_capacity=4, lock_timeout=20.0)
-    tree = db.create_tree("lsn", BTreeExtension(), nsn_source="lsn")
+    tree = db.create_tree("lsn", BTreeExtension())
     return db, tree
 
 

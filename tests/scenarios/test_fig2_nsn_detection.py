@@ -2,8 +2,8 @@
 
 The same interleaving as Figure 1, against the full GiST: a search is
 frozen after it has read the target leaf's parent entry (memorizing the
-global counter value); a concurrent insert splits the leaf, incrementing
-the counter and stamping the new value on the original node; the search
+parent's page LSN); a concurrent insert splits the leaf, stamping its
+split record's LSN on the original node as the new NSN; the search
 resumes, observes ``memorized < NSN``, follows the rightlink, and — per
 Figure 2's bottom panel — stops at the sibling because the sibling's
 inherited NSN is ≤ the memorized value.
@@ -72,11 +72,11 @@ class TestFigure2:
         db.hooks.remove("search:node-visited", gate.block)
 
         follows_before = tree.stats.rightlink_follows
-        nsn_before = tree.nsn.current()
+        nsn_before = db.log.end_lsn
         writer = db.begin()
         tree.insert(writer, lo + 0.5, "racer")
         db.commit(writer)
-        assert tree.nsn.current() > nsn_before  # counter incremented
+        assert db.log.end_lsn > nsn_before  # the split's LSN is newer
 
         gate.open()
         t.join(10.0)
@@ -95,9 +95,9 @@ class TestFigure2:
         assert tree.stats.rightlink_follows > follows_before
 
     def test_nsn_and_rightlink_assignment_on_split(self):
-        """Figure 2's counter mechanics: the original node receives the
-        incremented counter value; the sibling inherits the old NSN and
-        the old rightlink."""
+        """Figure 2's NSN mechanics: the original node receives a new
+        NSN, its split record's LSN (section 10.1); the sibling inherits
+        the old NSN and the old rightlink."""
         db = Database(page_capacity=4)
         tree = db.create_tree("fig2b", BTreeExtension())
         txn = db.begin()
@@ -108,22 +108,22 @@ class TestFigure2:
         with db.pool.fixed(leaf_pid, LatchMode.S) as frame:
             old_nsn = frame.page.nsn
             old_rightlink = frame.page.rightlink
-        counter_before = tree.nsn.current()
+        memo_before = db.log.end_lsn
         txn = db.begin()
         tree.insert(txn, keys[0] + 0.5, "racer")
         db.commit(txn)
         with db.pool.fixed(leaf_pid, LatchMode.S) as frame:
             new_nsn = frame.page.nsn
             sibling_pid = frame.page.rightlink
-        assert new_nsn > counter_before >= old_nsn
+        assert new_nsn > memo_before >= old_nsn
         assert sibling_pid != NO_PAGE
         with db.pool.fixed(sibling_pid, LatchMode.S) as frame:
             assert frame.page.nsn == old_nsn  # inherited
             assert frame.page.rightlink == old_rightlink  # inherited
         # chain-termination rule: a traversal that memorized
-        # counter_before stops at the sibling (nsn <= memo) but follows
+        # memo_before stops at the sibling (nsn <= memo) but follows
         # from the original (nsn > memo)
-        assert old_nsn <= counter_before < new_nsn
+        assert old_nsn <= memo_before < new_nsn
 
     def test_multiple_splits_whole_chain_followed(self):
         """A node may split several times behind a paused traversal; the

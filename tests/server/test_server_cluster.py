@@ -132,10 +132,15 @@ class TestHungPartition:
         self._sigstop(cluster, 0)
         with pytest.raises(RetryLater):
             client.get("t", k0, timeout=5.0)
-        start = time.monotonic()
+        sent = cluster.supervisor.handles[0].channel.frames_sent
         with pytest.raises(RetryLater) as info:
             client.get("t", k0, timeout=5.0)
-        assert time.monotonic() - start < 0.2
+        # the open breaker fails fast: no frame to the hung partition,
+        # no respawn, no second timeout
+        assert cluster.supervisor.handles[0].channel.frames_sent == sent
+        assert cluster.supervisor.restarts == 0
+        assert cluster.metrics.counter_value("cluster.rpc.timeouts") == 1
+        assert cluster._breakers[0].rejections == 1
         assert info.value.reason == "circuit_open"
         time.sleep(0.55)  # breaker cooldown elapses
         assert client.get("t", k0, timeout=5.0) == ["r0"]
